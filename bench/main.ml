@@ -194,7 +194,7 @@ let loadgen config =
   in
   let num_clients = int_env "EDB_CLIENTS" 16 in
   let reqs_per_client = int_env "EDB_REQS" 300 in
-  let workers = int_env "EDB_WORKERS" (max 16 num_clients) in
+  let max_conns = int_env "EDB_MAX_CONNS" (max 16 num_clients + num_clients) in
   let window = max 1 (int_env "EDB_WINDOW" 32) in
   (* A small but real summary: flights-coarse with one 2D pair. *)
   let rel =
@@ -255,8 +255,7 @@ let loadgen config =
       {
         Server.default_config with
         unix_socket = Some socket;
-        workers;
-        queue_depth = num_clients;
+        max_conns;
       }
   in
   (match
@@ -386,15 +385,14 @@ let loadgen config =
     else float_of_int coalesce_hits /. float_of_int batched_reqs
   in
   let speedup = pipelined_rps /. lockstep_rps in
-  (* Saturation phase: more clients than workers+queue admits; the excess
+  (* Saturation phase: more clients than max_conns admits; the excess
      must be rejected fast with ERR busy, never queued indefinitely. *)
   let sat_server =
     Server.create
       {
         Server.default_config with
         unix_socket = Some (Filename.concat dir "edb-sat.sock");
-        workers = 2;
-        queue_depth = 1;
+        max_conns = 3;
       }
   in
   (match
@@ -1818,7 +1816,7 @@ let catalog config =
     let t0 = Timing.now_s () in
     let m = Mapped.open_file path in
     let dt = Timing.now_s () -. t0 in
-    ignore (Sys.opaque_identity (Mapped.cardinality m));
+    ignore (Sys.opaque_identity (Summary.cardinality m));
     dt *. 1e6
   in
   let small_opens = Array.to_list (Array.map time_open paths) in

@@ -942,7 +942,7 @@ let tcp_port_t =
     & info [ "tcp-port" ] ~docv:"PORT" ~doc:"TCP port to listen/connect on.")
 
 let serve_cmd =
-  let run verbose socket tcp_host tcp_port workers queue domains batch_window
+  let run verbose socket tcp_host tcp_port max_conns domains batch_window
       max_inflight deadline idle catalog_capacity catalog_bytes cache_capacity
       preload =
     setup_logs verbose;
@@ -956,8 +956,7 @@ let serve_cmd =
         {
           Edb_server.Server.unix_socket = socket;
           tcp;
-          workers;
-          queue_depth = queue;
+          max_conns;
           domains;
           batch_window;
           max_inflight;
@@ -998,16 +997,11 @@ let serve_cmd =
           0
     end
   in
-  let workers_t =
+  let max_conns_t =
     Arg.(
-      value & opt int Edb_server.Server.default_config.workers
-      & info [ "workers" ] ~docv:"N" ~doc:"Worker threads.")
-  in
-  let queue_t =
-    Arg.(
-      value & opt int Edb_server.Server.default_config.queue_depth
-      & info [ "queue" ] ~docv:"N"
-          ~doc:"Pending connections beyond the workers before ERR busy.")
+      value & opt int Edb_server.Server.default_config.max_conns
+      & info [ "max-conns" ] ~docv:"N"
+          ~doc:"Live connections admitted before new ones get ERR busy.")
   in
   let domains_t =
     Arg.(
@@ -1077,8 +1071,8 @@ let serve_cmd =
          "Run the resident summary server until SIGINT/SIGTERM (graceful \
           drain).")
     Term.(
-      const run $ verbose_t $ socket_t $ tcp_host_t $ tcp_port_t $ workers_t
-      $ queue_t $ domains_t $ batch_window_t $ max_inflight_t $ deadline_t
+      const run $ verbose_t $ socket_t $ tcp_host_t $ tcp_port_t $ max_conns_t
+      $ domains_t $ batch_window_t $ max_inflight_t $ deadline_t
       $ idle_t $ catalog_t $ catalog_bytes_t $ cache_t $ preload_t)
 
 let client_cmd =

@@ -41,14 +41,16 @@ type t = {
 }
 
 (* The cache only needs pure estimators, not a whole summary; sharded
-   summaries (lib/shard) reuse it through this entry point. *)
+   summaries (lib/shard) reuse it through this entry point.  The table
+   starts small and grows with use: the server builds a cache on every
+   catalog (re)open, and [capacity] only bounds eviction. *)
 let of_fn ?(capacity = 4096) ?groups eval =
   if capacity < 1 then invalid_arg "Cache.create: capacity must be positive";
   {
     eval;
     eval_groups = groups;
     capacity;
-    table = Hashtbl.create (2 * capacity);
+    table = Hashtbl.create 16;
     lock = Mutex.create ();
     tick = 0;
     hits = 0;

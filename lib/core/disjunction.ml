@@ -54,6 +54,7 @@ let sign size = if size mod 2 = 1 then 1. else -1.
 
 let estimate summary preds =
   check_disjuncts preds;
+  Summary.verify summary;
   fold_intersections preds ~init:0. ~f:(fun acc ~intersection ~size ->
       acc +. (sign size *. Summary.estimate summary intersection))
 

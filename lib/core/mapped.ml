@@ -1,81 +1,38 @@
-(* Zero-copy mapped summaries: query a format-v3 file straight off its
-   mmap, without heap-loading the body.
+(* Zero-copy mapped summaries: a format-v3 file opened as an ordinary,
+   read-only [Summary.t] whose kernel tables are views of the file.
 
    [open_file] validates the header and manifest (O(header + manifest)
    I/O), maps the whole file three times — char for checksumming,
-   float64 and native-int for the kernel — and carves the section views
-   with [Bigarray.Array1.sub].  Three maps per file (not per section)
-   keeps the per-summary mapping count constant, so a thousand-summary
-   catalog stays far from vm.max_map_count.
-
-   Bitwise equality with the heap kernel is the design invariant: every
-   evaluation function below mirrors its [Poly]/[Summary]/[Disjunction]
-   counterpart operation for operation, in the same order — the only
-   difference is where a load comes from (a mapped Bigarray instead of a
-   heap array).  The writer ([Serialize.save_v3]) refreshes the
-   polynomial before exporting its tables, so the mapped tables are the
-   tables any heap loader rebuilds, and k=1 answers agree bit for bit.
-   The mapped kernel never parallelizes (summation order would change);
-   this matches the heap kernel below its 30k-term parallel threshold.
+   float64 and native-int for the tables — and carves the evaluator's
+   section views with [Bigarray.Array1.sub].  Three maps per file (not
+   per section) keeps the per-summary mapping count constant, so a
+   thousand-summary catalog stays far from vm.max_map_count.  The views
+   go to [Poly.of_tables]: the one evaluator answers a mapped summary
+   exactly as it answers the heap summary that wrote the file (the
+   writer refreshes the polynomial before exporting, so the stored
+   tables are the ones any loader rebuilds).
 
    Integrity: the body is NOT verified at open (that would break the
-   O(1) open).  Instead every section checksum is verified once, before
-   the first query ([ensure_verified], an idempotent Atomic latch), so
+   O(1) open).  Instead the polynomial carries a once-only latch that
+   checksums every section before its first answer or table read, so
    corruption surfaces as [Serialize.Format_error "section %s checksum
    mismatch"] — never a crash, never a silently wrong answer.  The
-   kernels' unsafe accesses are sound because they only ever run on
+   evaluator's unsafe accesses are sound because they only ever run on
    verified bytes, which are exactly the bytes a valid polynomial
-   exported. *)
+   exported.
+
+   Residency: [Summary.release_pages] gives the views' pages back to the
+   kernel (madvise, see mapped_stubs.c) without unmapping them; the
+   catalog calls it on eviction, since the GC neither sees a mapping's
+   size nor unmaps it before finalizing its Bigarray. *)
 
 open Edb_util
 open Edb_storage
 module A1 = Bigarray.Array1
 
-type fbuf = (float, Bigarray.float64_elt, Bigarray.c_layout) A1.t
-type ibuf = (int, Bigarray.int_elt, Bigarray.c_layout) A1.t
-
-(* The kernel-facing slice of one group's tables.  Only the arrays the
-   read-only kernels touch are carved out; update-path tables (the ts,
-   bys and byv families) and cached-state tables (fprod, value,
-   mask_sum, mask_outer) stay in the file, verified but never sliced. *)
-type mgroup = {
-  mg_attrs : int array; (* ascending, from the manifest *)
-  mg_n_terms : int;
-  mg_fa_off : ibuf; (* length n_terms + 1 *)
-  mg_fa_attr : ibuf;
-  mg_factors : fbuf;
-  mg_iv_off : ibuf; (* length #slots + 1 *)
-  mg_iv_lo : ibuf;
-  mg_iv_hi : ibuf;
-  mg_t_mask : ibuf;
-  mg_dprod : fbuf;
-  mg_mask_bits : ibuf;
-}
-
-type t = {
-  path : string;
-  manifest : Serialize.v3_manifest;
-  schema : Schema.t;
-  n : int;
-  p : float;
-  size_bytes : int;
-  cview : Crc32.bigchar; (* whole file, for checksumming *)
-  alpha : fbuf;
-  attr_sums : fbuf;
-  prefix : fbuf array; (* attr -> prefix sums, length N_i + 1 *)
-  marg_off : int array; (* attr -> first marginal stat id (attr-major) *)
-  free_attrs : int array;
-  group_of_attr : int array;
-  groups : mgroup array;
-  verified : bool Atomic.t;
-}
-
 let opens_counter = Edb_obs.Registry.counter "mapped.opens"
-let evals_counter = Edb_obs.Registry.counter "mapped.evals"
 
-(* ------------------------------------------------------------------ *)
-(* Opening                                                             *)
-(* ------------------------------------------------------------------ *)
+external release : (_, _, Bigarray.c_layout) A1.t -> unit = "edb_mapped_release"
 
 let find_section manifest name =
   let rec go = function
@@ -83,6 +40,20 @@ let find_section manifest name =
     | s :: rest -> if s.Serialize.sec_name = name then s else go rest
   in
   go manifest.Serialize.v3_sections
+
+let fail fmt =
+  Printf.ksprintf (fun msg -> raise (Serialize.Format_error msg)) fmt
+
+let verify_sections path manifest (cview : Crc32.bigchar) () =
+  Edb_obs.Obs.with_span "mapped.verify" ~cat:"io"
+    ~attrs:(fun () -> [ ("path", path) ])
+  @@ fun () ->
+  List.iter
+    (fun s ->
+      let sub = A1.sub cview s.Serialize.sec_off (8 * s.Serialize.sec_len) in
+      if Crc32.bigchar sub <> s.Serialize.sec_crc then
+        fail "section %s checksum mismatch" s.Serialize.sec_name)
+    manifest.Serialize.v3_sections
 
 let open_file path =
   Edb_obs.Obs.with_span "mapped.open" ~cat:"io"
@@ -102,707 +73,87 @@ let open_file path =
         in
         ( size,
           (map Bigarray.char size : Crc32.bigchar),
-          (map Bigarray.float64 (size / 8) : fbuf),
-          (map Bigarray.int (size / 8) : ibuf) ))
+          (map Bigarray.float64 (size / 8) : Poly.fbuf),
+          (map Bigarray.int (size / 8) : Poly.ibuf) ))
   in
-  let fslice name =
+  let slice view is_float name =
     let s = find_section manifest name in
-    if not s.Serialize.sec_float then
-      raise
-        (Serialize.Format_error
-           (Printf.sprintf "section %s has the wrong element kind" name));
-    A1.sub fview (s.Serialize.sec_off / 8) s.Serialize.sec_len
+    if s.Serialize.sec_float <> is_float then
+      fail "section %s has the wrong element kind" name;
+    A1.sub view (s.Serialize.sec_off / 8) s.Serialize.sec_len
   in
-  let islice name =
-    let s = find_section manifest name in
-    if s.Serialize.sec_float then
-      raise
-        (Serialize.Format_error
-           (Printf.sprintf "section %s has the wrong element kind" name));
-    A1.sub iview (s.Serialize.sec_off / 8) s.Serialize.sec_len
-  in
+  let fslice = slice fview true and islice = slice iview false in
   let schema = manifest.Serialize.v3_schema in
   let m = Schema.arity schema in
-  let alpha = fslice "alpha" in
-  let attr_sums = fslice "attr_sums" in
-  if A1.dim attr_sums <> m then
-    raise (Serialize.Format_error "section attr_sums length mismatch");
-  let prefix_all = fslice "prefix" in
-  let prefix = Array.make (max 1 m) prefix_all in
-  let marg_off = Array.make (max 1 m) 0 in
-  let off = ref 0 and id = ref 0 in
+  let marginals = ref 0 and prefix_len = ref 0 in
   for i = 0 to m - 1 do
-    let size_i = Schema.domain_size schema i in
-    marg_off.(i) <- !id;
-    id := !id + size_i;
-    if !off + size_i + 1 > A1.dim prefix_all then
-      raise (Serialize.Format_error "section prefix length mismatch");
-    prefix.(i) <- A1.sub prefix_all !off (size_i + 1);
-    off := !off + size_i + 1
+    marginals := !marginals + Schema.domain_size schema i;
+    prefix_len := !prefix_len + Schema.domain_size schema i + 1
   done;
-  if !off <> A1.dim prefix_all then
-    raise (Serialize.Format_error "section prefix length mismatch");
-  if A1.dim alpha <> !id + List.length manifest.Serialize.v3_joints then
-    raise (Serialize.Format_error "section alpha length mismatch");
+  let alpha = fslice "alpha"
+  and attr_sums = fslice "attr_sums"
+  and prefix = fslice "prefix" in
+  if A1.dim attr_sums <> m then fail "section attr_sums length mismatch";
+  if A1.dim prefix <> !prefix_len then fail "section prefix length mismatch";
+  if A1.dim alpha <> !marginals + List.length manifest.Serialize.v3_joints
+  then fail "section alpha length mismatch";
+  if Array.length manifest.Serialize.v3_group_of_attr <> m then
+    fail "corrupt v3 attribute-group map";
   let groups =
     Array.mapi
       (fun gi (gm : Serialize.v3_group_meta) ->
         let nm name = Printf.sprintf "g%d.%s" gi name in
         let g =
           {
-            mg_attrs = gm.Serialize.v3g_attrs;
-            mg_n_terms = gm.Serialize.v3g_n_terms;
-            mg_fa_off = islice (nm "fa_off");
-            mg_fa_attr = islice (nm "fa_attr");
-            mg_factors = fslice (nm "factors");
-            mg_iv_off = islice (nm "iv_off");
-            mg_iv_lo = islice (nm "iv_lo");
-            mg_iv_hi = islice (nm "iv_hi");
-            mg_t_mask = islice (nm "t_mask");
-            mg_dprod = fslice (nm "dprod");
-            mg_mask_bits = islice (nm "mask_bits");
+            Poly.g_attrs = gm.Serialize.v3g_attrs;
+            n_terms = gm.Serialize.v3g_n_terms;
+            fa_off = islice (nm "fa_off");
+            fa_attr = islice (nm "fa_attr");
+            factors = fslice (nm "factors");
+            iv_off = islice (nm "iv_off");
+            iv_lo = islice (nm "iv_lo");
+            iv_hi = islice (nm "iv_hi");
+            t_mask = islice (nm "t_mask");
+            dprod = fslice (nm "dprod");
+            mask_bits = islice (nm "mask_bits");
           }
         in
         if
-          A1.dim g.mg_fa_off <> gm.Serialize.v3g_n_terms + 1
-          || A1.dim g.mg_t_mask <> gm.Serialize.v3g_n_terms
-          || A1.dim g.mg_dprod <> gm.Serialize.v3g_n_terms
-          || A1.dim g.mg_fa_attr <> A1.dim g.mg_factors
-          || A1.dim g.mg_iv_off <> A1.dim g.mg_factors + 1
-          || A1.dim g.mg_iv_lo <> A1.dim g.mg_iv_hi
-        then
-          raise
-            (Serialize.Format_error
-               (Printf.sprintf "group %d table geometry mismatch" gi));
+          A1.dim g.fa_off <> g.n_terms + 1
+          || A1.dim g.t_mask <> g.n_terms
+          || A1.dim g.dprod <> g.n_terms
+          || A1.dim g.fa_attr <> A1.dim g.factors
+          || A1.dim g.iv_off <> A1.dim g.factors + 1
+          || A1.dim g.iv_lo <> A1.dim g.iv_hi
+        then fail "group %d table geometry mismatch" gi;
         g)
       manifest.Serialize.v3_groups
   in
-  if Array.length manifest.Serialize.v3_group_of_attr <> m then
-    raise (Serialize.Format_error "corrupt v3 attribute-group map");
-  {
-    path;
-    manifest;
-    schema;
-    n = manifest.Serialize.v3_n;
-    p = manifest.Serialize.v3_p;
-    size_bytes = size;
-    cview;
-    alpha;
-    attr_sums;
-    prefix;
-    marg_off;
-    free_attrs = manifest.Serialize.v3_free_attrs;
-    group_of_attr = manifest.Serialize.v3_group_of_attr;
-    groups;
-    verified = Atomic.make false;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Lazy integrity verification                                         *)
-(* ------------------------------------------------------------------ *)
-
-let verify_now t =
-  List.iter
-    (fun s ->
-      let sub = A1.sub t.cview s.Serialize.sec_off (8 * s.Serialize.sec_len) in
-      if Crc32.bigchar sub <> s.Serialize.sec_crc then
-        raise
-          (Serialize.Format_error
-             (Printf.sprintf "section %s checksum mismatch"
-                s.Serialize.sec_name)))
-    t.manifest.Serialize.v3_sections
-
-(* Idempotent latch: concurrent first queries may both verify (harmless;
-   verification only reads), after which the flag short-circuits. *)
-let ensure_verified t =
-  if not (Atomic.get t.verified) then begin
-    Edb_obs.Obs.with_span "mapped.verify" ~cat:"io"
-      ~attrs:(fun () -> [ ("path", t.path) ])
-      (fun () -> verify_now t);
-    Atomic.set t.verified true
-  end
-
-let verify t = ensure_verified t
-
-(* ------------------------------------------------------------------ *)
-(* Accessors                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let path t = t.path
-let schema t = t.schema
-let cardinality t = t.n
-let size_bytes t = t.size_bytes
-let journal t = t.manifest.Serialize.v3_journal
-let solver_report t = t.manifest.Serialize.v3_report
-let manifest t = t.manifest
-let sections t = t.manifest.Serialize.v3_sections
-
-let num_terms t =
-  Array.fold_left
-    (fun acc (g : Serialize.v3_group_meta) -> acc + g.Serialize.v3g_n_terms)
-    0 t.manifest.Serialize.v3_groups
-
-(* ------------------------------------------------------------------ *)
-(* Restricted-evaluation kernel — mirrors Poly's heap kernel op for op *)
-(* ------------------------------------------------------------------ *)
-
-(* Mirror of [Poly.range_sum]. *)
-let[@inline] range_sum (pre : fbuf) r =
-  let acc = ref 0. in
-  for k = 0 to Ranges.num_intervals r - 1 do
-    acc :=
-      !acc
-      +. A1.unsafe_get pre (Ranges.interval_hi r k + 1)
-      -. A1.unsafe_get pre (Ranges.interval_lo r k)
-  done;
-  !acc
-
-(* Mirror of [Poly.inter_sum]: merge walk over (slot s's intervals ∩
-   [qr]), summed via prefix sums in the same interval order. *)
-let[@inline] inter_sum (pre : fbuf) g s qr =
-  let iv_lo = g.mg_iv_lo and iv_hi = g.mg_iv_hi in
-  let acc = ref 0. in
-  let k = ref (A1.unsafe_get g.mg_iv_off s) and j = ref 0 in
-  let k1 = A1.unsafe_get g.mg_iv_off (s + 1) and nq = Ranges.num_intervals qr in
-  while !k < k1 && !j < nq do
-    let alo = A1.unsafe_get iv_lo !k and ahi = A1.unsafe_get iv_hi !k in
-    let blo = Ranges.interval_lo qr !j and bhi = Ranges.interval_hi qr !j in
-    let lo = if alo > blo then alo else blo in
-    let hi = if ahi < bhi then ahi else bhi in
-    if lo <= hi then
-      acc := !acc +. A1.unsafe_get pre (hi + 1) -. A1.unsafe_get pre lo;
-    if ahi < bhi then incr k else incr j
-  done;
-  !acc
-
-(* Mirror of [Poly.restricted_attr_sum]. *)
-let[@inline] restricted_attr_sum t query i =
-  match Predicate.restriction query i with
-  | None -> A1.get t.attr_sums i
-  | Some r -> range_sum t.prefix.(i) r
-
-(* Mirror of [Poly.accumulate_masses]. *)
-let accumulate_masses t query g (msum : float array) ~lo ~hi =
-  let fa_off = g.mg_fa_off
-  and fa_attr = g.mg_fa_attr
-  and factors = g.mg_factors
-  and dprod = g.mg_dprod
-  and t_mask = g.mg_t_mask
-  and prefix = t.prefix in
-  let f = ref 0. in
-  for ti = lo to hi - 1 do
-    f := A1.unsafe_get dprod ti;
-    (try
-       for s = A1.unsafe_get fa_off ti to A1.unsafe_get fa_off (ti + 1) - 1 do
-         let i = A1.unsafe_get fa_attr s in
-         let factor =
-           match Predicate.restriction query i with
-           | None -> A1.unsafe_get factors s
-           | Some qr -> inter_sum (Array.unsafe_get prefix i) g s qr
-         in
-         if factor = 0. then raise Exit;
-         f := !f *. factor
-       done
-     with Exit -> f := 0.);
-    let mask = A1.unsafe_get t_mask ti in
-    Array.unsafe_set msum mask (Array.unsafe_get msum mask +. !f)
-  done
-
-(* Mirror of [Poly.restricted_group_q]'s sequential path (the mapped
-   kernel never takes the parallel branch; see the header comment).
-   Per-call accumulators are freshly allocated — they are tiny
-   (#local-attrs and #masks), and fresh arrays make concurrent server
-   queries over the same mapped summary trivially safe. *)
-let restricted_group_q t query g =
-  let n_local = Array.length g.mg_attrs in
-  let ra = Array.make (max 1 n_local) 0. in
-  for li = 0 to n_local - 1 do
-    ra.(li) <- restricted_attr_sum t query g.mg_attrs.(li)
-  done;
-  let num_masks = A1.dim g.mg_mask_bits in
-  let msum = Array.make num_masks 0. in
-  accumulate_masses t query g msum ~lo:0 ~hi:g.mg_n_terms;
-  let q = ref 0. in
-  for k = 0 to num_masks - 1 do
-    if msum.(k) <> 0. then begin
-      let bits = A1.get g.mg_mask_bits k in
-      let outer = ref 1. in
-      for li = 0 to n_local - 1 do
-        if bits land (1 lsl li) = 0 then outer := !outer *. ra.(li)
-      done;
-      q := !q +. (msum.(k) *. !outer)
-    end
-  done;
-  (* Same cancellation clamp as the heap kernel's production setting
-     (floor 0); the fault-injection override is heap-only by design —
-     the heap-vs-mapped differential oracle is exactly what should fire
-     when the harness plants that bug. *)
-  Float.max 0. !q
-
-(* Mirror of [Poly.eval_restricted_sc]. *)
-let eval_restricted t query =
-  Edb_obs.Registry.Counter.incr evals_counter;
-  let acc = ref 1. in
-  for k = 0 to Array.length t.free_attrs - 1 do
-    acc := !acc *. restricted_attr_sum t query t.free_attrs.(k)
-  done;
-  for gi = 0 to Array.length t.groups - 1 do
-    acc := !acc *. restricted_group_q t query t.groups.(gi)
-  done;
-  !acc
-
-let[@inline] alpha_of t ~attr v = A1.get t.alpha (t.marg_off.(attr) + v)
-
-let local_of g attr =
-  let rec find k = if g.mg_attrs.(k) = attr then k else find (k + 1) in
-  find 0
-
-(* Mirror of [Poly.accumulate_by_value]. *)
-let accumulate_by_value t query g ~attr ~q_attr (coef : float array)
-    (msum : float array) (scatter : float array) ~lo ~hi =
-  let fa_off = g.mg_fa_off
-  and fa_attr = g.mg_fa_attr
-  and factors = g.mg_factors
-  and dprod = g.mg_dprod
-  and t_mask = g.mg_t_mask
-  and iv_off = g.mg_iv_off
-  and iv_lo = g.mg_iv_lo
-  and iv_hi = g.mg_iv_hi
-  and prefix = t.prefix in
-  let f = ref 0. in
-  for ti = lo to hi - 1 do
-    let s0 = A1.unsafe_get fa_off ti and s1 = A1.unsafe_get fa_off (ti + 1) in
-    let attr_slot = ref (-1) in
-    f := A1.unsafe_get dprod ti;
-    (try
-       for s = s0 to s1 - 1 do
-         let i = A1.unsafe_get fa_attr s in
-         if i = attr then attr_slot := s
-         else begin
-           let factor =
-             match Predicate.restriction query i with
-             | None -> A1.unsafe_get factors s
-             | Some qr -> inter_sum (Array.unsafe_get prefix i) g s qr
-           in
-           if factor = 0. then raise Exit;
-           f := !f *. factor
-         end
-       done
-     with Exit -> f := 0.);
-    let attr_slot = !attr_slot in
-    let fv = !f in
-    if fv <> 0. then
-      let mask = A1.unsafe_get t_mask ti in
-      if attr_slot < 0 then
-        Array.unsafe_set msum mask (Array.unsafe_get msum mask +. fv)
-      else begin
-        let w = fv *. Array.unsafe_get coef mask in
-        match q_attr with
-        | None ->
-            for k = A1.unsafe_get iv_off attr_slot
-                 to A1.unsafe_get iv_off (attr_slot + 1) - 1
-            do
-              for v = A1.unsafe_get iv_lo k to A1.unsafe_get iv_hi k do
-                Array.unsafe_set scatter v (Array.unsafe_get scatter v +. w)
-              done
-            done
-        | Some qr ->
-            let k = ref (A1.unsafe_get iv_off attr_slot) and j = ref 0 in
-            let k1 = A1.unsafe_get iv_off (attr_slot + 1) in
-            let nq = Ranges.num_intervals qr in
-            while !k < k1 && !j < nq do
-              let alo = A1.unsafe_get iv_lo !k
-              and ahi = A1.unsafe_get iv_hi !k in
-              let blo = Ranges.interval_lo qr !j
-              and bhi = Ranges.interval_hi qr !j in
-              let lo = if alo > blo then alo else blo in
-              let hi = if ahi < bhi then ahi else bhi in
-              if lo <= hi then
-                for v = lo to hi do
-                  Array.unsafe_set scatter v (Array.unsafe_get scatter v +. w)
-                done;
-              if ahi < bhi then incr k else incr j
-            done
-      end
-  done
-
-(* Mirror of [Poly.eval_by_value_sc]'s sequential path. *)
-let eval_by_value t query ~attr ~out =
-  Edb_obs.Registry.Counter.incr evals_counter;
-  let size = Schema.domain_size t.schema attr in
-  if Array.length out < size then
-    invalid_arg "Mapped.eval_by_value: out buffer too small";
-  Array.fill out 0 size 0.;
-  let q_attr = Predicate.restriction query attr in
-  let gi = t.group_of_attr.(attr) in
-  let base = ref 1. in
-  for k = 0 to Array.length t.free_attrs - 1 do
-    let i = t.free_attrs.(k) in
-    if i <> attr then base := !base *. restricted_attr_sum t query i
-  done;
-  for gj = 0 to Array.length t.groups - 1 do
-    if gj <> gi then base := !base *. restricted_group_q t query t.groups.(gj)
-  done;
-  let base = !base in
-  if gi < 0 then begin
-    match q_attr with
-    | None ->
-        for v = 0 to size - 1 do
-          out.(v) <- base *. alpha_of t ~attr v
-        done
-    | Some r ->
-        for k = 0 to Ranges.num_intervals r - 1 do
-          for v = Ranges.interval_lo r k to Ranges.interval_hi r k do
-            out.(v) <- base *. alpha_of t ~attr v
-          done
-        done
-  end
-  else begin
-    let g = t.groups.(gi) in
-    let li = local_of g attr in
-    let n_local = Array.length g.mg_attrs in
-    let num_masks = A1.dim g.mg_mask_bits in
-    let coef = Array.make num_masks 0. in
-    for k = 0 to num_masks - 1 do
-      let bits = A1.get g.mg_mask_bits k in
-      let outer = ref 1. in
-      for li' = 0 to n_local - 1 do
-        if li' <> li && bits land (1 lsl li') = 0 then
-          outer := !outer *. restricted_attr_sum t query g.mg_attrs.(li')
-      done;
-      coef.(k) <- !outer
-    done;
-    let msum = Array.make num_masks 0. in
-    let scatter = Array.make size 0. in
-    accumulate_by_value t query g ~attr ~q_attr coef msum scatter ~lo:0
-      ~hi:g.mg_n_terms;
-    let scalar = ref 0. in
-    for k = 0 to num_masks - 1 do
-      if A1.get g.mg_mask_bits k land (1 lsl li) = 0 && msum.(k) <> 0. then
-        scalar := !scalar +. (msum.(k) *. coef.(k))
-    done;
-    let scalar = !scalar in
-    match q_attr with
-    | None ->
-        for v = 0 to size - 1 do
-          out.(v) <-
-            base *. Float.max 0. (alpha_of t ~attr v *. (scalar +. scatter.(v)))
-        done
-    | Some r ->
-        for k = 0 to Ranges.num_intervals r - 1 do
-          for v = Ranges.interval_lo r k to Ranges.interval_hi r k do
-            out.(v) <-
-              base
-              *. Float.max 0. (alpha_of t ~attr v *. (scalar +. scatter.(v)))
-          done
-        done
-  end
-
-(* Mirror of [Poly.eval_weighted_impl].  Non-overridden attributes copy
-   their mapped prefix slice into a plain array (memoized per call):
-   the copies hold the exact stored doubles, so every operation sees the
-   same values the heap path does. *)
-let eval_weighted t query ~weights =
-  Edb_obs.Registry.Counter.incr evals_counter;
-  let all_nonneg = ref true in
-  let prefix_of =
-    let overridden = Hashtbl.create 4 in
-    List.iter
-      (fun (attr, w) ->
-        let size = Schema.domain_size t.schema attr in
-        let pre = Array.make (size + 1) 0. in
-        for v = 0 to size - 1 do
-          let wa = alpha_of t ~attr v *. w v in
-          if wa < 0. then all_nonneg := false;
-          pre.(v + 1) <- pre.(v) +. wa
-        done;
-        Hashtbl.replace overridden attr pre)
-      weights;
-    let copies = Hashtbl.create 8 in
-    fun attr ->
-      match Hashtbl.find_opt overridden attr with
-      | Some pre -> pre
-      | None -> (
-          match Hashtbl.find_opt copies attr with
-          | Some pre -> pre
-          | None ->
-              let sl = t.prefix.(attr) in
-              let pre = Array.init (A1.dim sl) (fun k -> A1.get sl k) in
-              Hashtbl.add copies attr pre;
-              pre)
+  let n = manifest.Serialize.v3_n in
+  let tables =
+    {
+      Poly.tb_alpha = alpha;
+      tb_attr_sums = attr_sums;
+      tb_prefix = prefix;
+      tb_p = manifest.Serialize.v3_p;
+      tb_free_attrs = manifest.Serialize.v3_free_attrs;
+      tb_group_of_attr = manifest.Serialize.v3_group_of_attr;
+      tb_groups = groups;
+    }
   in
-  let range_sum_pre (pre : float array) r =
-    let acc = ref 0. in
-    for k = 0 to Ranges.num_intervals r - 1 do
-      acc :=
-        !acc +. pre.(Ranges.interval_hi r k + 1) -. pre.(Ranges.interval_lo r k)
-    done;
-    !acc
+  let phi () =
+    Phi.of_targets schema ~n
+      ~marginal_targets:manifest.Serialize.v3_marginal_targets
+      ~joints:manifest.Serialize.v3_joints
   in
-  let slot_sum_pre (pre : float array) g s =
-    let acc = ref 0. in
-    for k = A1.unsafe_get g.mg_iv_off s to A1.unsafe_get g.mg_iv_off (s + 1) - 1
-    do
-      acc :=
-        !acc
-        +. Array.unsafe_get pre (A1.unsafe_get g.mg_iv_hi k + 1)
-        -. Array.unsafe_get pre (A1.unsafe_get g.mg_iv_lo k)
-    done;
-    !acc
+  let poly =
+    Poly.of_tables schema ~n tables ~phi
+      ~verify:(verify_sections path manifest cview)
+      ~release:(fun () ->
+        release cview;
+        release fview;
+        release iview)
+      ~footprint_bytes:size
   in
-  let inter_sum_pre (pre : float array) g s qr =
-    let iv_lo = g.mg_iv_lo and iv_hi = g.mg_iv_hi in
-    let acc = ref 0. in
-    let k = ref (A1.unsafe_get g.mg_iv_off s) and j = ref 0 in
-    let k1 = A1.unsafe_get g.mg_iv_off (s + 1)
-    and nq = Ranges.num_intervals qr in
-    while !k < k1 && !j < nq do
-      let alo = A1.unsafe_get iv_lo !k and ahi = A1.unsafe_get iv_hi !k in
-      let blo = Ranges.interval_lo qr !j and bhi = Ranges.interval_hi qr !j in
-      let lo = if alo > blo then alo else blo in
-      let hi = if ahi < bhi then ahi else bhi in
-      if lo <= hi then
-        acc := !acc +. Array.unsafe_get pre (hi + 1) -. Array.unsafe_get pre lo;
-      if ahi < bhi then incr k else incr j
-    done;
-    !acc
-  in
-  let attr_total i =
-    let pre = prefix_of i in
-    match Predicate.restriction query i with
-    | None -> pre.(Schema.domain_size t.schema i)
-    | Some r -> range_sum_pre pre r
-  in
-  let acc = ref 1. in
-  Array.iter (fun i -> acc := !acc *. attr_total i) t.free_attrs;
-  Array.iter
-    (fun g ->
-      let totals = Array.map attr_total g.mg_attrs in
-      let num_masks = A1.dim g.mg_mask_bits in
-      let msum = Array.make num_masks 0. in
-      for ti = 0 to g.mg_n_terms - 1 do
-        let f = ref (A1.get g.mg_dprod ti) in
-        (try
-           for s = A1.get g.mg_fa_off ti to A1.get g.mg_fa_off (ti + 1) - 1 do
-             let i = A1.get g.mg_fa_attr s in
-             let pre = prefix_of i in
-             let factor =
-               match Predicate.restriction query i with
-               | None -> slot_sum_pre pre g s
-               | Some qr -> inter_sum_pre pre g s qr
-             in
-             if factor = 0. then raise Exit;
-             f := !f *. factor
-           done
-         with Exit -> f := 0.);
-        let mask = A1.get g.mg_t_mask ti in
-        msum.(mask) <- msum.(mask) +. !f
-      done;
-      let q = ref 0. in
-      let n_local = Array.length g.mg_attrs in
-      for k = 0 to num_masks - 1 do
-        if msum.(k) <> 0. then begin
-          let bits = A1.get g.mg_mask_bits k in
-          let outer = ref 1. in
-          for li = 0 to n_local - 1 do
-            if bits land (1 lsl li) = 0 then outer := !outer *. totals.(li)
-          done;
-          q := !q +. (msum.(k) *. !outer)
-        end
-      done;
-      let q = if !all_nonneg then Float.max 0. !q else !q in
-      acc := !acc *. q)
-    t.groups;
-  !acc
-
-(* ------------------------------------------------------------------ *)
-(* Public estimators — mirror Summary / Disjunction                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Mirror of [Poly.estimate] (n · P[zeroed] / P). *)
-let estimate t query =
-  ensure_verified t;
-  if Predicate.is_unsatisfiable query then 0.
-  else if t.p <= 0. then 0.
-  else float_of_int t.n *. eval_restricted t query /. t.p
-
-let estimate_rounded t query =
-  let e = estimate t query in
-  if e < 0.5 then 0. else e
-
-(* Mirror of [Summary.variance]. *)
-let variance t query =
-  ensure_verified t;
-  if t.p <= 0. then 0.
-  else
-    let p_q = eval_restricted t query /. t.p in
-    let p_q = Floatx.clamp ~lo:0. ~hi:1. p_q in
-    float_of_int t.n *. p_q *. (1. -. p_q)
-
-let stddev t query = sqrt (variance t query)
-
-(* Mirror of [Summary.estimate_with_variance]. *)
-let estimate_with_variance t query =
-  ensure_verified t;
-  if Predicate.is_unsatisfiable query then (0., 0.)
-  else if t.p <= 0. then (0., 0.)
-  else
-    let r = eval_restricted t query in
-    let est = float_of_int t.n *. r /. t.p in
-    let p_q = Floatx.clamp ~lo:0. ~hi:1. (r /. t.p) in
-    (est, float_of_int t.n *. p_q *. (1. -. p_q))
-
-(* Mirror of [Summary.midpoint_weights]. *)
-let midpoint_weights t ~attr =
-  let domain = Schema.domain t.schema attr in
-  let table =
-    Array.init (Schema.domain_size t.schema attr) (fun v ->
-        Domain.bin_midpoint domain v)
-  in
-  fun v -> table.(v)
-
-(* Mirror of [Poly.estimate_weighted]. *)
-let estimate_weighted t query ~weights =
-  ensure_verified t;
-  if Predicate.is_unsatisfiable query then 0.
-  else if t.p <= 0. then 0.
-  else float_of_int t.n *. eval_weighted t query ~weights /. t.p
-
-let estimate_sum t ~attr ?weights query =
-  let w = match weights with Some w -> w | None -> midpoint_weights t ~attr in
-  estimate_weighted t query ~weights:[ (attr, w) ]
-
-let estimate_avg t ~attr query =
-  let count = estimate t query in
-  if count <= 0. then None else Some (estimate_sum t ~attr query /. count)
-
-(* Mirror of [Summary.variance_sum]. *)
-let variance_sum t ~attr ?weights query =
-  ensure_verified t;
-  let w = match weights with Some w -> w | None -> midpoint_weights t ~attr in
-  if t.p <= 0. then 0.
-  else
-    let mean_w = eval_weighted t query ~weights:[ (attr, w) ] /. t.p in
-    let mean_w2 =
-      eval_weighted t query ~weights:[ (attr, fun v -> w v ** 2.) ] /. t.p
-    in
-    Float.max 0. (float_of_int t.n *. (mean_w2 -. (mean_w ** 2.)))
-
-(* Mirror of [Summary.estimate_groups_with_variance]: same pivot choice,
-   same shared result buffer, same enumeration and sort order. *)
-let estimate_groups_with_variance t ~attrs query =
-  ensure_verified t;
-  let n = float_of_int t.n in
-  let p_total = t.p in
-  let cell r =
-    if p_total <= 0. then (0., 0.)
-    else
-      let est = n *. r /. p_total in
-      let p = Floatx.clamp ~lo:0. ~hi:1. (r /. p_total) in
-      (est, n *. p *. (1. -. p))
-  in
-  match attrs with
-  | [] ->
-      let r =
-        if Predicate.is_unsatisfiable query then 0. else eval_restricted t query
-      in
-      let est, var = cell r in
-      [ ([], est, var) ]
-  | _ ->
-      let attr_arr = Array.of_list attrs in
-      let cand =
-        Array.map
-          (fun attr ->
-            match Predicate.restriction query attr with
-            | None -> Array.init (Schema.domain_size t.schema attr) Fun.id
-            | Some r -> Array.of_list (Ranges.to_list r))
-          attr_arr
-      in
-      let pivot = ref 0 in
-      Array.iteri
-        (fun i c ->
-          if Array.length c > Array.length cand.(!pivot) then pivot := i)
-        cand;
-      let pivot = !pivot in
-      let d = Array.length attr_arr in
-      let chosen = Array.make d 0 in
-      let vec = Array.make (Schema.domain_size t.schema attr_arr.(pivot)) 0. in
-      let cells = ref [] in
-      let rec combos i =
-        if i = d then begin
-          let q = ref query in
-          for j = 0 to d - 1 do
-            if j <> pivot then
-              q :=
-                Predicate.restrict !q attr_arr.(j)
-                  (Ranges.singleton chosen.(j))
-          done;
-          eval_by_value t !q ~attr:attr_arr.(pivot) ~out:vec;
-          Array.iter
-            (fun v ->
-              chosen.(pivot) <- v;
-              cells := (Array.to_list chosen, vec.(v)) :: !cells)
-            cand.(pivot)
-        end
-        else if i = pivot then combos (i + 1)
-        else
-          Array.iter
-            (fun v ->
-              chosen.(i) <- v;
-              combos (i + 1))
-            cand.(i)
-      in
-      combos 0;
-      List.sort (fun (a, _) (b, _) -> compare a b) !cells
-      |> List.map (fun (key, r) ->
-             let est, var = cell r in
-             (key, est, var))
-
-let estimate_groups_with_stddev t ~attrs query =
-  List.map
-    (fun (key, est, var) -> (key, est, sqrt var))
-    (estimate_groups_with_variance t ~attrs query)
-
-let estimate_groups t ~attrs query =
-  List.map
-    (fun (key, est, _) -> (key, est))
-    (estimate_groups_with_variance t ~attrs query)
-
-(* Mirror of [Summary.group_order] / [Summary.top_k_groups]. *)
-let group_order (ka, a) (kb, b) =
-  let c = Float.compare b a in
-  if c <> 0 then c else Stdlib.compare ka kb
-
-let top_k_groups t ~attrs ~k query =
-  let groups = estimate_groups t ~attrs query in
-  let sorted = List.sort group_order groups in
-  List.filteri (fun i _ -> i < k) sorted
-
-(* Mirror of [Disjunction.estimate] / [probability] / [variance]: same
-   inclusion–exclusion fold, same intersection order, same sign and
-   accumulation operations. *)
-let sign size = if size mod 2 = 1 then 1. else -1.
-
-let estimate_disjuncts t preds =
-  Disjunction.check_disjuncts preds;
-  Disjunction.fold_intersections preds ~init:0.
-    ~f:(fun acc ~intersection ~size ->
-      acc +. (sign size *. estimate t intersection))
-
-let probability_disjuncts t preds =
-  Disjunction.check_disjuncts preds;
-  ensure_verified t;
-  if t.p <= 0. then 0.
-  else
-    let mass =
-      Disjunction.fold_intersections preds ~init:0.
-        ~f:(fun acc ~intersection ~size ->
-          acc +. (sign size *. eval_restricted t intersection))
-    in
-    Floatx.clamp ~lo:0. ~hi:1. (mass /. t.p)
-
-let variance_disjuncts t preds =
-  let p = probability_disjuncts t preds in
-  float_of_int t.n *. p *. (1. -. p)
-
-let stddev_disjuncts t preds = sqrt (variance_disjuncts t preds)
+  Summary.of_solved_poly ~journal:manifest.Serialize.v3_journal ~poly
+    ~report:manifest.Serialize.v3_report ()

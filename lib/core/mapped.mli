@@ -1,96 +1,25 @@
-(** Zero-copy mapped summaries: a format-v3 file opened as Bigarray
-    views over an [mmap]ed file, queryable without heap-loading the
-    body.
+(** Zero-copy mapped summaries: a format-v3 file opened as an ordinary
+    read-only {!Summary.t} over Bigarray views of the [mmap]ed file.
 
     {!open_file} costs O(header + manifest) — the body sections are
-    mapped, not read — so a catalog can keep thousands of summaries
-    "open" for the price of their metadata.  Query evaluation walks the
-    mapped SoA/CSR tables with {e exactly} the operations, in exactly
-    the order, of the heap kernel ({!Poly.eval_restricted} and
-    friends), so every estimate is bitwise-identical to the heap
-    answer for the same file (at sequential evaluation; the mapped
-    kernel never parallelizes).
+    mapped, not read, no term is enumerated and no statistic set is
+    built — so a catalog can keep thousands of summaries "open" for the
+    price of their metadata.  The views are the kernel tables
+    themselves ({!Poly.of_tables}), so every estimator of {!Summary},
+    {!Disjunction}, {!Cache} and the shard layer answers a mapped
+    summary with the same evaluator, bitwise as the heap summary that
+    wrote the file, at any {!Poly.set_parallelism}.
 
-    Integrity: body-section checksums are verified lazily, once, on the
-    first query ({!verify} forces it eagerly).  A corrupt section
-    raises {!Serialize.Format_error} naming the section — a flipped or
-    truncated byte can never produce a silently wrong answer. *)
+    Integrity: body-section checksums are verified lazily, once, before
+    the first answer or table read ({!Summary.verify} forces it
+    eagerly).  A corrupt section raises {!Serialize.Format_error} naming
+    the section — a flipped or truncated byte can never produce a
+    silently wrong answer. *)
 
-open Edb_storage
-
-type t
-
-val open_file : string -> t
+val open_file : string -> Summary.t
 (** Map a v3 summary file.  O(header + manifest) I/O: validates the
     header and manifest ({!Serialize.v3_manifest_of}), maps the file,
     and carves the section views.  Raises {!Serialize.Format_error} on
     any format or integrity problem it can see without reading the
-    body. *)
-
-val verify : t -> unit
-(** Checksum every body section now (idempotent; later queries skip
-    it).  Raises {!Serialize.Format_error} ["section %s checksum
-    mismatch"] on the first corrupt section. *)
-
-(** {2 Metadata accessors (no body access)} *)
-
-val path : t -> string
-val schema : t -> Schema.t
-
-val cardinality : t -> int
-(** n — the summarized relation's row count. *)
-
-val size_bytes : t -> int
-(** The mapped file's size: what this summary charges a byte-budgeted
-    catalog (the body pages are file-backed and clean, so this is the
-    eviction cost, not a heap cost). *)
-
-val journal : t -> Journal.t
-val solver_report : t -> Solver.report
-val manifest : t -> Serialize.v3_manifest
-val sections : t -> Serialize.v3_section list
-
-val num_terms : t -> int
-(** Terms in the compressed representation, summed over groups (from
-    the manifest; used by the planner's cost model). *)
-
-(** {2 Estimation — mirrors {!Summary} bitwise}
-
-    All estimators force lazy verification, then evaluate directly off
-    the mapped tables. *)
-
-val estimate : t -> Predicate.t -> float
-val estimate_rounded : t -> Predicate.t -> float
-val variance : t -> Predicate.t -> float
-val stddev : t -> Predicate.t -> float
-
-val estimate_with_variance : t -> Predicate.t -> float * float
-(** One restricted evaluation serving both moments, exactly like
-    {!Summary.estimate_with_variance}. *)
-
-val estimate_sum :
-  t -> attr:int -> ?weights:(int -> float) -> Predicate.t -> float
-
-val estimate_avg : t -> attr:int -> Predicate.t -> float option
-
-val variance_sum :
-  t -> attr:int -> ?weights:(int -> float) -> Predicate.t -> float
-
-val estimate_groups :
-  t -> attrs:int list -> Predicate.t -> (int list * float) list
-
-val estimate_groups_with_variance :
-  t -> attrs:int list -> Predicate.t -> (int list * float * float) list
-
-val estimate_groups_with_stddev :
-  t -> attrs:int list -> Predicate.t -> (int list * float * float) list
-
-val top_k_groups :
-  t -> attrs:int list -> k:int -> Predicate.t -> (int list * float) list
-
-val estimate_disjuncts : t -> Predicate.t list -> float
-(** Inclusion–exclusion over {!estimate}, with the intersection order
-    of {!Disjunction.fold_intersections}. *)
-
-val variance_disjuncts : t -> Predicate.t list -> float
-val stddev_disjuncts : t -> Predicate.t list -> float
+    body.  The result is {!Summary.read_only}; its
+    {!Summary.footprint_bytes} is the file size. *)

@@ -43,10 +43,19 @@
 
      term ti:
        stats       ts_stat.(ts_off.(ti) .. ts_off.(ti+1)-1)
-       factor slot s in fa_off.(ti) .. fa_off.(ti+1)-1:
-         attribute fa_attr.(s), cached factor factors.(s),
-         projection intervals (iv_lo, iv_hi).(iv_off.(s) .. iv_off.(s+1)-1)
-       mask t_mask.(ti), cached fprod/dprod/value.(ti)
+       factor slot s in fa_off.{ti} .. fa_off.{ti+1}-1:
+         attribute fa_attr.{s}, cached factor factors.{s},
+         projection intervals (iv_lo, iv_hi).{iv_off.{s} .. iv_off.{s+1}-1}
+       mask t_mask.{ti}, cached dprod.{ti}, fprod/value.(ti)
+
+   Every table the evaluators read — alpha, the attribute sums, the prefix
+   sums, and per group fa_off/fa_attr/factors/iv_*/t_mask/dprod/mask_bits
+   — is a float64 or int Bigarray, so the same evaluator answers a summary
+   built here and one opened over a format-v3 file mapping, where
+   [Mapped] carves these very tables out of the file ([of_tables]).  The
+   solver's update tables (the ts, bys and byv families, fprod, value and
+   the per-mask caches) stay OCaml arrays; a polynomial over borrowed
+   tables has none and is read-only.
 
    The inverted indexes used by single-variable updates are CSR too:
    by-stat rows (bys_off/bys_term, keyed through the bys_row table) and
@@ -70,28 +79,36 @@
 
 open Edb_util
 open Edb_storage
+module A1 = Bigarray.Array1
 
+type fbuf = (float, Bigarray.float64_elt, Bigarray.c_layout) A1.t
+type ibuf = (int, Bigarray.int_elt, Bigarray.c_layout) A1.t
+
+(* One group's evaluator tables. *)
 type group = {
   g_attrs : int array; (* ascending *)
-  g_stats : int array; (* joint stat ids *)
   n_terms : int; (* term 0 is the base term (S = empty, mask 0) *)
+  (* term -> factor slots, one per attribute S restricts, ascending (CSR) *)
+  fa_off : ibuf; (* length n_terms + 1 *)
+  fa_attr : ibuf; (* slot -> attribute *)
+  factors : fbuf; (* slot -> cached F_i(S) = sum of alpha inside *)
+  (* slot -> projection-intersection intervals, ascending (CSR) *)
+  iv_off : ibuf; (* length #slots + 1 *)
+  iv_lo : ibuf;
+  iv_hi : ibuf;
+  t_mask : ibuf; (* term -> mask id within the group *)
+  dprod : fbuf; (* term -> prod_{j in S} (alpha_j - 1); 1 for the base *)
+  mask_bits : ibuf; (* mask id -> bitset over local attr indices *)
+}
+
+(* One group's solver-side update tables. *)
+type updates = {
+  g_stats : int array; (* joint stat ids *)
   (* term -> joint stat ids of S (CSR) *)
   ts_off : int array; (* length n_terms + 1 *)
   ts_stat : int array;
-  (* term -> factor slots, one per attribute S restricts, ascending (CSR) *)
-  fa_off : int array; (* length n_terms + 1 *)
-  fa_attr : int array; (* slot -> attribute *)
-  factors : float array; (* slot -> cached F_i(S) = sum of alpha inside *)
-  (* slot -> projection-intersection intervals, ascending (CSR) *)
-  iv_off : int array; (* length #slots + 1 *)
-  iv_lo : int array;
-  iv_hi : int array;
-  (* per-term caches *)
-  t_mask : int array; (* mask id within the group *)
-  fprod : float array; (* prod of the term's factors *)
-  dprod : float array; (* prod_{j in S} (alpha_j - 1); 1 for the base *)
-  value : float array; (* fprod * dprod — part (ii) only *)
-  mask_bits : int array; (* mask id -> bitset over local attr indices *)
+  fprod : float array; (* term -> prod of its factors *)
+  value : float array; (* term -> fprod * dprod — part (ii) only *)
   mask_sum : float array; (* mask id -> sum of its terms' values *)
   mask_outer : float array; (* mask id -> prod of A_i over unmasked locals *)
   mutable q : float;
@@ -105,6 +122,14 @@ type group = {
   byv_slot : int array array;
 }
 
+(* What single-variable updates need beyond the evaluator tables; only a
+   polynomial built by [create] has it. *)
+type solver = {
+  phi : Phi.t;
+  group_of_stat : (int, int) Hashtbl.t; (* joint stat id -> group index *)
+  upd : updates array; (* parallel to [groups] *)
+}
+
 (* Reusable per-evaluation accumulators, sized for the largest group (and
    largest attribute domain) of the polynomial they belong to. *)
 type scratch = {
@@ -115,20 +140,33 @@ type scratch = {
 }
 
 type t = {
-  phi : Phi.t;
   schema : Schema.t;
   m : int;
-  alpha : float array; (* one variable per statistic, indexed by stat id *)
-  attr_sums : float array; (* A_i *)
+  n : int;
+  marg_off : int array; (* attr -> stat id of its first marginal *)
+  alpha : fbuf; (* one variable per statistic, indexed by stat id *)
+  attr_sums : fbuf; (* A_i *)
   groups : group array;
   group_of_attr : int array; (* attr -> group index, or -1 if free *)
-  group_of_stat : (int, int) Hashtbl.t; (* joint stat id -> group index *)
   free_attrs : int array;
   mutable p : float;
-  prefix : float array array; (* attr -> prefix sums of alpha, length N_i+1 *)
+  (* Every attribute's prefix sums of alpha, concatenated: attribute i's
+     N_i + 1 sums start at prefix_off.(i).  One table plus offsets rather
+     than an array of per-attribute views, so a lookup costs no generic
+     array access. *)
+  prefix : fbuf;
+  prefix_off : int array;
   mutable prefix_valid : bool;
   scratch : scratch;
   scratch_busy : bool Atomic.t; (* claimed by an in-flight evaluation *)
+  solver : solver option; (* None: read-only tables lent by storage *)
+  phi_of : unit -> Phi.t;
+  footprint : int;
+  (* Integrity latch over lent tables: [verify] runs once, before the
+     first answer or table read. *)
+  verified : bool Atomic.t;
+  verify : unit -> unit;
+  release : unit -> unit; (* lent tables: give their resident pages back *)
 }
 
 exception Too_many_terms of { cap : int; group_attrs : int list }
@@ -136,7 +174,17 @@ exception Too_many_terms of { cap : int; group_attrs : int list }
 (* Identifies the in-memory term layout in benchmark artifacts
    (BENCH_kernel.json), so speedup and regression gates know whether they
    are comparing like with like. *)
-let layout = "soa-csr"
+let layout = "soa-csr-bigarray"
+
+let fbuf_init n f : fbuf =
+  let a = A1.create Bigarray.float64 Bigarray.c_layout n in
+  for i = 0 to n - 1 do
+    A1.unsafe_set a i (f i)
+  done;
+  a
+
+let ibuf_of_array (a : int array) : ibuf =
+  A1.of_array Bigarray.int Bigarray.c_layout a
 
 (* ------------------------------------------------------------------ *)
 (* Observability                                                       *)
@@ -160,6 +208,25 @@ let scratch_reuse_counter = Edb_obs.Registry.counter "kernel_scratch_reuses"
 let scratch_alloc_counter = Edb_obs.Registry.counter "kernel_scratch_allocs"
 
 (* ------------------------------------------------------------------ *)
+(* Read-only tables                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let read_only t = Option.is_none t.solver
+
+let solver_of t what =
+  match t.solver with
+  | Some s -> s
+  | None ->
+      invalid_arg
+        (what ^ ": read-only polynomial (its tables are a file mapping)")
+
+let[@inline] verify t =
+  if not (Atomic.get t.verified) then begin
+    t.verify ();
+    Atomic.set t.verified true
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Cached-state maintenance                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -167,11 +234,10 @@ let ensure_prefix t =
   if not t.prefix_valid then begin
     for i = 0 to t.m - 1 do
       let size = Schema.domain_size t.schema i in
-      let pre = t.prefix.(i) in
-      pre.(0) <- 0.;
+      let pre = t.prefix and base = t.prefix_off.(i) and off = t.marg_off.(i) in
+      pre.{base} <- 0.;
       for v = 0 to size - 1 do
-        pre.(v + 1) <-
-          pre.(v) +. t.alpha.(Phi.marginal_id t.phi ~attr:i ~value:v)
+        pre.{base + v + 1} <- pre.{base + v} +. t.alpha.{off + v}
       done
     done;
     t.prefix_valid <- true
@@ -179,25 +245,28 @@ let ensure_prefix t =
 
 (* Sum of alpha over a value set, via prefix sums: O(#intervals). *)
 let[@inline] range_sum t ~attr r =
-  let pre = t.prefix.(attr) in
+  let pre = t.prefix and base = t.prefix_off.(attr) in
   let acc = ref 0. in
   for k = 0 to Ranges.num_intervals r - 1 do
     acc :=
-      !acc +. pre.(Ranges.interval_hi r k + 1) -. pre.(Ranges.interval_lo r k)
+      !acc
+      +. pre.{base + Ranges.interval_hi r k + 1}
+      -. pre.{base + Ranges.interval_lo r k}
   done;
   !acc
 
-(* Sum of [pre] over factor slot [s]'s own intervals.  Unsafe accesses:
-   interval bounds are validated against the attribute domain at
-   construction, and offsets index arrays built from the same counts. *)
-let[@inline] slot_sum pre g s =
+(* Sum of the prefix sums starting at [pre].{base} over factor slot [s]'s
+   own intervals.  Unsafe accesses: interval bounds are validated against
+   the attribute domain at construction, and offsets index arrays built
+   from the same counts. *)
+let[@inline] slot_sum (pre : fbuf) base g s =
   let iv_lo = g.iv_lo and iv_hi = g.iv_hi in
   let acc = ref 0. in
-  for k = g.iv_off.(s) to g.iv_off.(s + 1) - 1 do
+  for k = g.iv_off.{s} to g.iv_off.{s + 1} - 1 do
     acc :=
       !acc
-      +. Array.unsafe_get pre (Array.unsafe_get iv_hi k + 1)
-      -. Array.unsafe_get pre (Array.unsafe_get iv_lo k)
+      +. A1.unsafe_get pre (base + A1.unsafe_get iv_hi k + 1)
+      -. A1.unsafe_get pre (base + A1.unsafe_get iv_lo k)
   done;
   !acc
 
@@ -205,85 +274,87 @@ let[@inline] slot_sum pre g s =
    [Ranges.inter] performs, summed directly instead of materialized.
    Interval order and summation order match [range_sum] over the
    materialized intersection, so the result is bitwise identical. *)
-let[@inline] inter_sum pre g s qr =
+let[@inline] inter_sum (pre : fbuf) base g s qr =
   let iv_lo = g.iv_lo and iv_hi = g.iv_hi in
   let acc = ref 0. in
-  let k = ref g.iv_off.(s) and j = ref 0 in
-  let k1 = g.iv_off.(s + 1) and nq = Ranges.num_intervals qr in
+  let k = ref g.iv_off.{s} and j = ref 0 in
+  let k1 = g.iv_off.{s + 1} and nq = Ranges.num_intervals qr in
   while !k < k1 && !j < nq do
-    let alo = Array.unsafe_get iv_lo !k and ahi = Array.unsafe_get iv_hi !k in
+    let alo = A1.unsafe_get iv_lo !k and ahi = A1.unsafe_get iv_hi !k in
     let blo = Ranges.interval_lo qr !j and bhi = Ranges.interval_hi qr !j in
     let lo = if alo > blo then alo else blo in
     let hi = if ahi < bhi then ahi else bhi in
     if lo <= hi then
-      acc := !acc +. Array.unsafe_get pre (hi + 1) -. Array.unsafe_get pre lo;
+      acc :=
+        !acc +. A1.unsafe_get pre (base + hi + 1) -. A1.unsafe_get pre (base + lo);
     if ahi < bhi then incr k else incr j
   done;
   !acc
 
 let[@inline] fprod_of g ti =
   let acc = ref 1. in
-  for s = g.fa_off.(ti) to g.fa_off.(ti + 1) - 1 do
-    acc := !acc *. g.factors.(s)
+  for s = g.fa_off.{ti} to g.fa_off.{ti + 1} - 1 do
+    acc := !acc *. g.factors.{s}
   done;
   !acc
 
-let[@inline] dprod_of t g ti =
+let[@inline] dprod_of t u ti =
   let acc = ref 1. in
-  for s = g.ts_off.(ti) to g.ts_off.(ti + 1) - 1 do
-    acc := !acc *. (t.alpha.(g.ts_stat.(s)) -. 1.)
+  for s = u.ts_off.(ti) to u.ts_off.(ti + 1) - 1 do
+    acc := !acc *. (t.alpha.{u.ts_stat.(s)} -. 1.)
   done;
   !acc
 
 (* Recompute every mask's outer product and the group value from the
    current attribute sums and mask sums: O(#masks * |g_attrs|). *)
-let recompute_group_q t g =
+let recompute_group_q t g u =
   let n_local = Array.length g.g_attrs in
   let q = ref 0. in
-  for k = 0 to Array.length g.mask_bits - 1 do
-    let bits = g.mask_bits.(k) in
+  for k = 0 to A1.dim g.mask_bits - 1 do
+    let bits = g.mask_bits.{k} in
     let outer = ref 1. in
     for li = 0 to n_local - 1 do
       if bits land (1 lsl li) = 0 then
-        outer := !outer *. t.attr_sums.(g.g_attrs.(li))
+        outer := !outer *. t.attr_sums.{g.g_attrs.(li)}
     done;
-    g.mask_outer.(k) <- !outer;
-    q := !q +. (g.mask_sum.(k) *. !outer)
+    u.mask_outer.(k) <- !outer;
+    q := !q +. (u.mask_sum.(k) *. !outer)
   done;
-  g.q <- !q
+  u.q <- !q
 
-let compute_p t =
+let compute_p t s =
   let p = ref 1. in
   for k = 0 to Array.length t.free_attrs - 1 do
-    p := !p *. t.attr_sums.(t.free_attrs.(k))
+    p := !p *. t.attr_sums.{t.free_attrs.(k)}
   done;
-  for gi = 0 to Array.length t.groups - 1 do
-    p := !p *. t.groups.(gi).q
+  for gi = 0 to Array.length s.upd - 1 do
+    p := !p *. s.upd.(gi).q
   done;
   !p
 
 let refresh t =
+  let s = solver_of t "Poly.refresh" in
   t.prefix_valid <- false;
   ensure_prefix t;
   for i = 0 to t.m - 1 do
-    t.attr_sums.(i) <- t.prefix.(i).(Schema.domain_size t.schema i)
+    t.attr_sums.{i} <- t.prefix.{t.prefix_off.(i) + Schema.domain_size t.schema i}
   done;
-  Array.iter
-    (fun g ->
-      Array.fill g.mask_sum 0 (Array.length g.mask_sum) 0.;
+  Array.iteri
+    (fun gi g ->
+      let u = s.upd.(gi) in
+      Array.fill u.mask_sum 0 (Array.length u.mask_sum) 0.;
       for ti = 0 to g.n_terms - 1 do
-        for s = g.fa_off.(ti) to g.fa_off.(ti + 1) - 1 do
-          g.factors.(s) <- slot_sum t.prefix.(g.fa_attr.(s)) g s
+        for sl = g.fa_off.{ti} to g.fa_off.{ti + 1} - 1 do
+          g.factors.{sl} <- slot_sum t.prefix t.prefix_off.(g.fa_attr.{sl}) g sl
         done;
-        g.fprod.(ti) <- fprod_of g ti;
-        g.dprod.(ti) <- dprod_of t g ti;
-        g.value.(ti) <- g.fprod.(ti) *. g.dprod.(ti);
-        g.mask_sum.(g.t_mask.(ti)) <-
-          g.mask_sum.(g.t_mask.(ti)) +. g.value.(ti)
+        u.fprod.(ti) <- fprod_of g ti;
+        g.dprod.{ti} <- dprod_of t u ti;
+        u.value.(ti) <- u.fprod.(ti) *. g.dprod.{ti};
+        u.mask_sum.(g.t_mask.{ti}) <- u.mask_sum.(g.t_mask.{ti}) +. u.value.(ti)
       done;
-      recompute_group_q t g)
+      recompute_group_q t g u)
     t.groups;
-  t.p <- compute_p t
+  t.p <- compute_p t s
 
 (* ------------------------------------------------------------------ *)
 (* Scratch management                                                  *)
@@ -294,7 +365,7 @@ let make_scratch schema groups =
   Array.iter
     (fun g ->
       max_attrs := max !max_attrs (Array.length g.g_attrs);
-      max_masks := max !max_masks (Array.length g.mask_bits))
+      max_masks := max !max_masks (A1.dim g.mask_bits))
     groups;
   let max_dom = ref 1 in
   for i = 0 to Schema.arity schema - 1 do
@@ -529,33 +600,85 @@ let build_group schema ~g_attrs ~g_stats ~local_of_attr ~raw_arr ~t_mask
   let fprod = Array.make nt 0. and value = Array.make nt 0. in
   fprod.(0) <- 1.;
   value.(0) <- 1.;
-  {
-    g_attrs;
-    g_stats;
-    n_terms = nt;
-    ts_off;
-    ts_stat;
-    fa_off;
-    fa_attr;
-    factors = Array.make n_slots 0.;
-    iv_off;
-    iv_lo;
-    iv_hi;
-    t_mask;
-    fprod;
-    dprod = Array.make nt 1.;
-    value;
-    mask_bits;
-    mask_sum = Array.make (Array.length mask_bits) 0.;
-    mask_outer = Array.make (Array.length mask_bits) 1.;
-    q = 0.;
-    bys_row;
-    bys_off;
-    bys_term;
-    byv_off;
-    byv_term;
-    byv_slot;
-  }
+  ( {
+      g_attrs;
+      n_terms = nt;
+      fa_off = ibuf_of_array fa_off;
+      fa_attr = ibuf_of_array fa_attr;
+      factors = fbuf_init n_slots (fun _ -> 0.);
+      iv_off = ibuf_of_array iv_off;
+      iv_lo = ibuf_of_array iv_lo;
+      iv_hi = ibuf_of_array iv_hi;
+      t_mask = ibuf_of_array t_mask;
+      dprod = fbuf_init nt (fun _ -> 1.);
+      mask_bits = ibuf_of_array mask_bits;
+    },
+    {
+      g_stats;
+      ts_off;
+      ts_stat;
+      fprod;
+      value;
+      mask_sum = Array.make (Array.length mask_bits) 0.;
+      mask_outer = Array.make (Array.length mask_bits) 1.;
+      q = 0.;
+      bys_row;
+      bys_off;
+      bys_term;
+      byv_off;
+      byv_term;
+      byv_slot;
+    } )
+
+let marginal_offsets schema =
+  let m = Schema.arity schema in
+  let off = Array.make m 0 in
+  for i = 1 to m - 1 do
+    off.(i) <- off.(i - 1) + Schema.domain_size schema (i - 1)
+  done;
+  off
+
+(* attr -> start of its N_i + 1 prefix sums in the concatenated table;
+   the last element is the table's length. *)
+let prefix_offsets schema =
+  let m = Schema.arity schema in
+  let off = Array.make (m + 1) 0 in
+  for i = 0 to m - 1 do
+    off.(i + 1) <- off.(i) + Schema.domain_size schema i + 1
+  done;
+  off
+
+(* Resident size estimate in bytes: one word per array element plus the
+   prefix tables — the weighted catalog charges heap entries with this. *)
+let heap_footprint ~alpha ~m ~prefix groups upd =
+  let word = 8 in
+  let acc = ref (word * (alpha + m + prefix)) in
+  Array.iteri
+    (fun gi g ->
+      let u = upd.(gi) in
+      let ints =
+        Array.length u.ts_off + Array.length u.ts_stat + A1.dim g.fa_off
+        + A1.dim g.fa_attr + A1.dim g.iv_off + A1.dim g.iv_lo
+        + A1.dim g.iv_hi + A1.dim g.t_mask + A1.dim g.mask_bits
+        + Array.length u.bys_off + Array.length u.bys_term
+      in
+      let ints =
+        Array.fold_left (fun a o -> a + Array.length o) ints u.byv_off
+      in
+      let ints =
+        Array.fold_left (fun a o -> a + Array.length o) ints u.byv_term
+      in
+      let ints =
+        Array.fold_left (fun a o -> a + Array.length o) ints u.byv_slot
+      in
+      let floats =
+        A1.dim g.factors + Array.length u.fprod + A1.dim g.dprod
+        + Array.length u.value + Array.length u.mask_sum
+        + Array.length u.mask_outer
+      in
+      acc := !acc + (word * (ints + floats)))
+    groups;
+  !acc
 
 let create ?(term_cap = 2_000_000) phi =
   let schema = Phi.schema phi in
@@ -638,15 +761,16 @@ let create ?(term_cap = 2_000_000) phi =
       groups := g :: !groups;
       incr g_idx)
     root_stats;
-  let groups = Array.of_list (List.rev !groups) in
+  let groups, upd = Array.split (Array.of_list (List.rev !groups)) in
   let free_attrs =
     Array.of_list
       (List.filter (fun i -> group_of_attr.(i) = -1) (List.init m Fun.id))
   in
   let n = float_of_int (Phi.n phi) in
+  let stats = Phi.stats phi in
   let alpha =
-    Array.map
-      (fun s ->
+    fbuf_init (Array.length stats) (fun j ->
+        let s = stats.(j) in
         match Statistic.kind s with
         (* n = 0 (an empty shard of a partitioned relation): every target
            is 0, so seed the variables at 0 rather than 0/0 = nan; the
@@ -654,116 +778,55 @@ let create ?(term_cap = 2_000_000) phi =
            guards below. *)
         | Statistic.Marginal _ -> if n > 0. then Statistic.target s /. n else 0.
         | Statistic.Joint _ -> 1.)
-      (Phi.stats phi)
   in
+  let prefix_off = prefix_offsets schema in
+  let prefix = fbuf_init prefix_off.(m) (fun _ -> 0.) in
   let t =
     {
-      phi;
       schema;
       m;
+      n = Phi.n phi;
+      marg_off = marginal_offsets schema;
       alpha;
-      attr_sums = Array.make m 0.;
+      attr_sums = fbuf_init m (fun _ -> 0.);
       groups;
       group_of_attr;
-      group_of_stat;
       free_attrs;
       p = 0.;
-      prefix =
-        Array.init m (fun i -> Array.make (Schema.domain_size schema i + 1) 0.);
+      prefix;
+      prefix_off;
       prefix_valid = false;
       scratch = make_scratch schema groups;
       scratch_busy = Atomic.make false;
+      solver = Some { phi; group_of_stat; upd };
+      phi_of = (fun () -> phi);
+      footprint =
+        heap_footprint ~alpha:(A1.dim alpha) ~m ~prefix:(A1.dim prefix)
+          groups upd;
+      verified = Atomic.make true;
+      verify = ignore;
+      release = ignore;
     }
   in
   refresh t;
   t
 
 (* ------------------------------------------------------------------ *)
-(* Accessors                                                           *)
+(* Table export and import (summary format v3)                         *)
 (* ------------------------------------------------------------------ *)
-
-let phi t = t.phi
-let p t = t.p
-let alpha t j = t.alpha.(j)
-let attr_sum t i = t.attr_sums.(i)
-let num_terms t = Array.fold_left (fun acc g -> acc + g.n_terms) 0 t.groups
-let num_groups t = Array.length t.groups
-let uncompressed_monomials t = Schema.tuple_space_size t.schema
-
-(* ------------------------------------------------------------------ *)
-(* Table export (summary format v3)                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* The flat SoA tables, exposed for the zero-copy serializer: format v3
-   writes exactly these arrays to disk so a mapped summary's kernel walks
-   the same bits the heap kernel does.  The arrays are shared with the
-   polynomial, not copied — callers must treat them as read-only. *)
-type group_tables = {
-  gt_attrs : int array;
-  gt_stats : int array;
-  gt_n_terms : int;
-  gt_ts_off : int array;
-  gt_ts_stat : int array;
-  gt_fa_off : int array;
-  gt_fa_attr : int array;
-  gt_factors : float array;
-  gt_iv_off : int array;
-  gt_iv_lo : int array;
-  gt_iv_hi : int array;
-  gt_t_mask : int array;
-  gt_fprod : float array;
-  gt_dprod : float array;
-  gt_value : float array;
-  gt_mask_bits : int array;
-  gt_mask_sum : float array;
-  gt_mask_outer : float array;
-  gt_q : float;
-  gt_bys_off : int array;
-  gt_bys_term : int array;
-  gt_byv_off : int array array;
-  gt_byv_term : int array array;
-  gt_byv_slot : int array array;
-}
 
 type tables = {
-  tb_alpha : float array;
-  tb_attr_sums : float array;
-  tb_prefix : float array array;
+  tb_alpha : fbuf;
+  tb_attr_sums : fbuf;
+  tb_prefix : fbuf;
   tb_p : float;
   tb_free_attrs : int array;
   tb_group_of_attr : int array;
-  tb_groups : group_tables array;
+  tb_groups : group array;
 }
 
-let group_tables g =
-  {
-    gt_attrs = g.g_attrs;
-    gt_stats = g.g_stats;
-    gt_n_terms = g.n_terms;
-    gt_ts_off = g.ts_off;
-    gt_ts_stat = g.ts_stat;
-    gt_fa_off = g.fa_off;
-    gt_fa_attr = g.fa_attr;
-    gt_factors = g.factors;
-    gt_iv_off = g.iv_off;
-    gt_iv_lo = g.iv_lo;
-    gt_iv_hi = g.iv_hi;
-    gt_t_mask = g.t_mask;
-    gt_fprod = g.fprod;
-    gt_dprod = g.dprod;
-    gt_value = g.value;
-    gt_mask_bits = g.mask_bits;
-    gt_mask_sum = g.mask_sum;
-    gt_mask_outer = g.mask_outer;
-    gt_q = g.q;
-    gt_bys_off = g.bys_off;
-    gt_bys_term = g.bys_term;
-    gt_byv_off = g.byv_off;
-    gt_byv_term = g.byv_term;
-    gt_byv_slot = g.byv_slot;
-  }
-
 let tables t =
+  verify t;
   ensure_prefix t;
   {
     tb_alpha = t.alpha;
@@ -772,41 +835,68 @@ let tables t =
     tb_p = t.p;
     tb_free_attrs = t.free_attrs;
     tb_group_of_attr = t.group_of_attr;
-    tb_groups = Array.map group_tables t.groups;
+    tb_groups = t.groups;
   }
 
-(* Resident size estimate in bytes: one word per array element plus the
-   prefix tables — the weighted catalog charges heap entries with this. *)
-let footprint_bytes t =
-  let word = 8 in
-  let acc = ref (word * (Array.length t.alpha + Array.length t.attr_sums)) in
-  Array.iter (fun pre -> acc := !acc + (word * Array.length pre)) t.prefix;
-  Array.iter
-    (fun g ->
-      let ints =
-        Array.length g.ts_off + Array.length g.ts_stat + Array.length g.fa_off
-        + Array.length g.fa_attr + Array.length g.iv_off
-        + Array.length g.iv_lo + Array.length g.iv_hi + Array.length g.t_mask
-        + Array.length g.mask_bits + Array.length g.bys_off
-        + Array.length g.bys_term
-      in
-      let ints =
-        Array.fold_left (fun a o -> a + Array.length o) ints g.byv_off
-      in
-      let ints =
-        Array.fold_left (fun a o -> a + Array.length o) ints g.byv_term
-      in
-      let ints =
-        Array.fold_left (fun a o -> a + Array.length o) ints g.byv_slot
-      in
-      let floats =
-        Array.length g.factors + Array.length g.fprod + Array.length g.dprod
-        + Array.length g.value + Array.length g.mask_sum
-        + Array.length g.mask_outer
-      in
-      acc := !acc + (word * (ints + floats)))
-    t.groups;
-  !acc
+let updates t = (solver_of t "Poly.updates").upd
+
+let of_tables schema ~n tb ~phi ~verify ~release ~footprint_bytes =
+  {
+    schema;
+    m = Schema.arity schema;
+    n;
+    marg_off = marginal_offsets schema;
+    alpha = tb.tb_alpha;
+    attr_sums = tb.tb_attr_sums;
+    groups = tb.tb_groups;
+    group_of_attr = tb.tb_group_of_attr;
+    free_attrs = tb.tb_free_attrs;
+    p = tb.tb_p;
+    prefix = tb.tb_prefix;
+    prefix_off = prefix_offsets schema;
+    prefix_valid = true;
+    scratch = make_scratch schema tb.tb_groups;
+    scratch_busy = Atomic.make false;
+    solver = None;
+    phi_of = phi;
+    footprint = footprint_bytes;
+    verified = Atomic.make false;
+    verify;
+    release;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Accessors                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let phi t = t.phi_of ()
+let schema t = t.schema
+let cardinality t = t.n
+
+let p t =
+  verify t;
+  t.p
+
+let alpha t j =
+  verify t;
+  t.alpha.{j}
+
+let attr_sum t i =
+  verify t;
+  t.attr_sums.{i}
+
+let num_stats t = A1.dim t.alpha
+let num_marginals t =
+  let k = ref 0 in
+  for i = 0 to t.m - 1 do
+    k := !k + Schema.domain_size t.schema i
+  done;
+  !k
+let num_terms t = Array.fold_left (fun acc g -> acc + g.n_terms) 0 t.groups
+let num_groups t = Array.length t.groups
+let uncompressed_monomials t = Schema.tuple_space_size t.schema
+let footprint_bytes t = t.footprint
+let release_pages t = t.release ()
 
 (* ------------------------------------------------------------------ *)
 (* Incremental variable update                                         *)
@@ -817,47 +907,48 @@ let local_of g attr =
   find 0
 
 let set_alpha t j v =
-  let old = t.alpha.(j) in
+  let s = solver_of t "Poly.set_alpha" in
+  let old = t.alpha.{j} in
   if old <> v then begin
-    t.alpha.(j) <- v;
+    t.alpha.{j} <- v;
     t.prefix_valid <- false;
-    (match Statistic.kind (Phi.stat t.phi j) with
+    (match Statistic.kind (Phi.stat s.phi j) with
     | Statistic.Marginal { attr; value } ->
         let delta = v -. old in
-        t.attr_sums.(attr) <- t.attr_sums.(attr) +. delta;
+        t.attr_sums.{attr} <- t.attr_sums.{attr} +. delta;
         let gi = t.group_of_attr.(attr) in
         if gi >= 0 then begin
-          let g = t.groups.(gi) in
+          let g = t.groups.(gi) and u = s.upd.(gi) in
           let li = local_of g attr in
-          let off = g.byv_off.(li) in
-          let terms = g.byv_term.(li) and slots = g.byv_slot.(li) in
+          let off = u.byv_off.(li) in
+          let terms = u.byv_term.(li) and slots = u.byv_slot.(li) in
           for p = off.(value) to off.(value + 1) - 1 do
-            let ti = terms.(p) and s = slots.(p) in
-            g.factors.(s) <- g.factors.(s) +. delta;
-            g.fprod.(ti) <- fprod_of g ti;
-            let value' = g.fprod.(ti) *. g.dprod.(ti) in
-            g.mask_sum.(g.t_mask.(ti)) <-
-              g.mask_sum.(g.t_mask.(ti)) +. value' -. g.value.(ti);
-            g.value.(ti) <- value'
+            let ti = terms.(p) and sl = slots.(p) in
+            g.factors.{sl} <- g.factors.{sl} +. delta;
+            u.fprod.(ti) <- fprod_of g ti;
+            let value' = u.fprod.(ti) *. g.dprod.{ti} in
+            u.mask_sum.(g.t_mask.{ti}) <-
+              u.mask_sum.(g.t_mask.{ti}) +. value' -. u.value.(ti);
+            u.value.(ti) <- value'
           done;
-          recompute_group_q t g
+          recompute_group_q t g u
         end
     | Statistic.Joint _ ->
-        let gi = Hashtbl.find t.group_of_stat j in
-        let g = t.groups.(gi) in
-        (match Hashtbl.find_opt g.bys_row j with
+        let gi = Hashtbl.find s.group_of_stat j in
+        let g = t.groups.(gi) and u = s.upd.(gi) in
+        (match Hashtbl.find_opt u.bys_row j with
         | None -> ()
         | Some row ->
-            for p = g.bys_off.(row) to g.bys_off.(row + 1) - 1 do
-              let ti = g.bys_term.(p) in
-              g.dprod.(ti) <- dprod_of t g ti;
-              let value' = g.fprod.(ti) *. g.dprod.(ti) in
-              g.mask_sum.(g.t_mask.(ti)) <-
-                g.mask_sum.(g.t_mask.(ti)) +. value' -. g.value.(ti);
-              g.value.(ti) <- value'
+            for p = u.bys_off.(row) to u.bys_off.(row + 1) - 1 do
+              let ti = u.bys_term.(p) in
+              g.dprod.{ti} <- dprod_of t u ti;
+              let value' = u.fprod.(ti) *. g.dprod.{ti} in
+              u.mask_sum.(g.t_mask.{ti}) <-
+                u.mask_sum.(g.t_mask.{ti}) +. value' -. u.value.(ti);
+              u.value.(ti) <- value'
             done);
-        recompute_group_q t g);
-    t.p <- compute_p t
+        recompute_group_q t g u);
+    t.p <- compute_p t s
   end
 
 (* Scale normalization.  Every monomial contains exactly one marginal
@@ -868,14 +959,15 @@ let set_alpha t j v =
    unrealizable targets (noisy or privatized statistics) make the
    coordinate iteration drift P towards 0 or infinity. *)
 let normalize t =
+  ignore (solver_of t "Poly.normalize");
   let changed = ref false in
   for i = 0 to t.m - 1 do
-    let a = t.attr_sums.(i) in
+    let a = t.attr_sums.{i} in
     if a > 0. && a <> 1. then begin
       changed := true;
       for v = 0 to Schema.domain_size t.schema i - 1 do
-        let j = Phi.marginal_id t.phi ~attr:i ~value:v in
-        t.alpha.(j) <- t.alpha.(j) /. a
+        let j = t.marg_off.(i) + v in
+        t.alpha.{j} <- t.alpha.{j} /. a
       done
     end
   done;
@@ -885,27 +977,30 @@ let normalize t =
    updates and by deserialization): copy the whole vector, then rebuild all
    cached state in one pass. *)
 let set_alphas t values =
-  if Array.length values <> Array.length t.alpha then
+  ignore (solver_of t "Poly.set_alphas");
+  if Array.length values <> A1.dim t.alpha then
     invalid_arg "Poly.set_alphas: wrong vector length";
-  Array.blit values 0 t.alpha 0 (Array.length values);
+  Array.iteri (fun j v -> t.alpha.{j} <- v) values;
   refresh t
 
-let alphas t = Array.copy t.alpha
+let alphas t =
+  verify t;
+  Array.init (A1.dim t.alpha) (fun j -> t.alpha.{j})
 
 (* Reset variables to an initialization strategy: [`Marginals] seeds 1D
    variables at s_j/n (exact for a marginals-only model), [`Uniform] seeds
    everything at 1 (the uninformed start).  Joints start at 1 in both. *)
 let reinit t strategy =
-  let n = float_of_int (Phi.n t.phi) in
+  let s = solver_of t "Poly.reinit" in
+  let n = float_of_int t.n in
   Array.iter
-    (fun s ->
-      let j = Statistic.id s in
-      t.alpha.(j) <-
-        (match (Statistic.kind s, strategy) with
+    (fun st ->
+      t.alpha.{Statistic.id st} <-
+        (match (Statistic.kind st, strategy) with
         | Statistic.Marginal _, `Marginals ->
-            if n > 0. then Statistic.target s /. n else 0.
+            if n > 0. then Statistic.target st /. n else 0.
         | _, _ -> 1.))
-    (Phi.stats t.phi);
+    (Phi.stats s.phi);
   refresh t
 
 (* ------------------------------------------------------------------ *)
@@ -913,20 +1008,20 @@ let reinit t strategy =
 (* ------------------------------------------------------------------ *)
 
 (* prod over free attrs and groups, excluding one of each. *)
-let outer_product t ~skip_attr ~skip_group =
+let outer_product t s ~skip_attr ~skip_group =
   let acc = ref 1. in
   Array.iter
-    (fun i -> if i <> skip_attr then acc := !acc *. t.attr_sums.(i))
+    (fun i -> if i <> skip_attr then acc := !acc *. t.attr_sums.{i})
     t.free_attrs;
   Array.iteri
-    (fun gi g -> if gi <> skip_group then acc := !acc *. g.q)
-    t.groups;
+    (fun gi u -> if gi <> skip_group then acc := !acc *. u.q)
+    s.upd;
   !acc
 
 let[@inline] factors_product_excluding g ti ~slot =
   let acc = ref 1. in
-  for s = g.fa_off.(ti) to g.fa_off.(ti + 1) - 1 do
-    if s <> slot then acc := !acc *. g.factors.(s)
+  for s = g.fa_off.{ti} to g.fa_off.{ti + 1} - 1 do
+    if s <> slot then acc := !acc *. g.factors.{s}
   done;
   !acc
 
@@ -935,63 +1030,65 @@ let[@inline] factors_product_excluding g ti ~slot =
    monomials contain the variable, with the variable's own factor
    removed. *)
 let partial t j =
-  match Statistic.kind (Phi.stat t.phi j) with
+  let s = solver_of t "Poly.partial" in
+  match Statistic.kind (Phi.stat s.phi j) with
   | Statistic.Marginal { attr; value } ->
       let gi = t.group_of_attr.(attr) in
-      if gi < 0 then outer_product t ~skip_attr:attr ~skip_group:(-1)
+      if gi < 0 then outer_product t s ~skip_attr:attr ~skip_group:(-1)
       else begin
-        let g = t.groups.(gi) in
+        let g = t.groups.(gi) and u = s.upd.(gi) in
         let li = local_of g attr in
         let n_local = Array.length g.g_attrs in
         let dq = ref 0. in
         (* Masks not restricting [attr]: the variable enters through the
            full attribute sum A_attr of the outer product. *)
-        for k = 0 to Array.length g.mask_bits - 1 do
-          let bits = g.mask_bits.(k) in
+        for k = 0 to A1.dim g.mask_bits - 1 do
+          let bits = g.mask_bits.{k} in
           if bits land (1 lsl li) = 0 then begin
             let outer = ref 1. in
             for li' = 0 to n_local - 1 do
               if li' <> li && bits land (1 lsl li') = 0 then
-                outer := !outer *. t.attr_sums.(g.g_attrs.(li'))
+                outer := !outer *. t.attr_sums.{g.g_attrs.(li')}
             done;
-            dq := !dq +. (g.mask_sum.(k) *. !outer)
+            dq := !dq +. (u.mask_sum.(k) *. !outer)
           end
         done;
         (* Terms restricting [attr] with [value] inside their projection:
            the variable enters through the term's own factor. *)
-        let off = g.byv_off.(li) in
-        let terms = g.byv_term.(li) and slots = g.byv_slot.(li) in
+        let off = u.byv_off.(li) in
+        let terms = u.byv_term.(li) and slots = u.byv_slot.(li) in
         for p = off.(value) to off.(value + 1) - 1 do
           let ti = terms.(p) in
           dq :=
             !dq
             +. factors_product_excluding g ti ~slot:slots.(p)
-               *. g.dprod.(ti) *. g.mask_outer.(g.t_mask.(ti))
+               *. g.dprod.{ti} *. u.mask_outer.(g.t_mask.{ti})
         done;
-        outer_product t ~skip_attr:(-1) ~skip_group:gi *. !dq
+        outer_product t s ~skip_attr:(-1) ~skip_group:gi *. !dq
       end
   | Statistic.Joint _ ->
-      let gi = Hashtbl.find t.group_of_stat j in
-      let g = t.groups.(gi) in
+      let gi = Hashtbl.find s.group_of_stat j in
+      let g = t.groups.(gi) and u = s.upd.(gi) in
       let dq = ref 0. in
-      (match Hashtbl.find_opt g.bys_row j with
+      (match Hashtbl.find_opt u.bys_row j with
       | None -> ()
       | Some row ->
-          for p = g.bys_off.(row) to g.bys_off.(row + 1) - 1 do
-            let ti = g.bys_term.(p) in
+          for p = u.bys_off.(row) to u.bys_off.(row + 1) - 1 do
+            let ti = u.bys_term.(p) in
             let rest = ref 1. in
-            for s = g.ts_off.(ti) to g.ts_off.(ti + 1) - 1 do
-              let j' = g.ts_stat.(s) in
-              if j' <> j then rest := !rest *. (t.alpha.(j') -. 1.)
+            for sl = u.ts_off.(ti) to u.ts_off.(ti + 1) - 1 do
+              let j' = u.ts_stat.(sl) in
+              if j' <> j then rest := !rest *. (t.alpha.{j'} -. 1.)
             done;
-            dq := !dq +. (g.fprod.(ti) *. !rest *. g.mask_outer.(g.t_mask.(ti)))
+            dq :=
+              !dq +. (u.fprod.(ti) *. !rest *. u.mask_outer.(g.t_mask.{ti}))
           done);
-      outer_product t ~skip_attr:(-1) ~skip_group:gi *. !dq
+      outer_product t s ~skip_attr:(-1) ~skip_group:gi *. !dq
 
 (* E[<c_j, I>] = n * alpha_j * dP/dalpha_j / P   (Eq. 8). *)
 let expected t j =
   if t.p <= 0. then 0.
-  else float_of_int (Phi.n t.phi) *. t.alpha.(j) *. partial t j /. t.p
+  else float_of_int t.n *. t.alpha.{j} *. partial t j /. t.p
 
 (* ------------------------------------------------------------------ *)
 (* Restricted evaluation: query answering by zeroing (Sec. 4.2)        *)
@@ -1021,7 +1118,7 @@ let set_cancellation_floor f = cancellation_floor := f
    leaves attribute [i] free). *)
 let[@inline] restricted_attr_sum t query i =
   match Predicate.restriction query i with
-  | None -> t.attr_sums.(i)
+  | None -> t.attr_sums.{i}
   | Some r -> range_sum t ~attr:i r
 
 (* Restricted masses of terms [lo, hi) accumulated into [msum] by mask:
@@ -1033,24 +1130,24 @@ let accumulate_masses t query g msum ~lo ~hi =
   and factors = g.factors
   and dprod = g.dprod
   and t_mask = g.t_mask
-  and prefix = t.prefix in
+  and prefix = t.prefix
+  and prefix_off = t.prefix_off in
   let f = ref 0. in
   for ti = lo to hi - 1 do
-    f := Array.unsafe_get dprod ti;
+    f := A1.unsafe_get dprod ti;
     (try
-       for s = Array.unsafe_get fa_off ti to Array.unsafe_get fa_off (ti + 1) - 1
-       do
-         let i = Array.unsafe_get fa_attr s in
+       for s = A1.unsafe_get fa_off ti to A1.unsafe_get fa_off (ti + 1) - 1 do
+         let i = A1.unsafe_get fa_attr s in
          let factor =
            match Predicate.restriction query i with
-           | None -> Array.unsafe_get factors s
-           | Some qr -> inter_sum (Array.unsafe_get prefix i) g s qr
+           | None -> A1.unsafe_get factors s
+           | Some qr -> inter_sum prefix (Array.unsafe_get prefix_off i) g s qr
          in
          if factor = 0. then raise Exit;
          f := !f *. factor
        done
      with Exit -> f := 0.);
-    let mask = Array.unsafe_get t_mask ti in
+    let mask = A1.unsafe_get t_mask ti in
     Array.unsafe_set msum mask (Array.unsafe_get msum mask +. !f)
   done
 
@@ -1064,7 +1161,7 @@ let restricted_group_q t query g sc =
   for li = 0 to n_local - 1 do
     sc.ra.(li) <- restricted_attr_sum t query g.g_attrs.(li)
   done;
-  let num_masks = Array.length g.mask_bits in
+  let num_masks = A1.dim g.mask_bits in
   let msum =
     if g.n_terms >= !parallel_threshold && !parallelism > 1 then
       Parallel.fold ~domains:!parallelism ~n:g.n_terms
@@ -1085,7 +1182,7 @@ let restricted_group_q t query g sc =
   let q = ref 0. in
   for k = 0 to num_masks - 1 do
     if msum.(k) <> 0. then begin
-      let bits = g.mask_bits.(k) in
+      let bits = g.mask_bits.{k} in
       let outer = ref 1. in
       for li = 0 to n_local - 1 do
         if bits land (1 lsl li) = 0 then outer := !outer *. sc.ra.(li)
@@ -1112,7 +1209,7 @@ let eval_restricted_sc t query sc =
   done;
   !acc
 
-let[@inline] alpha_of t ~attr v = t.alpha.(Phi.marginal_id t.phi ~attr ~value:v)
+let[@inline] alpha_of t ~attr v = t.alpha.{t.marg_off.(attr) + v}
 
 (* Term pass of the batched GROUP BY kernel over terms [lo, hi): masses
    of terms leaving [attr] unmasked accumulate into [msum] by mask;
@@ -1129,26 +1226,26 @@ let accumulate_by_value t query g ~attr ~q_attr coef msum scatter ~lo ~hi =
   and iv_off = g.iv_off
   and iv_lo = g.iv_lo
   and iv_hi = g.iv_hi
-  and prefix = t.prefix in
+  and prefix = t.prefix
+  and prefix_off = t.prefix_off in
   let f = ref 0. in
   for ti = lo to hi - 1 do
-    let s0 = Array.unsafe_get fa_off ti
-    and s1 = Array.unsafe_get fa_off (ti + 1) in
+    let s0 = A1.unsafe_get fa_off ti and s1 = A1.unsafe_get fa_off (ti + 1) in
     (* One pass over the slots: multiply the non-[attr] factors in slot
        order (the order the boxed layout used) while remembering [attr]'s
        slot.  Slots are one-per-attribute, so skipping [attr] inline is
        the same exclusion as a separate scan. *)
     let attr_slot = ref (-1) in
-    f := Array.unsafe_get dprod ti;
+    f := A1.unsafe_get dprod ti;
     (try
        for s = s0 to s1 - 1 do
-         let i = Array.unsafe_get fa_attr s in
+         let i = A1.unsafe_get fa_attr s in
          if i = attr then attr_slot := s
          else begin
            let factor =
              match Predicate.restriction query i with
-             | None -> Array.unsafe_get factors s
-             | Some qr -> inter_sum (Array.unsafe_get prefix i) g s qr
+             | None -> A1.unsafe_get factors s
+             | Some qr -> inter_sum prefix (Array.unsafe_get prefix_off i) g s qr
            in
            if factor = 0. then raise Exit;
            f := !f *. factor
@@ -1158,28 +1255,28 @@ let accumulate_by_value t query g ~attr ~q_attr coef msum scatter ~lo ~hi =
     let attr_slot = !attr_slot in
     let fv = !f in
     if fv <> 0. then
-      let mask = Array.unsafe_get t_mask ti in
+      let mask = A1.unsafe_get t_mask ti in
       if attr_slot < 0 then
         Array.unsafe_set msum mask (Array.unsafe_get msum mask +. fv)
       else begin
         let w = fv *. Array.unsafe_get coef mask in
         match q_attr with
         | None ->
-            for k = Array.unsafe_get iv_off attr_slot
-                 to Array.unsafe_get iv_off (attr_slot + 1) - 1
+            for k = A1.unsafe_get iv_off attr_slot
+                 to A1.unsafe_get iv_off (attr_slot + 1) - 1
             do
-              for v = Array.unsafe_get iv_lo k to Array.unsafe_get iv_hi k do
+              for v = A1.unsafe_get iv_lo k to A1.unsafe_get iv_hi k do
                 Array.unsafe_set scatter v (Array.unsafe_get scatter v +. w)
               done
             done
         | Some qr ->
             (* Merge walk over (slot ∩ query), as in [inter_sum]. *)
-            let k = ref (Array.unsafe_get iv_off attr_slot) and j = ref 0 in
-            let k1 = Array.unsafe_get iv_off (attr_slot + 1) in
+            let k = ref (A1.unsafe_get iv_off attr_slot) and j = ref 0 in
+            let k1 = A1.unsafe_get iv_off (attr_slot + 1) in
             let nq = Ranges.num_intervals qr in
             while !k < k1 && !j < nq do
-              let alo = Array.unsafe_get iv_lo !k
-              and ahi = Array.unsafe_get iv_hi !k in
+              let alo = A1.unsafe_get iv_lo !k
+              and ahi = A1.unsafe_get iv_hi !k in
               let blo = Ranges.interval_lo qr !j
               and bhi = Ranges.interval_hi qr !j in
               let lo = if alo > blo then alo else blo in
@@ -1248,12 +1345,12 @@ let eval_by_value_sc t query ~attr out sc =
     let g = t.groups.(gi) in
     let li = local_of g attr in
     let n_local = Array.length g.g_attrs in
-    let num_masks = Array.length g.mask_bits in
+    let num_masks = A1.dim g.mask_bits in
     (* Per-mask outer products over the group's other attributes;
        [attr]'s own factor is applied per cell. *)
     let coef = sc.coef in
     for k = 0 to num_masks - 1 do
-      let bits = g.mask_bits.(k) in
+      let bits = g.mask_bits.{k} in
       let outer = ref 1. in
       for li' = 0 to n_local - 1 do
         if li' <> li && bits land (1 lsl li') = 0 then
@@ -1287,7 +1384,7 @@ let eval_by_value_sc t query ~attr out sc =
        products; these enter every cell through alpha_{attr,v}. *)
     let scalar = ref 0. in
     for k = 0 to num_masks - 1 do
-      if g.mask_bits.(k) land (1 lsl li) = 0 && msum.(k) <> 0. then
+      if g.mask_bits.{k} land (1 lsl li) = 0 && msum.(k) <> 0. then
         scalar := !scalar +. (msum.(k) *. coef.(k))
     done;
     let scalar = !scalar in
@@ -1319,82 +1416,78 @@ let eval_by_value_sc t query ~attr out sc =
    counting). *)
 let eval_weighted_impl t query ~weights =
   ensure_prefix t;
-  (* Per-attribute prefix sums of weighted alphas; [weights] gives a
-     weight function for the attributes it covers, all others weigh 1 and
-     reuse the cached prefixes.  [all_nonneg] records whether every
+  (* Prefix sums of weighted alphas, in a per-call copy of the prefix
+     table: [weights] gives a weight function for the attributes it
+     covers, whose sums are recomputed; all others weigh 1 and keep the
+     cached sums.  [all_nonneg] records whether every
      weighted alpha stayed >= 0 (unweighted alphas always are): exactly
      then every monomial of the weighted sum is non-negative and each
      group value may be clamped at 0 like [eval_restricted]'s, so
      floating-point cancellation cannot flip a SUM estimate's sign. *)
   let all_nonneg = ref true in
-  let prefix_of =
-    let overridden = Hashtbl.create 4 in
-    List.iter
-      (fun (attr, w) ->
-        let size = Schema.domain_size t.schema attr in
-        let pre = Array.make (size + 1) 0. in
-        for v = 0 to size - 1 do
-          let wa = t.alpha.(Phi.marginal_id t.phi ~attr ~value:v) *. w v in
-          if wa < 0. then all_nonneg := false;
-          pre.(v + 1) <- pre.(v) +. wa
-        done;
-        Hashtbl.replace overridden attr pre)
-      weights;
-    fun attr ->
-      match Hashtbl.find_opt overridden attr with
-      | Some pre -> pre
-      | None -> t.prefix.(attr)
-  in
-  let range_sum_pre pre r =
+  let pre = A1.create Bigarray.float64 Bigarray.c_layout (A1.dim t.prefix) in
+  A1.blit t.prefix pre;
+  List.iter
+    (fun (attr, w) ->
+      let base = t.prefix_off.(attr) in
+      pre.{base} <- 0.;
+      for v = 0 to Schema.domain_size t.schema attr - 1 do
+        let wa = alpha_of t ~attr v *. w v in
+        if wa < 0. then all_nonneg := false;
+        pre.{base + v + 1} <- pre.{base + v} +. wa
+      done)
+    weights;
+  let range_sum_pre base r =
     let acc = ref 0. in
     for k = 0 to Ranges.num_intervals r - 1 do
       acc :=
-        !acc +. pre.(Ranges.interval_hi r k + 1) -. pre.(Ranges.interval_lo r k)
+        !acc
+        +. pre.{base + Ranges.interval_hi r k + 1}
+        -. pre.{base + Ranges.interval_lo r k}
     done;
     !acc
   in
   let attr_total i =
-    let pre = prefix_of i in
+    let base = t.prefix_off.(i) in
     match Predicate.restriction query i with
-    | None -> pre.(Schema.domain_size t.schema i)
-    | Some r -> range_sum_pre pre r
+    | None -> pre.{base + Schema.domain_size t.schema i}
+    | Some r -> range_sum_pre base r
   in
   let acc = ref 1. in
   Array.iter (fun i -> acc := !acc *. attr_total i) t.free_attrs;
   Array.iter
     (fun g ->
       let totals = Array.map attr_total g.g_attrs in
-      let num_masks = Array.length g.mask_bits in
+      let num_masks = A1.dim g.mask_bits in
       let msum = Array.make num_masks 0. in
       for ti = 0 to g.n_terms - 1 do
-        let f = ref g.dprod.(ti) in
+        let f = ref g.dprod.{ti} in
         (try
-           for s = g.fa_off.(ti) to g.fa_off.(ti + 1) - 1 do
-             let i = g.fa_attr.(s) in
-             let pre = prefix_of i in
+           for s = g.fa_off.{ti} to g.fa_off.{ti + 1} - 1 do
+             let i = g.fa_attr.{s} in
+             let base = t.prefix_off.(i) in
              let factor =
                match Predicate.restriction query i with
-               | None -> slot_sum pre g s
-               | Some qr -> inter_sum pre g s qr
+               | None -> slot_sum pre base g s
+               | Some qr -> inter_sum pre base g s qr
              in
              if factor = 0. then raise Exit;
              f := !f *. factor
            done
          with Exit -> f := 0.);
-        msum.(g.t_mask.(ti)) <- msum.(g.t_mask.(ti)) +. !f
+        msum.(g.t_mask.{ti}) <- msum.(g.t_mask.{ti}) +. !f
       done;
       let q = ref 0. in
-      Array.iteri
-        (fun k bits ->
-          if msum.(k) <> 0. then begin
-            let outer = ref 1. in
-            Array.iteri
-              (fun li _ ->
-                if bits land (1 lsl li) = 0 then outer := !outer *. totals.(li))
-              g.g_attrs;
-            q := !q +. (msum.(k) *. !outer)
-          end)
-        g.mask_bits;
+      for k = 0 to num_masks - 1 do
+        if msum.(k) <> 0. then begin
+          let bits = g.mask_bits.{k} in
+          let outer = ref 1. in
+          for li = 0 to Array.length g.g_attrs - 1 do
+            if bits land (1 lsl li) = 0 then outer := !outer *. totals.(li)
+          done;
+          q := !q +. (msum.(k) *. !outer)
+        end
+      done;
       (* With non-negative weights Q_g is a sum of non-negative monomials
          exactly as in [eval_restricted]; apply the same cancellation
          clamp.  Genuinely signed weights keep their sign. *)
@@ -1411,6 +1504,7 @@ let observe_eval_ns t0 =
   Edb_obs.Registry.Hist.observe_us eval_ns_hist ((Timing.now_s () -. t0) *. 1e9)
 
 let eval_restricted t query =
+  verify t;
   Edb_obs.Registry.Counter.incr evals_counter;
   if Obs.enabled () then begin
     let t0 = Timing.now_s () in
@@ -1439,6 +1533,7 @@ let eval_restricted_by_value_into t query ~attr ~out =
   let size = Schema.domain_size t.schema attr in
   if Array.length out < size then
     invalid_arg "Poly.eval_restricted_by_value_into: out buffer too small";
+  verify t;
   Edb_obs.Registry.Counter.incr evals_counter;
   if Obs.enabled () then begin
     let t0 = Timing.now_s () in
@@ -1464,6 +1559,7 @@ let eval_restricted_by_value t query ~attr =
   out
 
 let eval_weighted t query ~weights =
+  verify t;
   Edb_obs.Registry.Counter.incr evals_counter;
   if Obs.enabled () then begin
     let t0 = Timing.now_s () in
@@ -1476,29 +1572,33 @@ let eval_weighted t query ~weights =
   end
   else eval_weighted_impl t query ~weights
 
-(* E[<q, I>] = n / P * P[zeroed]  — the final formula of Sec. 4.2. *)
+(* E[<q, I>] = n / P * P[zeroed]  — the final formula of Sec. 4.2.  No
+   answer, not even a trivial one, precedes verification of lent tables. *)
 let estimate t query =
+  verify t;
   if Predicate.is_unsatisfiable query then 0.
   else if t.p <= 0. then 0.
-  else float_of_int (Phi.n t.phi) *. eval_restricted t query /. t.p
+  else float_of_int t.n *. eval_restricted t query /. t.p
 
 let estimate_weighted t query ~weights =
+  verify t;
   if Predicate.is_unsatisfiable query then 0.
   else if t.p <= 0. then 0.
-  else float_of_int (Phi.n t.phi) *. eval_weighted t query ~weights /. t.p
+  else float_of_int t.n *. eval_weighted t query ~weights /. t.p
 
 (* The dual objective Psi = sum_j s_j ln alpha_j - n ln P  (Eq. 11).
    Statistics with s_j = 0 contribute lim_{a->0} 0*ln a = 0. *)
 let dual t =
+  verify t;
   let acc = ref 0. in
   Array.iter
     (fun s ->
       let sj = Statistic.target s in
       if sj > 0. then begin
-        let a = t.alpha.(Statistic.id s) in
+        let a = t.alpha.{Statistic.id s} in
         if a > 0. then acc := !acc +. (sj *. log a)
         else acc := Float.neg_infinity
       end)
-    (Phi.stats t.phi);
-  if t.p > 0. then !acc -. (float_of_int (Phi.n t.phi) *. log t.p)
+    (Phi.stats (phi t));
+  if t.p > 0. then !acc -. (float_of_int t.n *. log t.p)
   else Float.neg_infinity

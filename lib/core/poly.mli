@@ -26,6 +26,13 @@ val create : ?term_cap:int -> Phi.t -> t
     this attribute topology. *)
 
 val phi : t -> Phi.t
+(** The statistic set.  A read-only polynomial rebuilds it on each call
+    (O(#statistics)). *)
+
+val schema : t -> Edb_storage.Schema.t
+
+val cardinality : t -> int
+(** n, the summarized relation's row count. *)
 
 val p : t -> float
 (** Current value of P at the current variable assignment. *)
@@ -38,7 +45,9 @@ val attr_sum : t -> int -> float
 
 val set_alpha : t -> int -> float -> unit
 (** Incremental single-variable update; maintains all cached sums, group
-    values, and P in O(terms containing the variable). *)
+    values, and P in O(terms containing the variable).  This and every
+    other update below raise [Invalid_argument] on a read-only
+    polynomial ({!of_tables}). *)
 
 val refresh : t -> unit
 (** Recompute every cached quantity from the variable vector (washes out
@@ -70,7 +79,8 @@ val expected : t -> int -> float
 val eval_restricted : t -> Predicate.t -> float
 (** P with all 1D variables outside the query's restrictions set to 0 —
     the optimized query evaluation of Sec. 4.2.  No rebuilding.  Groups
-    above 30k terms are evaluated with {!set_parallelism} domains. *)
+    above 30k terms are evaluated with {!set_parallelism} domains.  Every
+    evaluator counts one [poly.evals] per call. *)
 
 val eval_restricted_by_value : t -> Predicate.t -> attr:int -> float array
 (** Batched GROUP BY kernel: element [v] of the result equals
@@ -133,60 +143,112 @@ val num_terms : t -> int
 
 val num_groups : t -> int
 
+val num_stats : t -> int
+(** Statistics (variables), marginals included. *)
+
+val num_marginals : t -> int
+
 val uncompressed_monomials : t -> float
 (** |Tup| — the size the naive sum-of-products form would have. *)
 
-(** {2 Table export (summary format v3)}
+(** {2 Tables (summary format v3)}
 
-    The flat SoA/CSR tables behind the kernel, exposed so the zero-copy
-    serializer can write them to disk verbatim: a mapped summary's
-    evaluation then walks bitwise the same data the heap kernel does.
-    All arrays are {e shared} with the polynomial — treat them as
-    read-only snapshots of the current solved state. *)
+    Every table the evaluators read is a Bigarray.  The zero-copy
+    serializer writes these tables to disk verbatim, and {!Mapped} opens
+    a v3 file by carving the same tables out of its mapping and handing
+    them to {!of_tables}, so one evaluator answers both. *)
 
-type group_tables = {
-  gt_attrs : int array;
-  gt_stats : int array;
-  gt_n_terms : int;
-  gt_ts_off : int array;
-  gt_ts_stat : int array;
-  gt_fa_off : int array;
-  gt_fa_attr : int array;
-  gt_factors : float array;
-  gt_iv_off : int array;
-  gt_iv_lo : int array;
-  gt_iv_hi : int array;
-  gt_t_mask : int array;
-  gt_fprod : float array;
-  gt_dprod : float array;
-  gt_value : float array;
-  gt_mask_bits : int array;
-  gt_mask_sum : float array;
-  gt_mask_outer : float array;
-  gt_q : float;
-  gt_bys_off : int array;
-  gt_bys_term : int array;
-  gt_byv_off : int array array;
-  gt_byv_term : int array array;
-  gt_byv_slot : int array array;
+type fbuf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+type ibuf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type group = {
+  g_attrs : int array;  (** the group's attributes, ascending *)
+  n_terms : int;  (** term 0 is the base term *)
+  fa_off : ibuf;  (** term -> factor slots (CSR), length [n_terms + 1] *)
+  fa_attr : ibuf;  (** slot -> attribute *)
+  factors : fbuf;  (** slot -> sum of alpha inside its projection *)
+  iv_off : ibuf;  (** slot -> projection intervals (CSR) *)
+  iv_lo : ibuf;
+  iv_hi : ibuf;
+  t_mask : ibuf;  (** term -> mask id *)
+  dprod : fbuf;  (** term -> prod over its joints of (alpha_j - 1) *)
+  mask_bits : ibuf;  (** mask id -> bitset over the group's attributes *)
 }
+(** One statistic group's evaluator tables. *)
+
+type updates = private {
+  g_stats : int array;
+  ts_off : int array;
+  ts_stat : int array;
+  fprod : float array;
+  value : float array;
+  mask_sum : float array;
+  mask_outer : float array;
+  mutable q : float;
+  bys_row : (int, int) Hashtbl.t;
+  bys_off : int array;
+  bys_term : int array;
+  byv_off : int array array;
+  byv_term : int array array;
+  byv_slot : int array array;
+}
+(** One group's solver-side tables: inverted indexes and cached
+    per-term/per-mask state that single-variable updates maintain. *)
 
 type tables = {
-  tb_alpha : float array;
-  tb_attr_sums : float array;
-  tb_prefix : float array array;
+  tb_alpha : fbuf;
+  tb_attr_sums : fbuf;
+  tb_prefix : fbuf;
+      (** per attribute, in attribute order: [N_i + 1] prefix sums of
+          its marginal variables *)
   tb_p : float;
   tb_free_attrs : int array;
   tb_group_of_attr : int array;
-  tb_groups : group_tables array;
+  tb_groups : group array;
 }
 
 val tables : t -> tables
-(** Current tables (prefix sums finalized first).  Call {!refresh}
-    beforehand to wash out incremental drift when a canonical
-    (rebuild-from-α) state is required, as the v3 writer does. *)
+(** The current evaluator tables (prefix sums finalized first), shared
+    with the polynomial, not copied.  Call {!refresh} beforehand when a
+    canonical (rebuild-from-α) state is required, as the v3 writer
+    does. *)
+
+val updates : t -> updates array
+(** The solver-side tables, parallel to [(tables t).tb_groups].  Raises
+    [Invalid_argument] on a read-only polynomial. *)
+
+val of_tables :
+  Edb_storage.Schema.t ->
+  n:int ->
+  tables ->
+  phi:(unit -> Phi.t) ->
+  verify:(unit -> unit) ->
+  release:(unit -> unit) ->
+  footprint_bytes:int ->
+  t
+(** A read-only polynomial over tables lent by storage — no term is
+    enumerated and nothing is copied.  The tables must have the geometry
+    {!tables} exports for this schema.  [verify] checks their integrity;
+    it runs once, before the first answer or table read ({!p},
+    {!alpha}, {!alphas}, the evaluators), and its exception propagates
+    to every caller until it succeeds.  [phi] rebuilds the statistic set
+    on demand ({!phi}); [release] is what {!release_pages} runs;
+    [footprint_bytes] is what {!footprint_bytes} reports.  The solver, {!refresh} and every other update raise
+    [Invalid_argument]. *)
+
+val read_only : t -> bool
+(** Whether the tables are lent by storage ({!of_tables}). *)
+
+val verify : t -> unit
+(** Force the integrity check of lent tables now (idempotent; a no-op for
+    a polynomial built by {!create}). *)
+
+val release_pages : t -> unit
+(** Give the resident pages of lent tables back to the operating system
+    without invalidating them: a later read faults them in again from
+    storage.  A no-op for a polynomial built by {!create}. *)
 
 val footprint_bytes : t -> int
-(** Estimated resident heap size of the flat tables in bytes (one word
-    per array element); the weighted catalog charges heap-backed entries
-    with this. *)
+(** Bytes this polynomial charges a byte-budgeted catalog: the estimated
+    heap size of the tables (one word per array element) for a built
+    polynomial, the [footprint_bytes] given to {!of_tables} otherwise. *)

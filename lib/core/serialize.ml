@@ -276,9 +276,9 @@ let load_sharded ?term_cap path =
    The manifest comes last so section offsets are known before it is
    written; the header (written with a final seek) points at it.  Opening
    a v3 file is O(header + manifest): body sections are mapped, not read,
-   and their checksums are verified lazily by the mapped reader
-   (Mapped.ensure_verified) before the first answer is produced — so
-   corruption is always a Format_error, never a silently wrong answer.
+   and their checksums are verified lazily (Mapped hands the check to the
+   evaluator, which runs it before the first answer) — so corruption is
+   always a Format_error, never a silently wrong answer.
 
    Element encoding is the host representation Bigarray maps: IEEE-754
    doubles and untagged native ints, little-endian.  The header records
@@ -319,14 +319,11 @@ type v3_manifest = {
 
 let v3_round_page n = (n + v3_page - 1) / v3_page * v3_page
 
-let v3_bytes_of_floats a =
-  let b = Bytes.create (8 * Array.length a) in
-  Array.iteri (fun i v -> Bytes.set_int64_le b (8 * i) (Int64.bits_of_float v)) a;
-  b
-
-let v3_bytes_of_ints a =
-  let b = Bytes.create (8 * Array.length a) in
-  Array.iteri (fun i v -> Bytes.set_int64_le b (8 * i) (Int64.of_int v)) a;
+let v3_blob n elt =
+  let b = Bytes.create (8 * n) in
+  for i = 0 to n - 1 do
+    Bytes.set_int64_le b (8 * i) (elt i)
+  done;
   b
 
 let v3_floats_of_bytes b =
@@ -358,7 +355,7 @@ let save_v3 summary path =
      makes the mapped tables bitwise-equal to a v2 round trip.  The
      refresh is semantically the identity. *)
   Poly.refresh poly;
-  let tb = Poly.tables poly in
+  let tb = Poly.tables poly and upd = Poly.updates poly in
   let phi = Poly.phi poly in
   let schema = Phi.schema phi in
   let m = Schema.arity schema in
@@ -391,44 +388,54 @@ let save_v3 summary path =
     blobs := (!off, blob) :: !blobs;
     off := v3_round_page (!off + Bytes.length blob)
   in
-  let addf name a = add name true (v3_bytes_of_floats a)
-  and addi name a = add name false (v3_bytes_of_ints a) in
-  addf "alpha" tb.Poly.tb_alpha;
-  addf "attr_sums" tb.Poly.tb_attr_sums;
-  addf "prefix" (Array.concat (Array.to_list tb.Poly.tb_prefix));
+  let addf name a =
+    add name true (v3_blob (Array.length a) (fun i -> Int64.bits_of_float a.(i)))
+  and addi name a =
+    add name false (v3_blob (Array.length a) (fun i -> Int64.of_int a.(i)))
+  and addfb name (a : Poly.fbuf) =
+    add name true
+      (v3_blob (Bigarray.Array1.dim a) (fun i -> Int64.bits_of_float a.{i}))
+  and addib name (a : Poly.ibuf) =
+    add name false
+      (v3_blob (Bigarray.Array1.dim a) (fun i -> Int64.of_int a.{i}))
+  in
+  addfb "alpha" tb.Poly.tb_alpha;
+  addfb "attr_sums" tb.Poly.tb_attr_sums;
+  addfb "prefix" tb.Poly.tb_prefix;
   Array.iteri
-    (fun gi (g : Poly.group_tables) ->
+    (fun gi (g : Poly.group) ->
+      let u = upd.(gi) in
       let s name = Printf.sprintf "g%d.%s" gi name in
-      addi (s "ts_off") g.Poly.gt_ts_off;
-      addi (s "ts_stat") g.Poly.gt_ts_stat;
-      addi (s "fa_off") g.Poly.gt_fa_off;
-      addi (s "fa_attr") g.Poly.gt_fa_attr;
-      addf (s "factors") g.Poly.gt_factors;
-      addi (s "iv_off") g.Poly.gt_iv_off;
-      addi (s "iv_lo") g.Poly.gt_iv_lo;
-      addi (s "iv_hi") g.Poly.gt_iv_hi;
-      addi (s "t_mask") g.Poly.gt_t_mask;
-      addf (s "fprod") g.Poly.gt_fprod;
-      addf (s "dprod") g.Poly.gt_dprod;
-      addf (s "value") g.Poly.gt_value;
-      addi (s "mask_bits") g.Poly.gt_mask_bits;
-      addf (s "mask_sum") g.Poly.gt_mask_sum;
-      addf (s "mask_outer") g.Poly.gt_mask_outer;
-      addi (s "bys_off") g.Poly.gt_bys_off;
-      addi (s "bys_term") g.Poly.gt_bys_term;
+      addi (s "ts_off") u.Poly.ts_off;
+      addi (s "ts_stat") u.Poly.ts_stat;
+      addib (s "fa_off") g.Poly.fa_off;
+      addib (s "fa_attr") g.Poly.fa_attr;
+      addfb (s "factors") g.Poly.factors;
+      addib (s "iv_off") g.Poly.iv_off;
+      addib (s "iv_lo") g.Poly.iv_lo;
+      addib (s "iv_hi") g.Poly.iv_hi;
+      addib (s "t_mask") g.Poly.t_mask;
+      addf (s "fprod") u.Poly.fprod;
+      addfb (s "dprod") g.Poly.dprod;
+      addf (s "value") u.Poly.value;
+      addib (s "mask_bits") g.Poly.mask_bits;
+      addf (s "mask_sum") u.Poly.mask_sum;
+      addf (s "mask_outer") u.Poly.mask_outer;
+      addi (s "bys_off") u.Poly.bys_off;
+      addi (s "bys_term") u.Poly.bys_term;
       (* The per-local-attribute by-value index is stored flattened:
          byv_idx points each local attribute at its slice of the
          concatenated offset array (per-attribute offsets stay local;
          the reader rebuilds data bases from each slice's last entry). *)
-      let n_local = Array.length g.Poly.gt_attrs in
+      let n_local = Array.length g.Poly.g_attrs in
       let byv_idx = Array.make (n_local + 1) 0 in
       Array.iteri
         (fun li o -> byv_idx.(li + 1) <- byv_idx.(li) + Array.length o)
-        g.Poly.gt_byv_off;
+        u.Poly.byv_off;
       addi (s "byv_idx") byv_idx;
-      addi (s "byv_off") (Array.concat (Array.to_list g.Poly.gt_byv_off));
-      addi (s "byv_term") (Array.concat (Array.to_list g.Poly.gt_byv_term));
-      addi (s "byv_slot") (Array.concat (Array.to_list g.Poly.gt_byv_slot)))
+      addi (s "byv_off") (Array.concat (Array.to_list u.Poly.byv_off));
+      addi (s "byv_term") (Array.concat (Array.to_list u.Poly.byv_term));
+      addi (s "byv_slot") (Array.concat (Array.to_list u.Poly.byv_slot)))
     tb.Poly.tb_groups;
   let manifest =
     {
@@ -442,15 +449,15 @@ let save_v3 summary path =
       v3_free_attrs = tb.Poly.tb_free_attrs;
       v3_group_of_attr = tb.Poly.tb_group_of_attr;
       v3_groups =
-        Array.map
-          (fun (g : Poly.group_tables) ->
+        Array.map2
+          (fun (g : Poly.group) (u : Poly.updates) ->
             {
-              v3g_attrs = g.Poly.gt_attrs;
-              v3g_stats = g.Poly.gt_stats;
-              v3g_n_terms = g.Poly.gt_n_terms;
-              v3g_q = g.Poly.gt_q;
+              v3g_attrs = g.Poly.g_attrs;
+              v3g_stats = u.Poly.g_stats;
+              v3g_n_terms = g.Poly.n_terms;
+              v3g_q = u.Poly.q;
             })
-          tb.Poly.tb_groups;
+          tb.Poly.tb_groups upd;
       v3_sections = List.rev !sections;
     }
   in

@@ -266,6 +266,8 @@ let apply_init poly init =
   Poly.set_alphas poly init
 
 let solve ?(config = default_config) ?init ?on_sweep poly =
+  if Poly.read_only poly then
+    invalid_arg "Solver.solve: read-only polynomial (its tables are a file mapping)";
   Obs.with_span "solver.solve" ~cat:"build"
     ~attrs:(fun () ->
       [

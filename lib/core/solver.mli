@@ -50,7 +50,8 @@ val solve :
     so only the perturbation introduced by the new batch must be
     re-solved.  Omitting it leaves the polynomial's variables untouched,
     preserving cold-start behavior bitwise.  Raises [Invalid_argument]
-    on a length mismatch or a negative/non-finite component.
+    on a length mismatch or a negative/non-finite component, and on a
+    read-only polynomial ({!Poly.read_only}).
 
     [on_sweep] is called after every sweep with that sweep's convergence
     telemetry; the same stats are also emitted as ["solver.sweep"] instant

@@ -44,10 +44,10 @@ let of_phi ?(solver_config = Solver.default_config) ?term_cap ?init ?on_sweep
   }
 
 let of_solved_poly ?journal ~poly ~report () =
-  let n = Phi.n (Poly.phi poly) in
+  let n = Poly.cardinality poly in
   {
     poly;
-    schema = Phi.schema (Poly.phi poly);
+    schema = Poly.schema poly;
     n;
     report;
     journal =
@@ -60,6 +60,9 @@ let poly t = t.poly
 let solver_report t = t.report
 let journal t = t.journal
 let with_journal t journal = { t with journal }
+let read_only t = Poly.read_only t.poly
+let verify t = Poly.verify t.poly
+let release_pages t = Poly.release_pages t.poly
 
 let estimate t query = Poly.estimate t.poly query
 
@@ -87,15 +90,14 @@ let stddev t query = sqrt (variance t query)
    with the same operations in the same order as [Poly.estimate], so it is
    bitwise-identical to {!estimate}, and the variance matches {!variance}. *)
 let estimate_with_variance t query =
+  let p_total = Poly.p t.poly in
   if Predicate.is_unsatisfiable query then (0., 0.)
+  else if p_total <= 0. then (0., 0.)
   else
-    let p_total = Poly.p t.poly in
-    if p_total <= 0. then (0., 0.)
-    else
-      let r = Poly.eval_restricted t.poly query in
-      let est = float_of_int t.n *. r /. p_total in
-      let p_q = Edb_util.Floatx.clamp ~lo:0. ~hi:1. (r /. p_total) in
-      (est, float_of_int t.n *. p_q *. (1. -. p_q))
+    let r = Poly.eval_restricted t.poly query in
+    let est = float_of_int t.n *. r /. p_total in
+    let p_q = Edb_util.Floatx.clamp ~lo:0. ~hi:1. (r /. p_total) in
+    (est, float_of_int t.n *. p_q *. (1. -. p_q))
 
 (* Aggregate queries beyond COUNT: SUM and AVG over a binned attribute,
    answered as weighted linear queries (each row contributes its bin's
@@ -252,10 +254,9 @@ type size_report = {
 }
 
 let size_report t =
-  let phi = Poly.phi t.poly in
   {
-    num_statistics = Phi.num_stats phi;
-    num_marginals = Phi.num_marginals phi;
+    num_statistics = Poly.num_stats t.poly;
+    num_marginals = Poly.num_marginals t.poly;
     num_terms = Poly.num_terms t.poly;
     num_groups = Poly.num_groups t.poly;
     uncompressed_monomials = Poly.uncompressed_monomials t.poly;

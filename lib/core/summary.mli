@@ -53,6 +53,25 @@ val journal : t -> Journal.t
 val with_journal : t -> Journal.t -> t
 (** Replace the lineage record (used by the ingest path). *)
 
+val read_only : t -> bool
+(** Whether the summary answers from tables lent by storage — a format-v3
+    file opened with {!Mapped.open_file}.  Such a summary answers every
+    query exactly like the summary that wrote it, but cannot be
+    re-solved in place. *)
+
+val verify : t -> unit
+(** Check the integrity of lent tables now (a v3 file's section
+    checksums) instead of before the first answer; a no-op for a summary
+    built or heap-loaded in memory.  Raises {!Serialize.Format_error}
+    naming the first corrupt section. *)
+
+val release_pages : t -> unit
+(** Give the pages a {!read_only} summary holds resident back to the
+    operating system; it keeps answering, faulting pages in again from
+    its file as it reads them.  A no-op for other summaries.  The
+    catalog calls it on eviction, so an evicted mapped summary holds no
+    memory while the GC has yet to collect it. *)
+
 val estimate : t -> Predicate.t -> float
 (** E[⟨q,I⟩] for a conjunctive counting query — Sec. 4.2's zeroing formula;
     typically sub-millisecond. *)
@@ -124,6 +143,6 @@ val size_report : t -> size_report
 val pp_size_report : Format.formatter -> size_report -> unit
 
 val footprint_bytes : t -> int
-(** Estimated resident heap size of the summary's kernel tables
-    ({!Poly.footprint_bytes}); the weighted catalog charges heap-backed
-    entries with this. *)
+(** What the summary charges a byte-budgeted catalog
+    ({!Poly.footprint_bytes}): the estimated heap size of its kernel
+    tables, or the mapped file's size for a {!read_only} summary. *)

@@ -93,29 +93,6 @@ let of_sharded ?(name = "summary") sh =
             (Sharded.estimate_groups_with_variance sh ~attrs q));
   }
 
-let of_mapped ?(name = "summary") m =
-  let open Entropydb_core in
-  {
-    name;
-    kind = Summary;
-    cost_us = summary_cost (Mapped.num_terms m);
-    count =
-      (fun q ->
-        let est, var = Mapped.estimate_with_variance m q in
-        { est; var });
-    sum =
-      Some
-        (fun attr q ->
-          { est = Mapped.estimate_sum m ~attr q;
-            var = Mapped.variance_sum m ~attr q });
-    groups =
-      Some
-        (fun attrs q ->
-          List.map
-            (fun (key, est, var) -> (key, { est; var }))
-            (Mapped.estimate_groups_with_variance m ~attrs q));
-  }
-
 let of_sample ?name s =
   let open Edb_sampling in
   let name = Option.value name ~default:"sample" in

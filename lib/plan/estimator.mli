@@ -34,11 +34,9 @@ val of_summary : ?name:string -> Entropydb_core.Summary.t -> t
     distribution. *)
 
 val of_sharded : ?name:string -> Edb_shard.Sharded.t -> t
-(** As {!of_summary}, fanned out over shards (variances add). *)
-
-val of_mapped : ?name:string -> Entropydb_core.Mapped.t -> t
-(** As {!of_summary}, over a zero-copy mapped v3 summary (answers are
-    bitwise the heap summary's). *)
+(** As {!of_summary}, fanned out over shards (variances add).  Serves
+    every summary the catalog holds, zero-copy mapped v3 files
+    included. *)
 
 val of_sample : ?name:string -> Edb_sampling.Sample.t -> t
 (** Horvitz–Thompson estimates with design-based, finite-population-

@@ -4,7 +4,8 @@
    by name from disk — flat files, sharded manifests, and mmap-able v3
    files alike, sniffed by magic (Edb_shard.Store.open_any).  v3 files
    become zero-copy *mapped* entries: O(header + manifest) to open, body
-   pages file-backed and clean.  Everything else heap-loads.
+   pages file-backed and clean.  Everything else heap-loads.  Either way
+   an entry holds one [Sharded.t], answered by the same estimators.
 
    Residency is *weighted*: every entry is charged its byte footprint
    (mapped file size, or estimated kernel-table heap size) against a
@@ -19,6 +20,10 @@
    — O(1) for v3 files — so budget-driven eviction is invisible to
    clients, it only shows up as latency and in the reopen counter.
    Explicit [evict] removes the slot too (the name is gone).
+
+   Eviction also hands a mapped entry's pages back to the kernel
+   ([Summary.release_pages]): the GC would otherwise keep a dead
+   mapping resident until it finalizes the Bigarray.
 
    Pinning: a request resolves its entry once ([with_entry]) and holds a
    pin for its whole execution; pinned entries are never chosen for
@@ -52,14 +57,12 @@ type aux = {
   csv_path : string;
 }
 
-type backing =
-  | Heap of Edb_shard.Sharded.t
-  | Mapped of Mapped.t
+module Sharded = Edb_shard.Sharded
 
 type entry = {
   name : string;
   path : string;
-  backing : backing;
+  summary : Sharded.t;
   bytes : int; (* footprint charged against the budget *)
   cache : Cache.t;
   mutable last_used : int;
@@ -130,65 +133,18 @@ let with_lock t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 (* ------------------------------------------------------------------ *)
-(* Backing dispatch                                                    *)
+(* Entry accessors                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let kind_name entry =
-  match entry.backing with Heap _ -> "heap" | Mapped _ -> "mapped"
-
-let schema entry =
-  match entry.backing with
-  | Heap sh -> Edb_shard.Sharded.schema sh
-  | Mapped m -> Mapped.schema m
-
-let cardinality entry =
-  match entry.backing with
-  | Heap sh -> Edb_shard.Sharded.cardinality sh
-  | Mapped m -> Mapped.cardinality m
-
-let num_shards entry =
-  match entry.backing with
-  | Heap sh -> Edb_shard.Sharded.num_shards sh
-  | Mapped _ -> 1
-
-let estimate entry q =
-  match entry.backing with
-  | Heap sh -> Edb_shard.Sharded.estimate sh q
-  | Mapped m -> Mapped.estimate m q
-
-let stddev entry q =
-  match entry.backing with
-  | Heap sh -> Edb_shard.Sharded.stddev sh q
-  | Mapped m -> Mapped.stddev m q
-
-let estimate_sum entry ~attr q =
-  match entry.backing with
-  | Heap sh -> Edb_shard.Sharded.estimate_sum sh ~attr q
-  | Mapped m -> Mapped.estimate_sum m ~attr q
-
-let variance_sum entry ~attr q =
-  match entry.backing with
-  | Heap sh -> Edb_shard.Sharded.variance_sum sh ~attr q
-  | Mapped m -> Mapped.variance_sum m ~attr q
-
-let estimate_avg entry ~attr q =
-  match entry.backing with
-  | Heap sh -> Edb_shard.Sharded.estimate_avg sh ~attr q
-  | Mapped m -> Mapped.estimate_avg m ~attr q
-
-let estimate_disjuncts entry disjuncts =
-  match entry.backing with
-  | Heap sh -> Edb_shard.Sharded.estimate_disjuncts sh disjuncts
-  | Mapped m -> Mapped.estimate_disjuncts m disjuncts
-
-let stddev_disjuncts entry disjuncts =
-  match entry.backing with
-  | Heap sh -> Edb_shard.Sharded.stddev_disjuncts sh disjuncts
-  | Mapped m -> Mapped.stddev_disjuncts m disjuncts
-
-let footprint = function
-  | Heap sh -> Edb_shard.Sharded.footprint_bytes sh
-  | Mapped m -> Mapped.size_bytes m
+(* A v3 file opens as one read-only shard over its mapping; nothing else
+   is read-only. *)
+let mapped entry = Array.for_all Summary.read_only (Sharded.shards entry.summary)
+let kind_name entry = if mapped entry then "mapped" else "heap"
+let schema entry = Sharded.schema entry.summary
+let cardinality entry = Sharded.cardinality entry.summary
+let num_shards entry = Sharded.num_shards entry.summary
+let estimate entry q = Sharded.estimate entry.summary q
+let stddev entry q = Sharded.stddev entry.summary q
 
 (* ------------------------------------------------------------------ *)
 (* Residency management (callers hold the lock)                        *)
@@ -205,8 +161,11 @@ let resident_count_locked t =
     t.table 0
 
 (* Drop residency, keep the slot.  The entry object stays valid for any
-   request still holding it. *)
+   request still holding it; a mapped summary's pages go back to the
+   kernel now rather than when the GC finalizes its mapping, and fault
+   in again if a straggler reads them. *)
 let unmap_locked t slot entry =
+  Array.iter Summary.release_pages (Sharded.shards entry.summary);
   slot.s_resident <- None;
   t.resident_bytes <- t.resident_bytes - entry.bytes;
   t.evictions <- t.evictions + 1
@@ -249,41 +208,29 @@ let rebalance_locked t =
 let open_entry t ~name ~path =
   match
     let t0 = Edb_util.Timing.now_s () in
-    let opened = Edb_shard.Store.open_any path in
+    let summary = Edb_shard.Store.open_any path in
     Edb_obs.Registry.Hist.observe_us open_ns_hist
       ((Edb_util.Timing.now_s () -. t0) *. 1e9);
-    opened
+    summary
   with
   | exception Serialize.Format_error m ->
       Error (Printf.sprintf "%s: bad summary file: %s" path m)
   | exception Sys_error m -> Error m
   | exception Unix.Unix_error (e, _, _) ->
       Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
-  | opened ->
-      let backing =
-        match opened with
-        | Edb_shard.Store.Heap sh -> Heap sh
-        | Edb_shard.Store.Mapped m -> Mapped m
-      in
+  | summary ->
       let cache =
-        match backing with
-        | Heap sh ->
-            Cache.of_fn ~capacity:t.cache_capacity
-              ~groups:(fun ~attrs pred ->
-                Edb_shard.Sharded.estimate_groups_with_stddev sh ~attrs pred)
-              (Edb_shard.Sharded.estimate sh)
-        | Mapped m ->
-            Cache.of_fn ~capacity:t.cache_capacity
-              ~groups:(fun ~attrs pred ->
-                Mapped.estimate_groups_with_stddev m ~attrs pred)
-              (Mapped.estimate m)
+        Cache.of_fn ~capacity:t.cache_capacity
+          ~groups:(fun ~attrs pred ->
+            Sharded.estimate_groups_with_stddev summary ~attrs pred)
+          (Sharded.estimate summary)
       in
       Ok
         {
           name;
           path;
-          backing;
-          bytes = footprint backing;
+          summary;
+          bytes = Sharded.footprint_bytes summary;
           cache;
           last_used = 0;
           pins = 0;
@@ -442,9 +389,10 @@ type refresh_info = {
    invalidated by construction.  Any ATTACHed base table describes the
    pre-batch relation and is dropped — re-ATTACH after REFRESH.
 
-   Mapped entries refresh too: the flat summary is heap-rebuilt from the
-   v3 file, appended to, and written back atomically in v3
-   ([Edb_ingest.Ingest.save_atomic] preserves the on-disk format), then
+   Mapped entries refresh like any other: the append reads the mapped
+   summary's statistic set and variables (verifying the file first), the
+   result is written back atomically in v3
+   ([Edb_ingest.Ingest.save_atomic] preserves the on-disk format), and
    the entry reopens zero-copy. *)
 let refresh t ~name ~path:csv_path =
   match acquire t name with
@@ -459,59 +407,42 @@ let refresh t ~name ~path:csv_path =
                  "REFRESH supports unsharded summaries; %s has %d shards" name
                  (num_shards entry))
           else
-            let flat =
-              match entry.backing with
-              | Heap sh -> Ok (Edb_shard.Sharded.shards sh).(0)
-              | Mapped _ -> (
-                  (* Heap-rebuild the solved summary from the v3 file;
-                     checksums re-verified by the loader. *)
-                  match Serialize.load entry.path with
-                  | exception Serialize.Format_error m ->
-                      Error (Printf.sprintf "%s: bad summary file: %s" entry.path m)
-                  | exception Sys_error m -> Error m
-                  | s -> Ok s)
-            in
-            match flat with
-            | Error m -> Error m
-            | Ok flat -> (
-                let schema = Summary.schema flat in
-                match Edb_storage.Csv_io.load_indices schema csv_path with
-                | exception Sys_error m -> Error m
-                | Error e ->
+            let flat = (Sharded.shards entry.summary).(0) in
+            match Edb_storage.Csv_io.load_indices (schema entry) csv_path with
+            | exception Sys_error m -> Error m
+            | Error e ->
+                Error
+                  (Format.asprintf "%s: %a" csv_path
+                     Edb_storage.Csv_io.pp_error e)
+            | Ok batch -> (
+                match
+                  Edb_ingest.Ingest.append_with_stats
+                    ~source:(Filename.basename csv_path) flat batch
+                with
+                | exception Invalid_argument m -> Error m
+                | exception Serialize.Format_error m ->
                     Error
-                      (Format.asprintf "%s: %a" csv_path
-                         Edb_storage.Csv_io.pp_error e)
-                | Ok batch -> (
-                    match
-                      Edb_ingest.Ingest.append_with_stats
-                        ~source:(Filename.basename csv_path) flat batch
-                    with
-                    | exception Invalid_argument m -> Error m
-                    | summary', stats -> (
-                        match
-                          Edb_ingest.Ingest.save_atomic summary' entry.path
-                        with
-                        | exception Sys_error m -> Error m
-                        | () -> (
-                            (* Reopen from disk so the resident entry and
-                               the file agree (and a v3 file stays
-                               zero-copy). *)
-                            match open_entry t ~name ~path:entry.path with
-                            | Error m -> Error m
-                            | Ok entry' ->
-                                with_lock t (fun () -> install_locked t entry');
-                                Ok
-                                  ( entry',
-                                    {
-                                      batch_rows =
-                                        stats.Edb_ingest.Ingest.batch_rows;
-                                      cardinality =
-                                        stats.Edb_ingest.Ingest.cardinality;
-                                      sweeps = stats.Edb_ingest.Ingest.sweeps;
-                                      batches =
-                                        Journal.batches
-                                          (Summary.journal summary');
-                                    } ))))))
+                      (Printf.sprintf "%s: bad summary file: %s" entry.path m)
+                | summary', stats -> (
+                    match Edb_ingest.Ingest.save_atomic summary' entry.path with
+                    | exception Sys_error m -> Error m
+                    | () -> (
+                        (* Reopen from disk so the resident entry and the
+                           file agree (and a v3 file stays zero-copy). *)
+                        match open_entry t ~name ~path:entry.path with
+                        | Error m -> Error m
+                        | Ok entry' ->
+                            with_lock t (fun () -> install_locked t entry');
+                            Ok
+                              ( entry',
+                                {
+                                  batch_rows = stats.Edb_ingest.Ingest.batch_rows;
+                                  cardinality =
+                                    stats.Edb_ingest.Ingest.cardinality;
+                                  sweeps = stats.Edb_ingest.Ingest.sweeps;
+                                  batches =
+                                    Journal.batches (Summary.journal summary');
+                                } )))))
 
 let evict t name =
   with_lock t (fun () ->
@@ -539,19 +470,13 @@ let cache_stats t =
 let stats t =
   with_lock t (fun () ->
       let res = resident_entries_locked t in
+      let res_mapped = List.filter mapped res in
       let mapped_bytes =
-        List.fold_left
-          (fun acc e ->
-            acc + (match e.backing with Mapped _ -> e.bytes | Heap _ -> 0))
-          0 res
+        List.fold_left (fun acc e -> acc + e.bytes) 0 res_mapped
       in
       {
         resident = List.length res;
-        resident_mapped =
-          List.length
-            (List.filter
-               (fun e -> match e.backing with Mapped _ -> true | _ -> false)
-               res);
+        resident_mapped = List.length res_mapped;
         capacity = t.capacity;
         budget_bytes = t.budget;
         resident_bytes = t.resident_bytes;

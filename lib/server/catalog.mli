@@ -25,15 +25,12 @@ type aux = {
 }
 (** Planner routes beyond the summary, attached per entry by {!attach}. *)
 
-type backing =
-  | Heap of Edb_shard.Sharded.t
-      (** flat files and sharded manifests, fully deserialized *)
-  | Mapped of Mapped.t  (** v3 files, zero-copy *)
-
 type entry = {
   name : string;
   path : string;
-  backing : backing;
+  summary : Edb_shard.Sharded.t;
+      (** v3 files open zero-copy as one read-only shard; flat files and
+          sharded manifests are fully deserialized *)
   bytes : int;  (** footprint charged against the byte budget *)
   cache : Cache.t;
   mutable last_used : int;  (** LRU clock value; managed by the catalog *)
@@ -98,8 +95,8 @@ val refresh : t -> name:string -> path:string -> (entry * refresh_info, string) 
     incremental Φ update + warm-started re-solve + atomic
     format-preserving rewrite of the summary file, all outside the
     lock, then an atomic swap of the catalog entry with a fresh (empty)
-    query cache.  Mapped entries are heap-rebuilt for the append and
-    reopened zero-copy afterwards.  Concurrent queries answer from the
+    query cache.  Mapped entries stay v3 and reopen zero-copy
+    afterwards.  Concurrent queries answer from the
     old summary until the swap and never observe a partial one.  Any
     ATTACHed planner routes are dropped (they describe the pre-batch
     table).  Errors if the name is unknown, the summary is sharded, or
@@ -127,24 +124,13 @@ val cache_stats : t -> int * int * int
 
 val stats : t -> stats
 
-(** {2 Backing dispatch}
-
-    Uniform estimator surface over an entry's backing, so the handler
-    never matches on {!backing} itself. *)
+(** {2 Entry accessors} *)
 
 val kind_name : entry -> string
-(** ["heap"] or ["mapped"]. *)
+(** ["mapped"] for a v3 file opened zero-copy, ["heap"] otherwise. *)
 
 val schema : entry -> Edb_storage.Schema.t
 val cardinality : entry -> int
-
 val num_shards : entry -> int
-(** Mapped entries report 1. *)
-
 val estimate : entry -> Edb_storage.Predicate.t -> float
 val stddev : entry -> Edb_storage.Predicate.t -> float
-val estimate_sum : entry -> attr:int -> Edb_storage.Predicate.t -> float
-val variance_sum : entry -> attr:int -> Edb_storage.Predicate.t -> float
-val estimate_avg : entry -> attr:int -> Edb_storage.Predicate.t -> float option
-val estimate_disjuncts : entry -> Edb_storage.Predicate.t list -> float
-val stddev_disjuncts : entry -> Edb_storage.Predicate.t list -> float

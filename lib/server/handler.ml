@@ -15,6 +15,7 @@
 open Edb_storage
 open Entropydb_core
 module T = Edb_query.Translate
+module Sharded = Edb_shard.Sharded
 
 let float_str v = Printf.sprintf "%.17g" v
 
@@ -85,13 +86,14 @@ let run_sql (entry : Catalog.entry) sql =
               (Schema.attr_name schema attr)
         | { aggregate = T.Sum attr; _ } ->
             let predicate = Option.get (T.conjunctive c) in
-            let est = Catalog.estimate_sum entry ~attr predicate in
-            let sd = sqrt (Catalog.variance_sum entry ~attr predicate) in
+            let summary = entry.Catalog.summary in
+            let est = Sharded.estimate_sum summary ~attr predicate in
+            let sd = sqrt (Sharded.variance_sum summary ~attr predicate) in
             Protocol.Ok
               [ "estimate " ^ float_str est; "stddev " ^ float_str sd ]
         | { aggregate = T.Avg attr; _ } -> (
             let predicate = Option.get (T.conjunctive c) in
-            match Catalog.estimate_avg entry ~attr predicate with
+            match Sharded.estimate_avg entry.Catalog.summary ~attr predicate with
             | Some est -> Protocol.Ok [ "estimate " ^ float_str est ]
             | None -> Protocol.Ok [ "estimate undefined" ])
         | { group_attrs = []; disjuncts = [ predicate ]; _ } ->
@@ -101,8 +103,9 @@ let run_sql (entry : Catalog.entry) sql =
             Protocol.Ok
               [ "estimate " ^ float_str est; "stddev " ^ float_str sd ]
         | { group_attrs = []; disjuncts; _ } ->
-            let est = Catalog.estimate_disjuncts entry disjuncts in
-            let sd = Catalog.stddev_disjuncts entry disjuncts in
+            let summary = entry.Catalog.summary in
+            let est = Sharded.estimate_disjuncts summary disjuncts in
+            let sd = Sharded.stddev_disjuncts summary disjuncts in
             Protocol.Ok
               [ "estimate " ^ float_str est; "stddev " ^ float_str sd ]
         | _ -> (
@@ -123,15 +126,10 @@ let run_sql (entry : Catalog.entry) sql =
 module P = Edb_plan.Plan
 module E = Edb_plan.Estimator
 
-(* The entry's registered routes: always its summary (heap or mapped —
-   the two answer bitwise identically); plus the exact relation and a
-   uniform sample once a base table is ATTACHed. *)
+(* The entry's registered routes: always its summary; plus the exact
+   relation and a uniform sample once a base table is ATTACHed. *)
 let entry_estimators (entry : Catalog.entry) =
-  let summary =
-    match entry.Catalog.backing with
-    | Catalog.Heap sh -> E.of_sharded sh
-    | Catalog.Mapped m -> E.of_mapped m
-  in
+  let summary = E.of_sharded entry.Catalog.summary in
   match entry.Catalog.aux with
   | None -> [ summary ]
   | Some aux ->

@@ -1,8 +1,8 @@
 (* The resident daemon: a domain-per-core event-loop architecture.
 
    One acceptor thread owns the listening sockets.  Accepted connections
-   are admission-controlled (beyond [workers + queue_depth] live
-   connections the acceptor replies `ERR busy` and closes — saturation
+   are admission-controlled (beyond [max_conns] live connections the
+   acceptor replies `ERR busy` and closes — saturation
    degrades into fast rejections, never unbounded queueing) and then
    handed round-robin to one of N executor *domains* over lock-free MPSC
    inboxes ([Edb_util.Mpsc]); a self-pipe per executor turns the handoff
@@ -45,8 +45,7 @@
 type config = {
   unix_socket : string option;
   tcp : (string * int) option;  (** bind host, port *)
-  workers : int;  (** with [queue_depth], bounds live connections *)
-  queue_depth : int;  (** extra connections beyond the workers *)
+  max_conns : int;  (** live connections admitted before ERR busy *)
   domains : int;  (** executor domains; 0 = auto (EDB_DOMAINS, else cores) *)
   batch_window : float;
       (** seconds to linger collecting a batch after the first request of
@@ -64,8 +63,7 @@ let default_config =
   {
     unix_socket = None;
     tcp = None;
-    workers = 8;
-    queue_depth = 16;
+    max_conns = 24;
     domains = 0;
     batch_window = 0.;
     max_inflight = 64;
@@ -105,6 +103,7 @@ type conn = {
   mutable last_active : float;
   mutable closing : bool;  (** flush pending output, then close *)
   mutable dead : bool;  (** close now, abandon output *)
+  mutable admitted : bool;  (** still holds an admission slot *)
 }
 
 type executor = {
@@ -119,7 +118,6 @@ type executor = {
 type t = {
   config : config;
   ndomains : int;
-  max_conns : int;
   catalog : Catalog.t;
   metrics : Metrics.t;
   stopping : bool Atomic.t;
@@ -148,9 +146,8 @@ let m_pipelined = Edb_obs.Registry.counter "server_pipelined_frames"
 let m_max_batch = Edb_obs.Registry.gauge "server_max_batch"
 
 let create ?catalog config =
-  if config.workers < 1 then invalid_arg "Server.create: workers must be >= 1";
-  if config.queue_depth < 0 then
-    invalid_arg "Server.create: queue_depth must be >= 0";
+  if config.max_conns < 1 then
+    invalid_arg "Server.create: max_conns must be >= 1";
   if config.domains < 0 then
     invalid_arg "Server.create: domains must be >= 0";
   if config.max_inflight < 1 then
@@ -170,7 +167,6 @@ let create ?catalog config =
   {
     config;
     ndomains = (if config.domains = 0 then auto_domains () else config.domains);
-    max_conns = config.workers + config.queue_depth;
     catalog;
     metrics = Metrics.create ();
     stopping = Atomic.make false;
@@ -256,7 +252,15 @@ let make_conn now fd =
     last_active = now;
     closing = false;
     dead = false;
+    admitted = true;
   }
+
+(* Give the connection's admission slot back, once. *)
+let release t c =
+  if c.admitted then begin
+    c.admitted <- false;
+    Atomic.decr t.live
+  end
 
 let enqueue_response c tag response =
   List.iter
@@ -405,7 +409,12 @@ let execute_batch t batch =
                 if mutates request then Hashtbl.reset coalesced;
                 let response, outcome = execute_parsed t request in
                 enqueue_response c p.p_tag response;
-                if outcome = Handler.Close then c.closing <- true)
+                (* QUIT frees its slot before the `bye` is flushed, so a
+                   client reconnecting on `bye` is admitted. *)
+                if outcome = Handler.Close then begin
+                  c.closing <- true;
+                  release t c
+                end)
       end)
     batch
 
@@ -467,7 +476,7 @@ let executor_loop t ex =
     List.iter
       (fun c ->
         (try Unix.close c.fd with Unix.Unix_error _ -> ());
-        Atomic.decr t.live)
+        release t c)
       dead;
     conns := live
   in
@@ -621,12 +630,12 @@ let reject t fd =
           { code = Protocol.err_busy; message = "server at capacity" }));
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* Admit while the live-connection population is below
-   [workers + queue_depth]; otherwise reject immediately.  Admitted
+(* Admit while the live-connection population is below [max_conns];
+   otherwise reject immediately.  Admitted
    connections go round-robin to an executor's inbox, with a self-pipe
    byte so the executor's select wakes now rather than at its tick. *)
 let admit t fd =
-  if Atomic.get t.live >= t.max_conns then reject t fd
+  if Atomic.get t.live >= t.config.max_conns then reject t fd
   else begin
     Atomic.incr t.live;
     let i = Atomic.fetch_and_add t.rr 1 mod Array.length t.executors in
@@ -717,7 +726,7 @@ let start t =
   Log.info (fun m ->
       m "%d executor domain%s, %d max connections" t.ndomains
         (if t.ndomains = 1 then "" else "s")
-        t.max_conns);
+        t.config.max_conns);
   t.domains_h <-
     Array.to_list
       (Array.map (fun ex -> Domain.spawn (fun () -> executor_loop t ex))

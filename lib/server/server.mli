@@ -1,8 +1,8 @@
 (** The resident summary-serving daemon.
 
     Domain-per-core event loops: one acceptor thread admission-controls
-    incoming connections (beyond [workers + queue_depth] live connections
-    the answer is an immediate [ERR busy]) and hands them round-robin to
+    incoming connections (beyond [max_conns] live connections the answer
+    is an immediate [ERR busy]) and hands them round-robin to
     [domains] executor domains over lock-free MPSC inboxes; each executor
     multiplexes its connections with non-blocking I/O.  The v2 protocol
     pipelines many tagged requests per connection ({!Protocol.split_tag});
@@ -16,8 +16,9 @@
 type config = {
   unix_socket : string option;
   tcp : (string * int) option;  (** bind host, port *)
-  workers : int;
-  queue_depth : int;  (** with [workers], bounds live connections *)
+  max_conns : int;
+      (** live connections admitted before [ERR busy]; a connection's slot
+          is freed when it closes, or as soon as its QUIT executes *)
   domains : int;
       (** executor domains; 0 = auto: [EDB_DOMAINS] if set, else the
           machine's core count, clamped to \[1, 8\].  Unlike compute
@@ -47,14 +48,15 @@ type config = {
 }
 
 val default_config : config
-(** 8 workers, queue 16, auto domains, no batch linger, 64-request
+(** 24 connections, auto domains, no batch linger, 64-request
     pipeline window, 1 MiB line cap, 10 s deadline, 60 s idle timeout,
     no listeners (set at least one of [unix_socket] / [tcp]). *)
 
 type t
 
 val create : ?catalog:Catalog.t -> config -> t
-(** Raises [Invalid_argument] on a listener-less or worker-less config. *)
+(** Raises [Invalid_argument] on a listener-less config or [max_conns]
+    below 1. *)
 
 val catalog : t -> Catalog.t
 val metrics : t -> Metrics.t

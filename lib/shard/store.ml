@@ -7,8 +7,9 @@
    rebuild — callers never need to know which format a path holds.
 
    [open_any] is the residency-aware entry the server catalog uses: a v3
-   file comes back as a zero-copy mapped summary (O(1) open, no body
-   read), everything else as the heap form. *)
+   file opens zero-copy (O(1), no body read) as a read-only summary,
+   everything else loads into the heap; either way the result is one
+   [Sharded.t]. *)
 
 open Entropydb_core
 
@@ -24,15 +25,7 @@ let load ?term_cap path =
       let strategy, shards = Serialize.load_sharded ?term_cap path in
       Sharded.create ~strategy shards
 
-let open_v3 path =
-  match Serialize.detect path with
-  | Serialize.MappedV3 -> Mapped.open_file path
-  | Serialize.Flat | Serialize.Sharded ->
-      raise (Serialize.Format_error "not a v3 summary file")
-
-type opened = Heap of Sharded.t | Mapped of Mapped.t
-
 let open_any ?term_cap path =
   match Serialize.detect path with
-  | Serialize.MappedV3 -> Mapped (Mapped.open_file path)
-  | Serialize.Flat | Serialize.Sharded -> Heap (load ?term_cap path)
+  | Serialize.MappedV3 -> Sharded.of_flat (Mapped.open_file path)
+  | Serialize.Flat | Serialize.Sharded -> load ?term_cap path

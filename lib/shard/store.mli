@@ -12,16 +12,10 @@ val load : ?term_cap:int -> string -> Sharded.t
     {!Entropydb_core.Serialize.Format_error} like the underlying
     loaders. *)
 
-val open_v3 : string -> Entropydb_core.Mapped.t
-(** Open a v3 file as a zero-copy mapped summary in O(header + manifest)
-    — the body is mapped, not read.  Raises
-    {!Entropydb_core.Serialize.Format_error} if the file is not format
-    v3 or fails validation. *)
-
-type opened =
-  | Heap of Sharded.t
-  | Mapped of Entropydb_core.Mapped.t
-
-val open_any : ?term_cap:int -> string -> opened
-(** Open a summary the cheapest way its format allows: v3 files map
-    ({!open_v3}), everything else heap-loads ({!load}). *)
+val open_any : ?term_cap:int -> string -> Sharded.t
+(** Open a summary the cheapest way its format allows: a v3 file maps
+    zero-copy in O(header + manifest) — the body is mapped, not read —
+    as a single-shard view of a read-only summary
+    ({!Entropydb_core.Mapped.open_file}); everything else heap-loads
+    ({!load}).  Raises {!Entropydb_core.Serialize.Format_error} like the
+    underlying loaders. *)

@@ -906,6 +906,23 @@ let test_cache_grouped_no_collision () =
 
 (* Eviction must drop exactly the least-recently-used entries: recency is
    ticked on hits, not just inserts. *)
+(* A cache is built on every catalog (re)open; its table must start
+   small whatever the eviction bound, not preallocate 2 x capacity
+   buckets. *)
+let test_cache_starts_small () =
+  let allocated f =
+    let b0 = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.allocated_bytes () -. b0
+  in
+  let make capacity () = Cache.of_fn ~capacity (fun _ -> 0.) in
+  ignore (allocated (make 16));
+  let small = allocated (make 16) and large = allocated (make 4096) in
+  Alcotest.(check bool)
+    (Printf.sprintf "capacity 4096 allocates %.0f B vs %.0f B at 16" large small)
+    true
+    (large <= small +. 256.)
+
 let test_cache_eviction_order () =
   let pred k = Predicate.of_alist ~arity:1 [ (0, Ranges.interval 0 k) ] in
   let cache = Cache.of_fn ~capacity:10 (fun _ -> 0.) in
@@ -1175,7 +1192,7 @@ let test_v3_section_corruption () =
               Alcotest.failf "flip in %s broke the O(1) open: %s" sec.sec_name
                 (Printexc.to_string e)
           | m -> (
-              match Mapped.verify m with
+              match Summary.verify m with
               | exception Serialize.Format_error msg ->
                   if not (str_contains msg sec.sec_name) then
                     Alcotest.failf "flip in %s reported %S" sec.sec_name msg
@@ -1196,10 +1213,10 @@ let test_v3_section_corruption () =
       v3_restore path original;
       let q = random_query (Prng.create ~seed:323 ()) (Summary.schema summary) in
       let m = Mapped.open_file path in
-      Mapped.verify m;
+      Summary.verify m;
       Alcotest.(check (float 0.))
         "mapped answer after restore" (Summary.estimate summary q)
-        (Mapped.estimate m q))
+        (Summary.estimate m q))
 
 (* A torn header — any flipped byte in the fixed 96-byte prelude — must
    be rejected before the body is ever touched. *)
@@ -1249,7 +1266,7 @@ let v3_fuzz_truncation =
                | exception Serialize.Format_error _ -> true
                | exception _ -> false
                | m -> (
-                   match Mapped.verify m with
+                   match Summary.verify m with
                    | exception Serialize.Format_error _ -> true
                    | exception _ -> false
                    | () -> false)
@@ -1287,8 +1304,8 @@ let v3_fuzz_flip =
              | exception _ -> false
              | m -> (
                  match
-                   Mapped.verify m;
-                   Mapped.estimate m q
+                   Summary.verify m;
+                   Summary.estimate m q
                  with
                  | exception Serialize.Format_error _ -> true
                  | exception _ -> false
@@ -1937,6 +1954,134 @@ let test_kernel_allocation () =
            ignore (Summary.estimate_groups s ~attrs:[ 0; 1; 2 ] q)))
   end
 
+(* ------------------------------------------------------------------ *)
+(* One evaluator: a v3 file answers as the summary that wrote it       *)
+(* ------------------------------------------------------------------ *)
+
+(* The bench-kernel summary shape, scaled down: flights-fine with
+   Composite joints over (origin, distance), 151 terms.  origin sits in
+   the statistic group, so GROUP BY origin takes the batched kernel's
+   scatter path; fl_time is free. *)
+let one_evaluator_fixture =
+  lazy
+    (let module F = Edb_datagen.Flights in
+     let rel = (F.generate ~rows:2000 ~seed:1 ()).F.fine in
+     let joints =
+       Edb_select.Heuristic.select Edb_select.Heuristic.Composite rel
+         ~attr1:F.origin ~attr2:F.distance ~budget:150
+     in
+     let summary =
+       Summary.of_phi ~solver_config:quiet (Phi.of_relation rel ~joints)
+     in
+     let path = Filename.temp_file "entropydb" ".v3" in
+     at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+     Serialize.save_v3 summary path;
+     (summary, path))
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Heap and mapped summaries share one evaluator, parallel path included,
+   so they agree bit for bit at any parallelism. *)
+let test_heap_mapped_one_answer () =
+  let heap, path = Lazy.force one_evaluator_fixture in
+  let schema = Summary.schema heap in
+  let rng = Prng.create ~seed:812 () in
+  let queries = List.init 200 (fun _ -> random_query rng schema) in
+  let disjunctions =
+    List.init 40 (fun _ -> [ random_query rng schema; random_query rng schema ])
+  in
+  let check_at label =
+    let mapped = Mapped.open_file path in
+    let differ = ref [] in
+    let same what a b = if not (same_bits a b) then differ := what :: !differ in
+    List.iter
+      (fun q ->
+        let he, hv = Summary.estimate_with_variance heap q
+        and me, mv = Summary.estimate_with_variance mapped q in
+        same "COUNT" he me;
+        same "COUNT variance" hv mv;
+        same "SUM"
+          (Summary.estimate_sum heap ~attr:Edb_datagen.Flights.distance q)
+          (Summary.estimate_sum mapped ~attr:Edb_datagen.Flights.distance q);
+        List.iter
+          (fun (what, attrs) ->
+            List.iter2
+              (fun (hk, he, hv) (mk, me, mv) ->
+                if hk <> mk then differ := what :: !differ;
+                same what he me;
+                same what hv mv)
+              (Summary.estimate_groups_with_variance heap ~attrs q)
+              (Summary.estimate_groups_with_variance mapped ~attrs q))
+          [
+            ("GROUP BY grouped", [ Edb_datagen.Flights.origin ]);
+            ("GROUP BY free", [ Edb_datagen.Flights.fl_time ]);
+          ])
+      queries;
+    List.iter
+      (fun d ->
+        same "OR" (Disjunction.estimate heap d) (Disjunction.estimate mapped d);
+        same "OR variance"
+          (Disjunction.variance heap d)
+          (Disjunction.variance mapped d))
+      disjunctions;
+    match !differ with
+    | [] -> ()
+    | d ->
+        Alcotest.failf "%s: %d heap/mapped answers differ bitwise (%s ...)"
+          label (List.length d) (List.hd d)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Poly.set_parallelism ~threshold:30_000 (Parallel.default_domains ()))
+    (fun () ->
+      Poly.set_parallelism ~threshold:1 4;
+      check_at "4 domains, threshold 1";
+      Poly.set_parallelism ~threshold:30_000 1;
+      check_at "1 domain")
+
+(* Nothing writes through a mapping: the solver and every update raise,
+   and the file and the answers are untouched afterwards. *)
+let test_mapped_is_read_only () =
+  let heap, path = Lazy.force one_evaluator_fixture in
+  let before = In_channel.with_open_bin path In_channel.input_all in
+  let mapped = Mapped.open_file path in
+  let poly = Summary.poly mapped in
+  Alcotest.(check bool) "mapped is read-only" true (Summary.read_only mapped);
+  Alcotest.(check bool) "heap is not" false (Summary.read_only heap);
+  let refuses what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s updated a mapped summary" what
+  in
+  refuses "Poly.refresh" (fun () -> Poly.refresh poly);
+  refuses "Poly.set_alpha" (fun () -> Poly.set_alpha poly 0 0.5);
+  refuses "Poly.set_alphas" (fun () -> Poly.set_alphas poly (Poly.alphas poly));
+  refuses "Poly.normalize" (fun () -> Poly.normalize poly);
+  refuses "Poly.reinit" (fun () -> Poly.reinit poly `Uniform);
+  refuses "Solver.solve" (fun () -> ignore (Solver.solve ~config:quiet poly));
+  refuses "warm Solver.solve" (fun () ->
+      ignore (Solver.solve ~config:quiet ~init:(Poly.alphas poly) poly));
+  Alcotest.(check bool)
+    "file unchanged" true
+    (String.equal before (In_channel.with_open_bin path In_channel.input_all));
+  let q =
+    Predicate.of_alist
+      ~arity:(Schema.arity (Summary.schema heap))
+      [
+        (Edb_datagen.Flights.origin, Ranges.interval 2 70);
+        (Edb_datagen.Flights.distance, Ranges.interval 1 30);
+      ]
+  in
+  Alcotest.(check bool)
+    "answers unchanged" true
+    (same_bits (Summary.estimate heap q) (Summary.estimate mapped q));
+  (* Releasing the mapping's pages drops residency, not data. *)
+  Summary.release_pages mapped;
+  Summary.release_pages heap;
+  Alcotest.(check bool)
+    "answers unchanged after release_pages" true
+    (same_bits (Summary.estimate heap q) (Summary.estimate mapped q))
+
 let () =
   Alcotest.run "entropydb-core"
     [
@@ -2009,6 +2154,8 @@ let () =
             test_cache_grouped_no_collision;
           Alcotest.test_case "eviction drops exactly the LRU" `Quick
             test_cache_eviction_order;
+          Alcotest.test_case "table starts small" `Quick
+            test_cache_starts_small;
         ] );
       ( "serialize",
         [
@@ -2024,6 +2171,10 @@ let () =
           Alcotest.test_case "v3 torn header" `Quick test_v3_torn_header;
           v3_fuzz_truncation;
           v3_fuzz_flip;
+          Alcotest.test_case "heap and mapped give one answer at any parallelism"
+            `Quick test_heap_mapped_one_answer;
+          Alcotest.test_case "nothing writes through a mapping" `Quick
+            test_mapped_is_read_only;
         ] );
       ( "worlds",
         [

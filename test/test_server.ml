@@ -263,6 +263,10 @@ let test_catalog_weighted () =
   in
   load "a" pa;
   load "b" pb;
+  (* Held past its eviction, as a straggling request would hold it. *)
+  let stale =
+    List.find (fun e -> e.Catalog.name = "a") (Catalog.entries catalog)
+  in
   load "c" pc;
   (* Budget fits exactly two: "a" (the LRU) was evicted, slot kept. *)
   Alcotest.(check bool) "a not resident" true (Catalog.find catalog "a" = None);
@@ -281,6 +285,10 @@ let test_catalog_weighted () =
      the new LRU victim is "b" (touched before "c" above). *)
   let arity = Schema.arity (Summary.schema s) in
   let q = Predicate.of_alist ~arity [ (0, Ranges.interval 1 3) ] in
+  (* Eviction gave the mapping's pages back; reads fault them in again. *)
+  Alcotest.(check (float 0.))
+    "evicted entry still answers" (Summary.estimate s q)
+    (Catalog.estimate stale q);
   (match Catalog.with_entry catalog "a" (fun e -> Catalog.estimate e q) with
   | Ok v ->
       Alcotest.(check (float 0.)) "reopened answer" (Summary.estimate s q) v
@@ -295,6 +303,76 @@ let test_catalog_weighted () =
   (match Catalog.with_entry catalog "a" (fun _ -> ()) with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "with_entry resurrected an evicted name")
+
+(* A v3 file is verified before its first answer on every surface.
+   One byte is flipped in a section the evaluator reads (g0.factors) and,
+   separately, in one it never reads (g0.bys_term); every estimator, the
+   planner, and the daemon's QUERY and PLAN paths must then fail on a
+   freshly opened summary with the error naming that section. *)
+let test_no_answer_before_verification () =
+  let contains hay needle =
+    let hl = String.length hay and nl = String.length needle in
+    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+    go 0
+  in
+  let dir = temp_dir () in
+  let s = small_summary ~seed:64 () in
+  let pristine = saved_summary_v3 dir "pristine" s in
+  let original = In_channel.with_open_bin pristine In_channel.input_all in
+  let arity = Schema.arity (Summary.schema s) in
+  let q = Predicate.of_alist ~arity [ (0, Ranges.interval 1 4) ] in
+  let q' = Predicate.of_alist ~arity [ (1, Ranges.interval 0 2) ] in
+  let sql = "SELECT COUNT(*) FROM f WHERE a0 IN [1,4]" in
+  List.iter
+    (fun section ->
+      let sec =
+        List.find
+          (fun (x : Serialize.v3_section) -> x.Serialize.sec_name = section)
+          (Serialize.v3_sections pristine)
+      in
+      let b = Bytes.of_string original in
+      let pos = sec.Serialize.sec_off + 3 in
+      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x5b));
+      let path = Filename.concat dir (section ^ ".v3") in
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+      let refuses what f =
+        match f (Mapped.open_file path) with
+        | exception Serialize.Format_error m when contains m section -> ()
+        | exception e ->
+            Alcotest.failf "%s over a corrupt %s raised %s" what section
+              (Printexc.to_string e)
+        | () -> Alcotest.failf "%s answered from a corrupt %s" what section
+      in
+      refuses "Summary.estimate" (fun m -> ignore (Summary.estimate m q));
+      refuses "Summary.estimate_with_variance" (fun m ->
+          ignore (Summary.estimate_with_variance m q));
+      refuses "Summary.estimate_sum" (fun m ->
+          ignore (Summary.estimate_sum m ~attr:2 q));
+      refuses "Summary.estimate_groups_with_variance" (fun m ->
+          ignore (Summary.estimate_groups_with_variance m ~attrs:[ 0 ] q));
+      refuses "Disjunction.estimate" (fun m ->
+          ignore (Disjunction.estimate m [ q; q' ]));
+      refuses "Plan.Estimator count" (fun m ->
+          ignore
+            (Edb_plan.Estimator.count
+               (Edb_plan.Estimator.of_sharded (Edb_shard.Sharded.of_flat m))
+               q));
+      List.iter
+        (fun (what, request) ->
+          let catalog = Catalog.create () in
+          (match Catalog.load catalog ~name:"c" ~path with
+          | Ok _ -> ()
+          | Error m -> Alcotest.failf "LOAD of a corrupt %s: %s" section m);
+          match fst (Handler.handle ~catalog ~metrics:(Metrics.create ()) request) with
+          | Protocol.Err { message; _ } when contains message section -> ()
+          | r ->
+              Alcotest.failf "%s over a corrupt %s replied %s" what section
+                (String.concat " | " (Protocol.print_response r)))
+        [
+          ("QUERY", Protocol.Query { name = "c"; sql });
+          ("PLAN", Protocol.Plan { name = "c"; ci = "95:50"; sql });
+        ])
+    [ "g0.factors"; "g0.bys_term" ]
 
 (* Pinning: an entry held by a request survives budget pressure that
    would otherwise evict it; the budget overshoots instead.  A budget
@@ -731,7 +809,7 @@ let test_handler_refresh () =
 (* End-to-end over a Unix-domain socket                                *)
 (* ------------------------------------------------------------------ *)
 
-let with_server ?(workers = 4) ?(queue_depth = 4) ?(request_deadline = 10.)
+let with_server ?(max_conns = 8) ?(request_deadline = 10.)
     ?(domains = 0) ?(batch_window = 0.) ?(max_inflight = 64) ?catalog dir f =
   let socket = Filename.concat dir "edb.sock" in
   let server =
@@ -739,8 +817,7 @@ let with_server ?(workers = 4) ?(queue_depth = 4) ?(request_deadline = 10.)
       {
         Server.default_config with
         unix_socket = Some socket;
-        workers;
-        queue_depth;
+        max_conns;
         domains;
         batch_window;
         max_inflight;
@@ -902,7 +979,7 @@ let test_e2e_concurrent_clients () =
         in
         (sql, Summary.estimate summary q))
   in
-  with_server ~workers:8 ~queue_depth:16 ~catalog dir (fun _ socket ->
+  with_server ~max_conns:24 ~catalog dir (fun _ socket ->
       let wrong = Atomic.make 0 and failed = Atomic.make 0 in
       let client i =
         match Client.connect ~timeout:10. (Client.Unix_socket socket) with
@@ -932,8 +1009,8 @@ let test_e2e_busy () =
   (match Catalog.load catalog ~name:"s" ~path with
   | Ok _ -> ()
   | Error m -> Alcotest.fail m);
-  with_server ~workers:1 ~queue_depth:0 ~catalog dir (fun server socket ->
-      (* First connection occupies the only worker for its lifetime. *)
+  with_server ~max_conns:1 ~catalog dir (fun server socket ->
+      (* First connection occupies the only slot for its lifetime. *)
       let c1 = connect_exn socket in
       (match Client.ping c1 with
       | Ok _ -> ()
@@ -948,7 +1025,8 @@ let test_e2e_busy () =
       Client.close c2;
       let rejects = (Metrics.snapshot (Server.metrics server)).Metrics.rejects in
       Alcotest.(check bool) "reject counted" true (rejects >= 1);
-      (* Releasing the worker restores service. *)
+      (* QUIT frees the slot before its `bye`, so reconnecting right
+         away is admitted. *)
       ignore (Client.quit c1);
       let c3 = connect_exn socket in
       (match Client.ping c3 with
@@ -993,8 +1071,7 @@ let test_e2e_drain () =
       {
         Server.default_config with
         unix_socket = Some socket;
-        workers = 2;
-        queue_depth = 2;
+        max_conns = 4;
       }
   in
   Server.start server;
@@ -1057,7 +1134,7 @@ let test_e2e_refresh_race () =
     | Some e, Some s -> Some (e, s)
     | _ -> None
   in
-  with_server ~workers:8 ~queue_depth:16 ~catalog dir (fun _ socket ->
+  with_server ~max_conns:24 ~catalog dir (fun _ socket ->
       let failed = Atomic.make 0 and mixed = Atomic.make 0 in
       let stop = Atomic.make false in
       let reader _ =
@@ -1128,7 +1205,7 @@ let test_e2e_catalog_churn () =
   in
   let budget = (2 * bytes) + (bytes / 2) in
   let catalog = Catalog.create ~capacity:16 ~budget_bytes:budget () in
-  with_server ~workers:4 ~catalog dir (fun _server socket ->
+  with_server ~max_conns:8 ~catalog dir (fun _server socket ->
       let c0 = connect_exn socket in
       List.iter
         (fun (name, _, path) ->
@@ -1273,7 +1350,7 @@ let test_pipeline_coalesce_domains () =
   let arity = Schema.arity (Summary.schema summary) in
   let q = Predicate.of_alist ~arity [ (0, Ranges.interval 1 3) ] in
   let expected = Summary.estimate summary q in
-  with_server ~domains:4 ~workers:8 ~queue_depth:16 ~catalog dir
+  with_server ~domains:4 ~max_conns:24 ~catalog dir
     (fun server socket ->
       Alcotest.(check int) "4 executor domains" 4 (Server.num_domains server);
       let wrong = Atomic.make 0 and failed = Atomic.make 0 in
@@ -1414,7 +1491,7 @@ let test_pipeline_busy_race () =
   (match Catalog.load catalog ~name:"s" ~path with
   | Ok _ -> ()
   | Error m -> Alcotest.fail m);
-  with_server ~workers:1 ~queue_depth:0 ~catalog dir (fun _ socket ->
+  with_server ~max_conns:1 ~catalog dir (fun _ socket ->
       let c1 = connect_exn socket in
       (match Client.ping c1 with
       | Ok _ -> ()
@@ -1457,6 +1534,8 @@ let () =
           Alcotest.test_case "LRU + accounting" `Quick test_catalog_lru;
           Alcotest.test_case "weighted budget + transparent reopen" `Quick
             test_catalog_weighted;
+          Alcotest.test_case "no answer before verification" `Quick
+            test_no_answer_before_verification;
           Alcotest.test_case "pinning under budget pressure" `Quick
             test_catalog_pinning;
         ] );

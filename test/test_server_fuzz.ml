@@ -65,7 +65,7 @@ let saved_summary dir name summary =
   Serialize.save summary path;
   path
 
-let with_server ?(workers = 8) ?(queue_depth = 8) ?(request_deadline = 10.)
+let with_server ?(max_conns = 16) ?(request_deadline = 10.)
     ?(domains = 0) ?(max_inflight = 64)
     ?(max_line_bytes = Server.default_config.max_line_bytes) ?catalog dir f =
   let socket = Filename.concat dir "edb.sock" in
@@ -74,8 +74,7 @@ let with_server ?(workers = 8) ?(queue_depth = 8) ?(request_deadline = 10.)
       {
         Server.default_config with
         unix_socket = Some socket;
-        workers;
-        queue_depth;
+        max_conns;
         domains;
         max_inflight;
         max_line_bytes;
@@ -491,7 +490,7 @@ let test_chaos () =
         let q = Predicate.of_alist ~arity [ (0, Ranges.interval lo hi) ] in
         (sql, Summary.estimate summary q))
   in
-  with_server ~workers:8 ~queue_depth:8 ~catalog dir (fun server socket ->
+  with_server ~max_conns:16 ~catalog dir (fun server socket ->
       let wrong = Atomic.make 0 and hung = Atomic.make 0 in
       let chaos_thread tid =
         let rng = Prng.create ~seed:(1000 + tid) () in
