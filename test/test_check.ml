@@ -134,26 +134,53 @@ let test_mutation_caught_and_shrunk () =
   Alcotest.(check bool) "clean without mutation" true (clean.Sweep.findings = [])
 
 (* ------------------------------------------------------------------ *)
-(* Pinned kernel outputs: the SoA layout vs recorded AoS results        *)
+(* Pinned outputs: committed hex-float fixtures                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The flat-array (SoA) rewrite of Poly must preserve every observable
-   number bitwise: identical iteration and summation orders mean identical
-   floating-point results, not merely close ones.  This test pins that
-   contract to a committed file of hex-formatted outputs recorded with the
-   pre-refactor boxed-record (AoS) implementation: solved P and dual,
-   every workload query's estimate, the batched GROUP BY kernel's nonzero
-   cells, and the estimates again after a [Poly.refresh] (incremental
-   state must equal recomputed-from-scratch state).
+(* A pin is a committed fixture of hex-formatted ([%h]) numbers and the
+   generator that recomputes them: identical iteration and summation
+   orders mean identical floating-point results, not merely close ones,
+   so a refactor that claims to keep the arithmetic must reproduce every
+   line.
 
-   Regenerate with
-     EDB_KERNEL_PIN_RECORD=$PWD/test/data/kernel_soa_expected.txt \
-       dune exec test/test_check.exe -- test pinned-kernel
-   — but doing so re-baselines the contract; only ever regenerate from an
+   Re-record one pin's fixture with
+     EDB_PIN_RECORD=$PWD/test/data dune exec test/test_check.exe -- test <pin>
+   — but doing so re-baselines the contract; only ever re-record from an
    implementation known to produce correct output. *)
+let check_pinned ~fixture lines =
+  match Sys.getenv_opt "EDB_PIN_RECORD" with
+  | Some dir ->
+      let path = Filename.concat dir fixture in
+      Out_channel.with_open_text path (fun oc ->
+          List.iter (fun l -> output_string oc (l ^ "\n")) (lines ()));
+      Printf.printf "recorded pin file at %s\n%!" path
+  | None ->
+      (* dune runtest runs with cwd test/; dune exec from the root. *)
+      let path =
+        List.find Sys.file_exists
+          [ Filename.concat "data" fixture; Filename.concat "test/data" fixture ]
+      in
+      let expected =
+        In_channel.with_open_text path In_channel.input_all
+        |> String.trim |> String.split_on_char '\n'
+      in
+      let actual = lines () in
+      Alcotest.(check int)
+        "pinned line count" (List.length expected) (List.length actual);
+      List.iteri
+        (fun i (e, a) ->
+          if e <> a then
+            Alcotest.failf "%s line %d diverged:\n  recorded %s\n  computed %s"
+              fixture i e a)
+        (List.combine expected actual)
 
 let pin_seeds = [ 3; 17; 42; 101 ]
 
+(* The SoA layout vs the pre-refactor boxed-record (AoS) implementation:
+   solved P and dual, every workload query's estimate, the batched GROUP
+   BY kernel's nonzero cells, and the estimates again after a
+   [Poly.refresh] (incremental state must equal recomputed-from-scratch
+   state). *)
 let kernel_pin_lines () =
   let module Core = Entropydb_core in
   List.concat_map
@@ -195,31 +222,121 @@ let kernel_pin_lines () =
     pin_seeds
 
 let test_kernel_pinned () =
-  match Sys.getenv_opt "EDB_KERNEL_PIN_RECORD" with
-  | Some path ->
-      let oc = open_out path in
-      List.iter (fun l -> output_string oc (l ^ "\n")) (kernel_pin_lines ());
-      close_out oc;
-      Printf.printf "recorded kernel pin file at %s\n%!" path
-  | None ->
-      (* dune runtest runs with cwd test/; dune exec from the root. *)
-      let path =
-        List.find Sys.file_exists
-          [ "data/kernel_soa_expected.txt"; "test/data/kernel_soa_expected.txt" ]
+  check_pinned ~fixture:"kernel_soa_expected.txt" kernel_pin_lines
+
+(* The whole estimator surface of a summary, flat and partitioned (k = 3
+   by rows, k = 2 by attribute 0): COUNT moments, SUM/AVG on attribute
+   0, GROUP BY cells and top-3, every disjunction, and the planner's
+   summary route.  Nothing else pins a k > 1 answer bitwise, so this is
+   what holds the per-part fold to its summation order. *)
+type surface = {
+  est : Edb_storage.Predicate.t -> float;
+  var : Edb_storage.Predicate.t -> float;
+  ewv : Edb_storage.Predicate.t -> float * float;
+  sum : Edb_storage.Predicate.t -> float;
+  sum_var : Edb_storage.Predicate.t -> float;
+  avg : Edb_storage.Predicate.t -> float option;
+  groups :
+    int list -> Edb_storage.Predicate.t -> (int list * float * float) list;
+  top3 : int list -> Edb_storage.Predicate.t -> (int list * float) list;
+  or_est : Edb_storage.Predicate.t list -> float;
+  or_var : Edb_storage.Predicate.t list -> float;
+  plan : Edb_plan.Estimator.t;
+}
+
+let flat_surface s =
+  let open Entropydb_core in
+  {
+    est = Summary.estimate s;
+    var = Summary.variance s;
+    ewv = Summary.estimate_with_variance s;
+    sum = Summary.estimate_sum s ~attr:0;
+    sum_var = Summary.variance_sum s ~attr:0;
+    avg = Summary.estimate_avg s ~attr:0;
+    groups = (fun attrs q -> Summary.estimate_groups_with_variance s ~attrs q);
+    top3 = (fun attrs q -> Summary.top_k_groups s ~attrs ~k:3 q);
+    or_est = Disjunction.estimate s;
+    or_var = Disjunction.variance s;
+    plan = Edb_plan.Estimator.of_summary s;
+  }
+
+let sharded_surface sh =
+  let open Edb_shard in
+  {
+    est = Sharded.estimate sh;
+    var = Sharded.variance sh;
+    ewv = Sharded.estimate_with_variance sh;
+    sum = Sharded.estimate_sum sh ~attr:0;
+    sum_var = Sharded.variance_sum sh ~attr:0;
+    avg = Sharded.estimate_avg sh ~attr:0;
+    groups = (fun attrs q -> Sharded.estimate_groups_with_variance sh ~attrs q);
+    top3 = (fun attrs q -> Sharded.top_k_groups sh ~attrs ~k:3 q);
+    or_est = Sharded.estimate_disjuncts sh;
+    or_var = Sharded.variance_disjuncts sh;
+    plan = Edb_plan.Estimator.of_sharded sh;
+  }
+
+let summary_pin_lines () =
+  let module E = Edb_plan.Estimator in
+  List.concat_map
+    (fun seed ->
+      let spec = Gen.spec_of_seed seed in
+      let case = Case.build spec in
+      let schema = Edb_storage.Relation.schema case.Case.rel in
+      let part k strategy =
+        sharded_surface
+          (Edb_shard.Builder.build ~solver_config:Case.quiet case.Case.rel
+             ~shards:k ~strategy ~joints:case.Case.joints)
       in
-      let expected =
-        In_channel.with_open_text path In_channel.input_all
-        |> String.trim |> String.split_on_char '\n'
+      let builds =
+        [
+          ("flat", flat_surface case.Case.summary);
+          ("rows3", part 3 Edb_shard.Partition.Rows);
+          ("attr2", part 2 (Edb_shard.Partition.By_attr 0));
+        ]
       in
-      let actual = kernel_pin_lines () in
-      Alcotest.(check int)
-        "pinned line count" (List.length expected) (List.length actual);
-      List.iteri
-        (fun i (e, a) ->
-          if e <> a then
-            Alcotest.failf "pinned kernel output %d diverged:\n  recorded %s\n  computed %s"
-              i e a)
-        (List.combine expected actual)
+      let group_sets = Gen.group_attr_sets spec schema in
+      let q0 = List.hd case.Case.queries in
+      let key k = String.concat "," (List.map string_of_int k) in
+      List.concat_map
+        (fun (build, s) ->
+          let buf = ref [] in
+          let addf fmt = Printf.ksprintf (fun l -> buf := l :: !buf) fmt in
+          addf "seed %d build %s" seed build;
+          List.iteri
+            (fun i q ->
+              let e, v = s.ewv q in
+              addf "count %d %h %h %h %h" i (s.est q) (s.var q) e v;
+              addf "sum %d %h %h %s" i (s.sum q) (s.sum_var q)
+                (match s.avg q with
+                | Some a -> Printf.sprintf "%h" a
+                | None -> "none");
+              let c = E.count s.plan q in
+              let sm = Option.get (E.sum s.plan 0 q) in
+              addf "plan %d %h %h %h %h" i c.E.est c.E.var sm.E.est sm.E.var)
+            case.Case.queries;
+          List.iteri
+            (fun gi attrs ->
+              List.iter
+                (fun (k, e, v) -> addf "group %d %s %h %h" gi (key k) e v)
+                (s.groups attrs q0);
+              List.iter
+                (fun (k, e) -> addf "top %d %s %h" gi (key k) e)
+                (s.top3 attrs q0);
+              List.iter
+                (fun (k, (a : E.answer)) ->
+                  addf "plan_group %d %s %h %h" gi (key k) a.E.est a.E.var)
+                (Option.get (E.groups s.plan attrs q0)))
+            group_sets;
+          List.iteri
+            (fun di d -> addf "or %d %h %h" di (s.or_est d) (s.or_var d))
+            (Gen.disjunctions spec schema);
+          List.rev !buf)
+        builds)
+    pin_seeds
+
+let test_summary_pinned () =
+  check_pinned ~fixture:"summary_expected.txt" summary_pin_lines
 
 (* ------------------------------------------------------------------ *)
 (* SoA kernel vs brute-force enumeration (property)                    *)
@@ -345,6 +462,11 @@ let () =
         [
           Alcotest.test_case "SoA outputs = recorded AoS outputs (bitwise)"
             `Quick test_kernel_pinned;
+        ] );
+      ( "pinned-summary",
+        [
+          Alcotest.test_case "estimator surface = recorded outputs (bitwise)"
+            `Quick test_summary_pinned;
         ] );
       ("kernel-soa", [ kernel_soa_vs_bruteforce ]);
       ( "fault-injection",
