@@ -658,8 +658,8 @@ let shardscale config =
            the two builds must agree bitwise.  Check it here, every run. *)
         List.iter
           (fun q ->
-            let a = Edb_shard.Sharded.estimate seq q
-            and b = Edb_shard.Sharded.estimate par q in
+            let a = Entropydb_core.Summary.estimate seq q
+            and b = Entropydb_core.Summary.estimate par q in
             if a <> b then
               failwith
                 (Printf.sprintf
@@ -669,7 +669,7 @@ let shardscale config =
           queries;
         let answers, query_s =
           Timing.time (fun () ->
-              List.map (fun q -> Edb_shard.Sharded.estimate par q) queries)
+              List.map (fun q -> Entropydb_core.Summary.estimate par q) queries)
         in
         let per_query_us =
           query_s /. float_of_int (List.length queries) *. 1e6
@@ -799,21 +799,19 @@ let groupby config =
   if max_rel > 1e-9 then
     failwith
       (Printf.sprintf "groupby: batched vs naive disagreement %.3g" max_rel);
-  (* k = 1 sharded must be bitwise flat, stddevs included. *)
-  let flat_triples =
-    Entropydb_core.Summary.estimate_groups_with_stddev flat
-      ~attrs:[ F.origin ] query
+  (* A one-part build through the partitioning path must be bitwise the
+     flat build: estimate, variance, and GROUP BY cells with stddev. *)
+  let k1 =
+    Edb_shard.Builder.build ~solver_config:config.Config.solver rel ~shards:1
+      ~strategy:Edb_shard.Partition.Rows ~joints
   in
-  let sharded_triples =
-    Edb_shard.Sharded.estimate_groups_with_stddev
-      (Edb_shard.Sharded.of_flat flat)
-      ~attrs:[ F.origin ] query
-  in
-  List.iter2
-    (fun (ka, ea, sa) (kb, eb, sb) ->
-      if ka <> kb || ea <> eb || sa <> sb then
-        failwith "groupby: k=1 sharded differs from flat (not bitwise)")
-    flat_triples sharded_triples;
+  let module S = Entropydb_core.Summary in
+  if
+    S.estimate flat query <> S.estimate k1 query
+    || S.variance flat query <> S.variance k1 query
+    || S.estimate_groups_with_stddev flat ~attrs:[ F.origin ] query
+       <> S.estimate_groups_with_stddev k1 ~attrs:[ F.origin ] query
+  then failwith "groupby: k=1 sharded differs from flat (not bitwise)";
   (* Multi-domain evaluation must agree with single-domain to <= 1e-9
      (chunk boundaries reassociate float sums, so not bitwise).  Forced
      to at least 2 worker domains even on single-core boxes: this is a

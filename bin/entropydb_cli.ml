@@ -243,21 +243,22 @@ let build_cmd_named cmd_name ~doc =
       let solver_config =
         { solver_config with log_every = 0 } (* domains share stdout *)
       in
-      let sharded, build_s =
+      let summary, build_s =
         Edb_util.Timing.time (fun () ->
             Edb_shard.Builder.build ~solver_config rel ~shards ~strategy
               ~joints)
       in
-      List.iteri
-        (fun i (r : Entropydb_core.Solver.report) ->
+      Array.iteri
+        (fun i part ->
+          let r = Entropydb_core.Summary.solver_report part in
           Printf.printf "shard %d: %d sweeps, %.1fs (max rel err %.2e)\n" i
             r.sweeps r.seconds r.max_rel_error)
-        (Edb_shard.Sharded.solver_reports sharded);
+        (Entropydb_core.Summary.parts summary);
       Printf.printf "built %d shards in %.1fs (%d domains)\n" shards build_s
         (Edb_util.Parallel.default_domains ());
-      Edb_shard.Store.save sharded output;
+      Entropydb_core.Serialize.save_sharded summary output;
       Printf.printf "sharded summary (%s) written to %s\n"
-        (Edb_shard.Sharded.strategy sharded)
+        (Entropydb_core.Summary.strategy summary)
         output
     end;
     0
@@ -363,10 +364,10 @@ let query_cmd =
        inclusion-exclusion): turn any of it into a one-line diagnostic and
        a non-zero exit instead of an uncaught exception. *)
     try
-    (* Store.load sniffs the magic, so this accepts flat summaries and
-       sharded manifests alike; a flat file is a single-shard view. *)
-    let summary = Edb_shard.Store.load summary_path in
-    let schema = Edb_shard.Sharded.schema summary in
+    (* Serialize.load sniffs the magic, so this accepts flat summaries,
+       v3 files and sharded manifests alike. *)
+    let summary = Entropydb_core.Serialize.load summary_path in
+    let schema = Entropydb_core.Summary.schema summary in
     match Edb_query.Translate.compile_string schema sql with
     | Error e ->
         Fmt.epr "query error: %a@." Edb_query.Translate.pp_error e;
@@ -375,9 +376,9 @@ let query_cmd =
         let predicate =
           conjunctive_exn c
         in
-        let est = Edb_shard.Sharded.estimate_sum summary ~attr predicate in
+        let est = Entropydb_core.Summary.estimate_sum summary ~attr predicate in
         let sd =
-          sqrt (Edb_shard.Sharded.variance_sum summary ~attr predicate)
+          sqrt (Entropydb_core.Summary.variance_sum summary ~attr predicate)
         in
         Printf.printf "estimate: %.2f +/- %.2f\n" est sd;
         (match (exact_csv, dataset) with
@@ -388,7 +389,7 @@ let query_cmd =
         0
     | Ok ({ aggregate = Edb_query.Translate.Avg attr; _ } as c) ->
         let predicate = conjunctive_exn c in
-        (match Edb_shard.Sharded.estimate_avg summary ~attr predicate with
+        (match Entropydb_core.Summary.estimate_avg summary ~attr predicate with
         | Some est -> Printf.printf "estimate: %.4f\n" est
         | None -> Printf.printf "estimate: undefined (expected count 0)\n");
         (match (exact_csv, dataset) with
@@ -400,8 +401,8 @@ let query_cmd =
         | _ -> ());
         0
     | Ok { disjuncts; group_attrs = []; _ } ->
-        let est = Edb_shard.Sharded.estimate_disjuncts summary disjuncts in
-        let sd = Edb_shard.Sharded.stddev_disjuncts summary disjuncts in
+        let est = Entropydb_core.Summary.estimate_disjuncts summary disjuncts in
+        let sd = Entropydb_core.Summary.stddev_disjuncts summary disjuncts in
         Printf.printf "estimate: %.2f +/- %.2f\n" est sd;
         (match (exact_csv, dataset) with
         | Some path, Some ds ->
@@ -409,33 +410,14 @@ let query_cmd =
             Printf.printf "exact:    %d\n" (Exec.count_dnf rel disjuncts)
         | _ -> ());
         0
-    | Ok ({ group_attrs; order; limit; _ } as c) ->
+    | Ok ({ group_attrs; _ } as c) ->
         let predicate = conjunctive_exn c in
         (* One batched evaluation yields estimates and stddevs for every
            group cell — no per-cell re-evaluation. *)
         let groups =
-          Edb_shard.Sharded.estimate_groups_with_stddev summary
-            ~attrs:group_attrs predicate
-        in
-        let groups =
-          match order with
-          | Some Edb_query.Ast.Asc ->
-              List.sort
-                (fun (ka, a, _) (kb, b, _) ->
-                  let o = Float.compare a b in
-                  if o <> 0 then o else Stdlib.compare ka kb)
-                groups
-          | _ ->
-              List.sort
-                (fun (ka, a, _) (kb, b, _) ->
-                  let o = Float.compare b a in
-                  if o <> 0 then o else Stdlib.compare ka kb)
-                groups
-        in
-        let groups =
-          match limit with
-          | Some k -> List.filteri (fun i _ -> i < k) groups
-          | None -> groups
+          Edb_query.Translate.order_groups c
+            (Entropydb_core.Summary.estimate_groups_with_stddev summary
+               ~attrs:group_attrs predicate)
         in
         List.iter
           (fun (values, est, sd) ->
@@ -498,8 +480,8 @@ let explain_cmd =
     let module P = Edb_plan.Plan in
     let module E = Edb_plan.Estimator in
     try
-      let summary = Edb_shard.Store.load summary_path in
-      let schema = Edb_shard.Sharded.schema summary in
+      let summary = Entropydb_core.Serialize.load summary_path in
+      let schema = Entropydb_core.Summary.schema summary in
       let target = P.target_of_string ci in
       match Edb_query.Translate.compile_string schema sql with
       | Error e ->
@@ -537,11 +519,11 @@ let explain_cmd =
                   Edb_util.Prng.create ~seed:(Hashtbl.hash (path, sample_rate)) ()
                 in
                 [
-                  E.of_sharded summary;
+                  E.of_summary summary;
                   E.of_sample (Edb_sampling.Uniform.create rng ~rate:sample_rate rel);
                   E.of_relation rel;
                 ]
-            | None, _ -> [ E.of_sharded summary ]
+            | None, _ -> [ E.of_summary summary ]
             | Some _, None ->
                 failwith "--exact-csv requires --dataset to supply the schema"
           in
@@ -646,9 +628,10 @@ let info_cmd =
   let run verbose summary_path =
     setup_logs verbose;
     try
-      let summary = Edb_shard.Store.load summary_path in
-      let schema = Edb_shard.Sharded.schema summary in
-      let k = Edb_shard.Sharded.num_shards summary in
+      let summary = Entropydb_core.Serialize.load summary_path in
+      let schema = Entropydb_core.Summary.schema summary in
+      let parts = Entropydb_core.Summary.parts summary in
+      let k = Array.length parts in
       let format = Entropydb_core.Serialize.detect summary_path in
       Printf.printf "format: %s\n"
         (match format with
@@ -669,29 +652,33 @@ let info_cmd =
               s.sec_off s.sec_len s.sec_crc)
           m.Entropydb_core.Serialize.v3_sections
       end;
-      Printf.printf "shards: %d (%s)\n" k (Edb_shard.Sharded.strategy summary);
+      Printf.printf "shards: %d (%s)\n" k
+        (Entropydb_core.Summary.strategy summary);
       Printf.printf "cardinality: %d%s\n"
-        (Edb_shard.Sharded.cardinality summary)
+        (Entropydb_core.Summary.cardinality summary)
         (if k = 1 then ""
          else
            Printf.sprintf " (per shard: %s)"
              (String.concat ", "
-                (List.map string_of_int
-                   (Edb_shard.Sharded.cardinalities summary))));
+                (Array.to_list
+                   (Array.map
+                      (fun p ->
+                        string_of_int (Entropydb_core.Summary.cardinality p))
+                      parts))));
       Fmt.pr "schema:@.%a@." Schema.pp schema;
       Fmt.pr "%a@." Entropydb_core.Summary.pp_size_report
-        (Edb_shard.Sharded.size_report summary);
-      List.iteri
-        (fun i (report : Entropydb_core.Solver.report) ->
+        (Entropydb_core.Summary.size_report summary);
+      Array.iteri
+        (fun i part ->
+          let report = Entropydb_core.Summary.solver_report part in
           Printf.printf
             "solver%s: %d sweeps, converged=%b, max rel err %.2e\n"
             (if k = 1 then "" else Printf.sprintf " (shard %d)" i)
             report.sweeps report.converged report.max_rel_error)
-        (Edb_shard.Sharded.solver_reports summary);
+        parts;
       if k = 1 then
         Fmt.pr "lineage:@.%a@." Entropydb_core.Journal.pp
-          (Entropydb_core.Summary.journal
-             (Edb_shard.Sharded.shards summary).(0));
+          (Entropydb_core.Summary.journal summary);
       0
     with
     | Entropydb_core.Serialize.Format_error m ->
@@ -755,7 +742,9 @@ let ingest_cmd =
               ~source:(Filename.basename batch_csv) ?on_sweep summary batch
           in
           let out = Option.value output ~default:summary_path in
-          Edb_ingest.Ingest.save_atomic summary' out;
+          (* The output keeps the input file's format, so `-o NEW` from
+             a v3 file writes v3 like an in-place ingest does. *)
+          Edb_ingest.Ingest.save_atomic ~like:summary_path summary' out;
           Printf.printf
             "ingested %d rows in %.2fs (%d warm sweep%s, converged=%b)\n"
             stats.Edb_ingest.Ingest.batch_rows stats.Edb_ingest.Ingest.seconds

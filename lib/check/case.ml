@@ -6,7 +6,7 @@ type t = {
   rel : Relation.t;
   joints : Predicate.t list;
   summary : Summary.t;
-  sharded : Edb_shard.Sharded.t;
+  sharded : Summary.t;
   queries : Predicate.t list;
 }
 
@@ -28,7 +28,7 @@ let build (spec : Gen.spec) =
   let joints = Gen.joints spec schema in
   let summary = Summary.build ~solver_config:quiet rel ~joints in
   let sharded =
-    if spec.shards = 1 then Edb_shard.Sharded.of_flat summary
+    if spec.shards = 1 then summary
     else begin
       let strategy =
         match spec.shard_by with

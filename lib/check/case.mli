@@ -9,8 +9,8 @@ type t = {
   rel : Relation.t;
   joints : Predicate.t list;
   summary : Summary.t;  (** flat build *)
-  sharded : Edb_shard.Sharded.t;
-      (** the spec's shard count/strategy ([Sharded.of_flat] at k = 1) *)
+  sharded : Summary.t;
+      (** the spec's shard count/strategy ([summary] itself at k = 1) *)
   queries : Predicate.t list;
 }
 

@@ -164,19 +164,25 @@ let c_bruteforce_sum ctx =
           "SUM(a0) %.12g vs enumeration %.12g on %a" fast slow Predicate.pp q)
     ctx.case.Case.queries
 
+(* A one-part build through the partitioning path (Builder, k = 1, rows)
+   solves the same relation in the same order as the flat build, so
+   every answer must agree bitwise. *)
 let c_flat_vs_k1 ctx =
   let s = ctx.case.Case.summary in
-  let k1 = Edb_shard.Sharded.of_flat s in
+  let k1 =
+    Edb_shard.Builder.build ~solver_config:Case.quiet ctx.case.Case.rel
+      ~shards:1 ~strategy:Edb_shard.Partition.Rows ~joints:ctx.case.Case.joints
+  in
   List.iter
     (fun q ->
       tally ctx;
-      let a = Summary.estimate s q and b = Edb_shard.Sharded.estimate k1 q in
+      let a = Summary.estimate s q and b = Summary.estimate k1 q in
       if a <> b then
         fail ctx ~check:"flat-vs-k1" ~tier:Differential
           "estimate not bitwise: flat %.17g vs k=1 %.17g on %a" a b
           Predicate.pp q;
       tally ctx;
-      let va = Summary.variance s q and vb = Edb_shard.Sharded.variance k1 q in
+      let va = Summary.variance s q and vb = Summary.variance k1 q in
       if va <> vb then
         fail ctx ~check:"flat-vs-k1" ~tier:Differential
           "variance not bitwise: flat %.17g vs k=1 %.17g on %a" va vb
@@ -187,7 +193,7 @@ let c_flat_vs_k1 ctx =
   tally ctx;
   if
     Summary.estimate_groups_with_stddev s ~attrs q
-    <> Edb_shard.Sharded.estimate_groups_with_stddev k1 ~attrs q
+    <> Summary.estimate_groups_with_stddev k1 ~attrs q
   then
     fail ctx ~check:"flat-vs-k1" ~tier:Differential
       "GROUP BY cells not bitwise at k=1 (attrs %a) on %a"
@@ -196,11 +202,11 @@ let c_flat_vs_k1 ctx =
 
 let c_shard_additivity ctx =
   let sh = ctx.case.Case.sharded in
-  let shards = Edb_shard.Sharded.shards sh in
+  let shards = Summary.parts sh in
   List.iter
     (fun q ->
       tally ctx;
-      let fan = Edb_shard.Sharded.estimate sh q in
+      let fan = Summary.estimate sh q in
       let sum =
         Array.fold_left (fun acc s -> acc +. Summary.estimate s q) 0. shards
       in
@@ -212,10 +218,10 @@ let c_shard_additivity ctx =
   List.iter
     (fun d ->
       tally ctx;
-      let fan = Edb_shard.Sharded.estimate_disjuncts sh d in
+      let fan = Summary.estimate_disjuncts sh d in
       let sum =
         Array.fold_left
-          (fun acc s -> acc +. Disjunction.estimate s d)
+          (fun acc s -> acc +. Summary.estimate_disjuncts s d)
           0. shards
       in
       if not (approx ctx fan sum) then
@@ -367,8 +373,8 @@ let c_serialize_roundtrip ctx =
       Serialize.save s flat_path;
       let s' = Serialize.load flat_path in
       let sh_path = Filename.concat dir "sharded.summary" in
-      Edb_shard.Store.save ctx.case.Case.sharded sh_path;
-      let sh' = Edb_shard.Store.load sh_path in
+      Serialize.save_sharded ctx.case.Case.sharded sh_path;
+      let sh' = Serialize.load sh_path in
       List.iter
         (fun q ->
           tally ctx;
@@ -378,8 +384,8 @@ let c_serialize_roundtrip ctx =
               "flat reload not bitwise: %.17g vs %.17g on %a" a b Predicate.pp
               q;
           tally ctx;
-          let a = Edb_shard.Sharded.estimate ctx.case.Case.sharded q in
-          let b = Edb_shard.Sharded.estimate sh' q in
+          let a = Summary.estimate ctx.case.Case.sharded q in
+          let b = Summary.estimate sh' q in
           if a <> b then
             fail ctx ~check:"serialize-roundtrip" ~tier:Differential
               "sharded reload not bitwise: %.17g vs %.17g on %a" a b
@@ -450,8 +456,8 @@ let c_mmap_v3 ctx =
       List.iter
         (fun d ->
           tally ctx;
-          let h = Disjunction.estimate s d in
-          let mm = Disjunction.estimate m d in
+          let h = Summary.estimate_disjuncts s d in
+          let mm = Summary.estimate_disjuncts m d in
           if h <> mm then
             fail ctx ~check:"mmap-v3" ~tier:Differential
               "mapped disjunction not bitwise: %.17g vs heap %.17g" mm h)
@@ -737,7 +743,7 @@ let c_disjunction_singleton ctx =
   List.iter
     (fun q ->
       tally ctx;
-      let d = Disjunction.estimate s [ q ] in
+      let d = Summary.estimate_disjuncts s [ q ] in
       let e = Summary.estimate s q in
       if not (approx ctx d e) then
         fail ctx ~check:"disjunction-singleton" ~tier:Metamorphic
@@ -754,7 +760,7 @@ let c_disjunction_disjoint ctx =
       | Some (lo, hi) ->
           tally ctx;
           let d =
-            Disjunction.estimate s
+            Summary.estimate_disjuncts s
               [ Predicate.restrict q i lo; Predicate.restrict q i hi ]
           in
           let e = Summary.estimate s q in
@@ -772,7 +778,7 @@ let c_disjunction_bounds ctx =
   List.iter
     (fun d ->
       tally ctx;
-      let est = Disjunction.estimate s d in
+      let est = Summary.estimate_disjuncts s d in
       let each = List.map (Summary.estimate s) d in
       let upper = List.fold_left ( +. ) 0. each in
       let lower = List.fold_left Float.max 0. each in
@@ -780,7 +786,7 @@ let c_disjunction_bounds ctx =
         fail ctx ~check:"disjunction-bounds" ~tier:Metamorphic
           "OR estimate %.12g outside union bounds [%.12g, %.12g]" est lower
           upper;
-      let p = Disjunction.probability s d in
+      let p = Disjunction.probability (Summary.poly s) d in
       tally ctx;
       if p < 0. || p > 1. then
         fail ctx ~check:"disjunction-bounds" ~tier:Metamorphic
@@ -788,14 +794,14 @@ let c_disjunction_bounds ctx =
       match d with
       | q :: _ ->
           tally ctx;
-          let with_unsat = Disjunction.estimate s [ q; unsat ] in
-          let alone = Disjunction.estimate s [ q ] in
+          let with_unsat = Summary.estimate_disjuncts s [ q; unsat ] in
+          let alone = Summary.estimate_disjuncts s [ q ] in
           if not (approx ctx with_unsat alone) then
             fail ctx ~check:"disjunction-bounds" ~tier:Metamorphic
               "OR with unsatisfiable clause %.12g vs alone %.12g" with_unsat
               alone;
           tally ctx;
-          let with_taut = Disjunction.estimate s [ q; taut ] in
+          let with_taut = Summary.estimate_disjuncts s [ q; taut ] in
           if not (approx ctx with_taut (nf ctx)) then
             fail ctx ~check:"disjunction-bounds" ~tier:Metamorphic
               "OR with tautology %.12g vs n = %g" with_taut (nf ctx)
@@ -963,7 +969,7 @@ let c_obs_consistency ctx =
        +%d, misses +%d; instance hits %d, misses %d, entries %d"
       nq dl dh dm st.Cache.hits st.Cache.misses st.Cache.entries;
   tally ctx;
-  let k = Edb_shard.Sharded.num_shards ctx.case.Case.sharded in
+  let k = Summary.num_parts ctx.case.Case.sharded in
   let se0 = value "shard.evals" in
   let was = Trace.enabled () in
   Trace.set_enabled true;
@@ -972,7 +978,7 @@ let c_obs_consistency ctx =
     ~finally:(fun () -> Trace.set_enabled was)
     (fun () ->
       List.iter
-        (fun q -> ignore (Edb_shard.Sharded.estimate ctx.case.Case.sharded q))
+        (fun q -> ignore (Summary.estimate ctx.case.Case.sharded q))
         ctx.case.Case.queries);
   let spans =
     List.length

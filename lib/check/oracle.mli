@@ -12,8 +12,8 @@
       not a bug.
     - {b differential}: independently-built answer paths must agree —
       compressed polynomial vs {!Entropydb_core.Bruteforce} enumeration,
-      flat vs k=1 sharded (bitwise), batched GROUP BY vs per-cell
-      evaluation, serialize/store round-trips, cached vs uncached, and
+      flat vs a k=1 partitioned build (bitwise), batched GROUP BY vs
+      per-cell evaluation, serialize round-trips, cached vs uncached, and
       the server over a Unix socket vs the library call.
     - {b metamorphic}: invariants needing no ground truth — monotonicity
       under predicate widening, GROUP BY cells summing to the

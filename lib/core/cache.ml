@@ -29,8 +29,7 @@ type result = Scalar of float | Groups of (int list * float * float) list
 type entry = { value : result; mutable last_used : int }
 
 type t = {
-  eval : Predicate.t -> float;
-  eval_groups : (attrs:int list -> Predicate.t -> (int list * float * float) list) option;
+  summary : Summary.t;
   capacity : int;
   table : (key, entry) Hashtbl.t;
   lock : Mutex.t;
@@ -40,15 +39,12 @@ type t = {
   mutable evictions : int;
 }
 
-(* The cache only needs pure estimators, not a whole summary; sharded
-   summaries (lib/shard) reuse it through this entry point.  The table
-   starts small and grows with use: the server builds a cache on every
-   catalog (re)open, and [capacity] only bounds eviction. *)
-let of_fn ?(capacity = 4096) ?groups eval =
+(* The table starts small and grows with use: the server builds a cache
+   on every catalog (re)open, and [capacity] only bounds eviction. *)
+let create ?(capacity = 4096) summary =
   if capacity < 1 then invalid_arg "Cache.create: capacity must be positive";
   {
-    eval;
-    eval_groups = groups;
+    summary;
     capacity;
     table = Hashtbl.create 16;
     lock = Mutex.create ();
@@ -57,12 +53,6 @@ let of_fn ?(capacity = 4096) ?groups eval =
     misses = 0;
     evictions = 0;
   }
-
-let create ?capacity summary =
-  of_fn ?capacity
-    ~groups:(fun ~attrs pred ->
-      Summary.estimate_groups_with_stddev summary ~attrs pred)
-    (Summary.estimate summary)
 
 let with_lock t f =
   Mutex.lock t.lock;
@@ -134,18 +124,20 @@ let cached t key compute =
       value
 
 let estimate t pred =
-  match cached t (Count (key_of_predicate pred)) (fun () -> Scalar (t.eval pred)) with
+  match
+    cached t (Count (key_of_predicate pred)) (fun () ->
+        Scalar (Summary.estimate t.summary pred))
+  with
   | Scalar v -> v
   | Groups _ -> assert false (* Count keys only ever hold Scalar values *)
 
 let estimate_groups t ~attrs pred =
-  match t.eval_groups with
-  | None -> invalid_arg "Cache.estimate_groups: no grouped evaluator"
-  | Some eval_groups -> (
-      let key = Grouped (attrs, key_of_predicate pred) in
-      match cached t key (fun () -> Groups (eval_groups ~attrs pred)) with
-      | Groups g -> g
-      | Scalar _ -> assert false)
+  match
+    cached t (Grouped (attrs, key_of_predicate pred)) (fun () ->
+        Groups (Summary.estimate_groups_with_stddev t.summary ~attrs pred))
+  with
+  | Groups g -> g
+  | Scalar _ -> assert false
 
 type stats = { hits : int; misses : int; entries : int; evictions : int }
 

@@ -17,25 +17,13 @@ val create : ?capacity:int -> Summary.t -> t
 (** Default capacity 4096 entries.  Raises on non-positive capacities.
     Serves both {!estimate} and {!estimate_groups}. *)
 
-val of_fn :
-  ?capacity:int ->
-  ?groups:(attrs:int list -> Predicate.t -> (int list * float * float) list) ->
-  (Predicate.t -> float) ->
-  t
-(** Cache arbitrary pure estimators (e.g. a sharded summary's fan-out
-    estimates).  The functions must be deterministic and safe to call
-    from concurrent threads; they run outside the cache's lock.  When
-    [groups] is omitted, {!estimate_groups} raises [Invalid_argument]. *)
-
 val estimate : t -> Predicate.t -> float
 (** Same value as {!Summary.estimate}; cached. *)
 
 val estimate_groups :
   t -> attrs:int list -> Predicate.t -> (int list * float * float) list
 (** Same value as {!Summary.estimate_groups_with_stddev}; cached under a
-    key combining the grouping attributes with the canonical predicate.
-    Raises [Invalid_argument] if the cache was built without a grouped
-    evaluator. *)
+    key combining the grouping attributes with the canonical predicate. *)
 
 type stats = { hits : int; misses : int; entries : int; evictions : int }
 

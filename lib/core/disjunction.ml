@@ -52,17 +52,16 @@ let fold_intersections preds ~f ~init =
 
 let sign size = if size mod 2 = 1 then 1. else -1.
 
-let estimate summary preds =
+let estimate poly preds =
   check_disjuncts preds;
-  Summary.verify summary;
+  Poly.verify poly;
   fold_intersections preds ~init:0. ~f:(fun acc ~intersection ~size ->
-      acc +. (sign size *. Summary.estimate summary intersection))
+      acc +. (sign size *. Poly.estimate poly intersection))
 
 (* Pr[a random tuple from the model satisfies the disjunction], by the same
    expansion over P[zeroed]/P. *)
-let probability summary preds =
+let probability poly preds =
   check_disjuncts preds;
-  let poly = Summary.poly summary in
   let p_total = Poly.p poly in
   if p_total <= 0. then 0.
   else
@@ -71,10 +70,3 @@ let probability summary preds =
           acc +. (sign size *. Poly.eval_restricted poly intersection))
     in
     Edb_util.Floatx.clamp ~lo:0. ~hi:1. (mass /. p_total)
-
-(* Binomial variance of the disjunction count, as for conjunctions. *)
-let variance summary preds =
-  let p = probability summary preds in
-  float_of_int (Summary.cardinality summary) *. p *. (1. -. p)
-
-let stddev summary preds = sqrt (variance summary preds)

@@ -5,10 +5,10 @@
     mapped, not read, no term is enumerated and no statistic set is
     built — so a catalog can keep thousands of summaries "open" for the
     price of their metadata.  The views are the kernel tables
-    themselves ({!Poly.of_tables}), so every estimator of {!Summary},
-    {!Disjunction}, {!Cache} and the shard layer answers a mapped
-    summary with the same evaluator, bitwise as the heap summary that
-    wrote the file, at any {!Poly.set_parallelism}.
+    themselves ({!Poly.of_tables}), so every estimator of {!Summary}
+    and {!Cache} answers a mapped summary with the same evaluator,
+    bitwise as the heap summary that wrote the file, at any
+    {!Poly.set_parallelism}.
 
     Integrity: body-section checksums are verified lazily, once, before
     the first answer or table read ({!Summary.verify} forces it

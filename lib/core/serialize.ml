@@ -136,8 +136,8 @@ let load ?term_cap path =
 (* Sharded manifests                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* A sharded summary (lib/shard) persists as one manifest file plus one
-   flat summary file per shard.  The manifest is deliberately *not*
+(* A partitioned summary persists as one manifest file plus one flat
+   summary file per part.  The manifest is deliberately *not*
    Marshal: plain length-prefixed fields keep every corruption mode (bad
    magic, truncation, shard-count mismatch, trailing garbage) detectable
    as a Format_error instead of a segfault or silent misread.
@@ -188,21 +188,19 @@ let input_str ic ~max what =
 let shard_file_name path i =
   Printf.sprintf "%s.shard%d" (Filename.basename path) i
 
-let save_sharded ~strategy summaries path =
-  let k = Array.length summaries in
-  if k < 1 then invalid_arg "Serialize.save_sharded: no shards";
+let save_sharded summary path =
+  let parts = Summary.parts summary in
+  let k = Array.length parts in
   let dir = Filename.dirname path in
   let names = Array.to_list (Array.init k (shard_file_name path)) in
-  List.iteri
-    (fun i name -> save summaries.(i) (Filename.concat dir name))
-    names;
+  List.iteri (fun i name -> save parts.(i) (Filename.concat dir name)) names;
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
       output_string oc sharded_magic;
       output_binary_int oc sharded_version;
-      output_str oc strategy;
+      output_str oc (Summary.strategy summary);
       output_binary_int oc k;
       List.iter (output_str oc) names)
 
@@ -252,7 +250,7 @@ let load_sharded ?term_cap path =
       if Stdlib.compare (Summary.schema s) schema0 <> 0 then
         raise (Format_error "shard schema mismatch"))
     shards;
-  (strategy, shards)
+  Summary.of_parts ~strategy shards
 
 (* ------------------------------------------------------------------ *)
 (* Summary format v3: page-aligned, mmap-able                          *)
@@ -610,10 +608,11 @@ let v3_load ?term_cap path =
   Summary.of_solved_poly ~journal:manifest.v3_journal ~poly
     ~report:manifest.v3_report ()
 
-(* Version-dispatching flat load: v1/v2 files take the Marshal path,
-   v3 files the checksummed heap rebuild — callers get a summary either
-   way without caring which writer produced the file. *)
+(* Format-dispatching load: v1/v2 files take the Marshal path, v3 files
+   the checksummed heap rebuild, manifests load every part — callers get
+   a summary without caring which writer produced the file. *)
 let load ?term_cap path =
   match detect path with
   | MappedV3 -> v3_load ?term_cap path
-  | Flat | Sharded -> load ?term_cap path
+  | Sharded -> load_sharded ?term_cap path
+  | Flat -> load ?term_cap path

@@ -1,7 +1,7 @@
-(** Summary persistence: one versioned binary file per flat summary,
-    sized O(#statistics), plus a versioned manifest format for sharded
-    summaries (one manifest referencing k flat per-shard files).  The
-    compressed polynomial is rebuilt on load. *)
+(** Summary persistence: one versioned binary file per one-part summary,
+    sized O(#statistics), plus a versioned manifest format for
+    partitioned summaries (one manifest referencing k flat per-part
+    files).  The compressed polynomial is rebuilt on load. *)
 
 exception Format_error of string
 
@@ -12,19 +12,21 @@ val version : int
     with {!Format_error}. *)
 
 val save : Summary.t -> string -> unit
-(** Always writes the current {!version}. *)
+(** Always writes the current {!version}.  Raises [Invalid_argument] on
+    a summary of more than one part (see {!save_sharded}). *)
 
 val load : ?term_cap:int -> string -> Summary.t
-(** Load any flat summary file — v1, v2, or v3 (heap rebuild; see
-    {!v3_load}).  Raises {!Format_error} on bad magic, an unsupported
-    (future) version, or a corrupt payload, and like {!Poly.create} if
-    the rebuilt polynomial exceeds [term_cap]. *)
+(** Load any summary file, sniffed by magic ({!detect}) — v1, v2, v3
+    (heap rebuild; see {!v3_load}) or a manifest ({!load_sharded}).
+    Raises {!Format_error} on bad magic, an unsupported (future)
+    version, or a corrupt payload, and like {!Poly.create} if a rebuilt
+    polynomial exceeds [term_cap]. *)
 
 (** {2 Sharded manifests}
 
-    A sharded summary persists as one manifest file (magic, version,
-    partitioning-strategy tag, shard count, per-shard file names) next to
-    one flat summary file per shard, named [<base>.shard<i>].  Shard
+    A partitioned summary persists as one manifest file (magic, version,
+    partitioning-strategy tag, part count, per-part file names) next to
+    one flat summary file per part, named [<base>.shard<i>].  Part
     files are referenced relative to the manifest's directory, so the
     whole group moves together. *)
 
@@ -34,17 +36,17 @@ val detect : string -> format
 (** Classify a summary file by magic; {!Format_error} when it is none of
     the known formats.  Reads only the header. *)
 
-val save_sharded : strategy:string -> Summary.t array -> string -> unit
-(** Write the per-shard files and then the manifest at [path].
-    [strategy] is an opaque tag (e.g. ["rows"] or ["attr:origin"]) stored
-    for provenance.  Raises [Invalid_argument] on an empty array. *)
+val save_sharded : Summary.t -> string -> unit
+(** Write one flat file per part and then the manifest at [path], at
+    any part count.  The summary's {!Summary.strategy} tag (e.g.
+    ["rows"] or ["attr:origin"]) is stored for provenance. *)
 
-val load_sharded : ?term_cap:int -> string -> string * Summary.t array
-(** Load a manifest and all its shards; returns the strategy tag and the
-    shard summaries in manifest order.  Raises {!Format_error} on bad
-    magic, unsupported version, truncated fields, a shard count that
-    disagrees with the name list or the files on disk, per-shard
-    corruption, or a schema mismatch between shards — never a crash. *)
+val load_sharded : ?term_cap:int -> string -> Summary.t
+(** Load a manifest and all its parts, in manifest order and with the
+    stored strategy tag.  Raises {!Format_error} on bad magic,
+    unsupported version, truncated fields, a part count that disagrees
+    with the name list or the files on disk, per-part corruption, or a
+    schema mismatch between parts — never a crash. *)
 
 (** {2 Summary format v3 — page-aligned, mmap-able}
 

@@ -2,7 +2,17 @@
     expectation forever after.
 
     This is the library's primary public API, covering Secs. 3–4 of the
-    paper plus the closed-form variance sketched in its Sec. 7. *)
+    paper plus the closed-form variance sketched in its Sec. 7.
+
+    A summary is k ≥ 1 solved {e parts}: one for a single build, k for a
+    relation partitioned into k disjoint row sets and solved part by
+    part ({!Edb_shard.Builder}).  Every estimator folds over the parts
+    and combines exactly — expectations add by linearity of expectation,
+    variances add by independence of the per-part models — left to
+    right from [0.], so answers are deterministic and, at k = 1, bitwise
+    the single part's.  Each part evaluation ticks the [shard.evals]
+    registry counter and, when tracing, opens one ["shard.eval"]
+    span. *)
 
 open Edb_storage
 
@@ -37,10 +47,27 @@ val of_solved_poly :
     does not re-solve.  [journal] defaults to a fresh base journal of the
     polynomial's cardinality. *)
 
+(** {1 Parts} *)
+
+val of_parts : ?strategy:string -> t array -> t
+(** The summary of a disjoint union: the given summaries' parts, in
+    order (part order is significant: it is the summation order).
+    [strategy] is a provenance tag, default ["rows"].  Raises
+    [Invalid_argument] on an empty array or a schema mismatch. *)
+
+val parts : t -> t array
+(** One one-part summary per part, in part order. *)
+
+val num_parts : t -> int
+
+val strategy : t -> string
+(** ["flat"] for a single build, ["rows"] or ["attr:<name>"] for a
+    partitioned one ({!of_parts}). *)
+
 val schema : t -> Schema.t
 
 val cardinality : t -> int
-(** n, the cardinality of the summarized relation. *)
+(** n, the cardinality of the summarized relation (summed over parts). *)
 
 val poly : t -> Poly.t
 val solver_report : t -> Solver.report
@@ -51,10 +78,14 @@ val journal : t -> Journal.t
     [Journal.total_rows (journal t) = cardinality t]. *)
 
 val with_journal : t -> Journal.t -> t
-(** Replace the lineage record (used by the ingest path). *)
+(** Replace the lineage record (used by the ingest path).
+
+    [poly], [solver_report], [journal] and [with_journal] name the one
+    polynomial of a one-part summary; they raise [Invalid_argument] when
+    the summary has more parts. *)
 
 val read_only : t -> bool
-(** Whether the summary answers from tables lent by storage — a format-v3
+(** Whether every part answers from tables lent by storage — a format-v3
     file opened with {!Mapped.open_file}.  Such a summary answers every
     query exactly like the summary that wrote it, but cannot be
     re-solved in place. *)
@@ -72,6 +103,8 @@ val release_pages : t -> unit
     catalog calls it on eviction, so an evicted mapped summary holds no
     memory while the GC has yet to collect it. *)
 
+(** {1 Estimators} *)
+
 val estimate : t -> Predicate.t -> float
 (** E[⟨q,I⟩] for a conjunctive counting query — Sec. 4.2's zeroing formula;
     typically sub-millisecond. *)
@@ -87,9 +120,10 @@ val variance : t -> Predicate.t -> float
 val stddev : t -> Predicate.t -> float
 
 val estimate_with_variance : t -> Predicate.t -> float * float
-(** Both moments from a single restricted evaluation.  The first component
-    is bitwise-identical to {!estimate}; the second equals {!variance}
-    (except that an unsatisfiable query reports exactly [(0., 0.)]). *)
+(** Both moments from a single restricted evaluation per part.  The first
+    component is bitwise-identical to {!estimate}; the second equals
+    {!variance} (except that an unsatisfiable query reports exactly
+    [(0., 0.)]). *)
 
 val estimate_sum :
   t -> attr:int -> ?weights:(int -> float) -> Predicate.t -> float
@@ -105,6 +139,15 @@ val variance_sum :
 (** Var[SUM(attr)] under the multinomial view:
     n·(E\[w²\] − E\[w\]²) over the per-draw weight distribution. *)
 
+val estimate_disjuncts : t -> Predicate.t list -> float
+(** Inclusion–exclusion COUNT over a disjunction of conjunctive
+    predicates; raises like {!Disjunction.estimate}. *)
+
+val variance_disjuncts : t -> Predicate.t list -> float
+(** n·p·(1−p) per part, with p = {!Disjunction.probability}. *)
+
+val stddev_disjuncts : t -> Predicate.t list -> float
+
 val estimate_groups :
   t -> attrs:int list -> Predicate.t -> (int list * float) list
 (** GROUP BY estimate: one cell per combination of the grouping
@@ -112,7 +155,9 @@ val estimate_groups :
     ascending group-key order.  The widest grouping attribute is
     answered by the batched kernel {!Poly.eval_restricted_by_value} —
     one term pass for all of its values — instead of one full scan per
-    cell. *)
+    cell.  Parts are evaluated concurrently on OCaml 5 domains and
+    merged in part order; at k = 1 the part's cells are returned
+    untouched. *)
 
 val estimate_groups_with_variance :
   t -> attrs:int list -> Predicate.t -> (int list * float * float) list
@@ -125,11 +170,7 @@ val estimate_groups_with_stddev :
 (** [estimate_groups_with_variance] with the variance replaced by its
     square root. *)
 
-val top_k_groups :
-  t -> attrs:int list -> k:int -> Predicate.t -> (int list * float) list
-(** The paper's GROUP BY ... ORDER BY count DESC LIMIT k example.
-    Ordering is total and deterministic: descending estimate under
-    [Float.compare] (NaN-safe), ties broken by ascending group key. *)
+(** {1 Size} *)
 
 type size_report = {
   num_statistics : int;
@@ -140,9 +181,12 @@ type size_report = {
 }
 
 val size_report : t -> size_report
+(** Summed over parts. *)
+
 val pp_size_report : Format.formatter -> size_report -> unit
 
 val footprint_bytes : t -> int
 (** What the summary charges a byte-budgeted catalog
-    ({!Poly.footprint_bytes}): the estimated heap size of its kernel
-    tables, or the mapped file's size for a {!read_only} summary. *)
+    ({!Poly.footprint_bytes}, summed over parts): the estimated heap
+    size of its kernel tables, or the mapped file's size for a
+    {!read_only} summary. *)

@@ -11,6 +11,8 @@ open Edb_storage
 type t
 
 val create : Summary.t -> t
+(** Raises [Invalid_argument] on a summary of more than one part
+    ({!Summary.poly}): a world is drawn from one solved model. *)
 
 val sample_tuple : ?sweeps:int -> t -> Prng.t -> int array
 (** One tuple (value indices per attribute).  [sweeps] (default 8) is the

@@ -104,23 +104,19 @@ let replay ?solver_config ?term_cap ~joints base batches =
    over it (atomic on POSIX), so a concurrent reader sees either the old
    file or the new one, never a torn write.
 
-   The write format follows the file being replaced — a v3 (mmap-able)
-   file stays v3, so a mapped catalog entry survives REFRESH without a
-   silent downgrade to heap loading — unless the caller forces one with
-   [?format].  A missing or unreadable target gets the default flat
-   format. *)
-let save_atomic ?format summary path =
+   The write format follows the file named by [like] — by default the
+   file being replaced — so a v3 (mmap-able) file stays v3 and a mapped
+   catalog entry survives REFRESH without a silent downgrade to heap
+   loading; `entropydb ingest -o NEW` passes its input file, so a copy
+   keeps the source's format too.  A missing or unreadable [like] file
+   gets the default flat format. *)
+let save_atomic ?like summary path =
   let write =
-    let v3 () = Serialize.save_v3 summary in
-    let flat () = Serialize.save summary in
-    match format with
-    | Some `V3 -> v3 ()
-    | Some `Flat -> flat ()
-    | None -> (
-        match Serialize.detect path with
-        | Serialize.MappedV3 -> v3 ()
-        | Serialize.Flat | Serialize.Sharded -> flat ()
-        | exception (Serialize.Format_error _ | Sys_error _) -> flat ())
+    match Serialize.detect (Option.value like ~default:path) with
+    | Serialize.MappedV3 -> Serialize.save_v3 summary
+    | Serialize.Flat | Serialize.Sharded -> Serialize.save summary
+    | exception (Serialize.Format_error _ | Sys_error _) ->
+        Serialize.save summary
   in
   let tmp =
     Filename.temp_file

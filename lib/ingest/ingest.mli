@@ -34,7 +34,8 @@ val append :
     statistic structure, targets grown by the batch's counts, model
     re-solved warm-started from [summary]'s α.  [source] tags the journal
     entry (default ["batch"]).  Raises [Invalid_argument] if the batch's
-    schema differs from the summary's. *)
+    schema differs from the summary's, or if the summary has more than
+    one part ({!Summary.poly}). *)
 
 val append_with_stats :
   ?solver_config:Solver.config ->
@@ -57,13 +58,13 @@ val replay :
     batches (as [(source, batch)] pairs) in order.  Within solver
     tolerance of the summary the original ingest sequence produced. *)
 
-val save_atomic : ?format:[ `Flat | `V3 ] -> Summary.t -> string -> unit
+val save_atomic : ?like:string -> Summary.t -> string -> unit
 (** Persist via write-to-temp + [rename] in the target's directory, so a
     concurrent reader of [path] sees the old or the new summary, never a
-    torn file.  The write format follows the file being replaced (a v3
-    file stays v3; anything else — including a missing target — gets the
-    flat format) unless [format] forces one.  Raises like
-    {!Serialize.save} / {!Serialize.save_v3}. *)
+    torn file.  The write format is that of the file [like] (default:
+    [path] itself, the file being replaced): a v3 file gives v3;
+    anything else — including a missing file — gives the flat format.
+    Raises like {!Serialize.save} / {!Serialize.save_v3}. *)
 
 val orphan_temps : dir:string -> string list
 (** Temp files ([*.ingest-tmp]) stranded in [dir] by a crash between the

@@ -1,6 +1,6 @@
 (* The planner's common interface over the repo's three answer machines.
 
-   A MaxEnt summary (flat or sharded), a weighted sample, and an exact
+   A MaxEnt summary (of any number of parts), a weighted sample, and an exact
    scan all answer the same aggregate shapes; what distinguishes them is
    the error they make and the work they do.  An [Estimator.t] packages a
    backend behind a uniform [(estimate, variance)] surface plus a static
@@ -67,30 +67,6 @@ let of_summary ?(name = "summary") s =
           List.map
             (fun (key, est, var) -> (key, { est; var }))
             (Summary.estimate_groups_with_variance s ~attrs q));
-  }
-
-let of_sharded ?(name = "summary") sh =
-  let open Edb_shard in
-  {
-    name;
-    kind = Summary;
-    cost_us =
-      summary_cost (Sharded.size_report sh).Entropydb_core.Summary.num_terms;
-    count =
-      (fun q ->
-        let est, var = Sharded.estimate_with_variance sh q in
-        { est; var });
-    sum =
-      Some
-        (fun attr q ->
-          { est = Sharded.estimate_sum sh ~attr q;
-            var = Sharded.variance_sum sh ~attr q });
-    groups =
-      Some
-        (fun attrs q ->
-          List.map
-            (fun (key, est, var) -> (key, { est; var }))
-            (Sharded.estimate_groups_with_variance sh ~attrs q));
   }
 
 let of_sample ?name s =

@@ -1,6 +1,6 @@
 (** A uniform estimator surface over the engine's answer machines.
 
-    Every backend — MaxEnt summary (flat or sharded), weighted sample,
+    Every backend — MaxEnt summary (of any number of parts), weighted sample,
     exact scan — answers COUNT, SUM, and GROUP BY with an
     [(estimate, variance)] pair and carries a static cost model, which is
     everything {!Plan.choose} needs to route a query by predicted error
@@ -31,11 +31,8 @@ val of_summary : ?name:string -> Entropydb_core.Summary.t -> t
 (** Closed-form binomial variance (Var = n·p·(1−p)); zero model cost is
     {e not} assumed — the variance is the summary's own uncertainty,
     which is honest exactly when the MaxEnt family contains the data's
-    distribution. *)
-
-val of_sharded : ?name:string -> Edb_shard.Sharded.t -> t
-(** As {!of_summary}, fanned out over shards (variances add).  Serves
-    every summary the catalog holds, zero-copy mapped v3 files
+    distribution.  Serves every summary the catalog holds: partitioned
+    ones (variances add over parts) and zero-copy mapped v3 files
     included. *)
 
 val of_sample : ?name:string -> Edb_sampling.Sample.t -> t

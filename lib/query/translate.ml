@@ -27,6 +27,23 @@ type compiled = {
    summary's primitive evaluation and the GROUP BY path consume. *)
 let conjunctive c = match c.disjuncts with [ p ] -> Some p | _ -> None
 
+(* The one ORDER BY / LIMIT rule for grouped answers: by estimate under
+   the NaN-safe total order of [Float.compare] — descending unless ASC —
+   with ties broken by ascending group key, so the order is total and
+   deterministic; then LIMIT. *)
+let order_groups c cells =
+  let dir = match c.order with Some Ast.Asc -> 1 | Some Ast.Desc | None -> -1 in
+  let sorted =
+    List.sort
+      (fun (ka, a, _) (kb, b, _) ->
+        let o = dir * Float.compare a b in
+        if o <> 0 then o else Stdlib.compare ka kb)
+      cells
+  in
+  match c.limit with
+  | Some k -> List.filteri (fun i _ -> i < k) sorted
+  | None -> sorted
+
 let err fmt = Fmt.kstr (fun message -> Error { message }) fmt
 
 (* Levenshtein distance, case-insensitive: typo suggestions should treat

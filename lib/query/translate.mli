@@ -22,6 +22,14 @@ val conjunctive : compiled -> Predicate.t option
 (** The predicate of a non-OR query; [None] when the query has multiple
     disjuncts. *)
 
+val order_groups :
+  compiled -> (int list * float * 'a) list -> (int list * float * 'a) list
+(** The query's ORDER BY COUNT( * ) and LIMIT over grouped cells
+    [(key, estimate, _)]: by estimate under [Float.compare] — descending
+    by default, ascending for ASC — with ties broken by ascending key,
+    then the first LIMIT cells.  Every front end (QUERY, PLAN and
+    [entropydb query]) orders grouped answers with this one rule. *)
+
 val compile : Schema.t -> Ast.t -> (compiled, error) result
 (** Values outside the active domain compile to empty restrictions (the
     query is valid and counts 0); unknown attributes and type mismatches

@@ -2,10 +2,11 @@
 
    Summaries are built offline (`entropydb build`/`summarize`) and loaded
    by name from disk — flat files, sharded manifests, and mmap-able v3
-   files alike, sniffed by magic (Edb_shard.Store.open_any).  v3 files
-   become zero-copy *mapped* entries: O(header + manifest) to open, body
-   pages file-backed and clean.  Everything else heap-loads.  Either way
-   an entry holds one [Sharded.t], answered by the same estimators.
+   files alike, sniffed by magic.  v3 files become zero-copy *mapped*
+   entries (Mapped.open_file): O(header + manifest) to open, body pages
+   file-backed and clean.  Everything else heap-loads (Serialize.load).
+   Either way an entry holds one [Summary.t], answered by the same
+   estimators.
 
    Residency is *weighted*: every entry is charged its byte footprint
    (mapped file size, or estimated kernel-table heap size) against a
@@ -57,12 +58,10 @@ type aux = {
   csv_path : string;
 }
 
-module Sharded = Edb_shard.Sharded
-
 type entry = {
   name : string;
   path : string;
-  summary : Sharded.t;
+  summary : Summary.t;
   bytes : int; (* footprint charged against the budget *)
   cache : Cache.t;
   mutable last_used : int;
@@ -136,15 +135,15 @@ let with_lock t f =
 (* Entry accessors                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* A v3 file opens as one read-only shard over its mapping; nothing else
+(* A v3 file opens as one read-only part over its mapping; nothing else
    is read-only. *)
-let mapped entry = Array.for_all Summary.read_only (Sharded.shards entry.summary)
+let mapped entry = Summary.read_only entry.summary
 let kind_name entry = if mapped entry then "mapped" else "heap"
-let schema entry = Sharded.schema entry.summary
-let cardinality entry = Sharded.cardinality entry.summary
-let num_shards entry = Sharded.num_shards entry.summary
-let estimate entry q = Sharded.estimate entry.summary q
-let stddev entry q = Sharded.stddev entry.summary q
+let schema entry = Summary.schema entry.summary
+let cardinality entry = Summary.cardinality entry.summary
+let num_shards entry = Summary.num_parts entry.summary
+let estimate entry q = Summary.estimate entry.summary q
+let stddev entry q = Summary.stddev entry.summary q
 
 (* ------------------------------------------------------------------ *)
 (* Residency management (callers hold the lock)                        *)
@@ -165,7 +164,7 @@ let resident_count_locked t =
    kernel now rather than when the GC finalizes its mapping, and fault
    in again if a straggler reads them. *)
 let unmap_locked t slot entry =
-  Array.iter Summary.release_pages (Sharded.shards entry.summary);
+  Summary.release_pages entry.summary;
   slot.s_resident <- None;
   t.resident_bytes <- t.resident_bytes - entry.bytes;
   t.evictions <- t.evictions + 1
@@ -203,12 +202,17 @@ let rebalance_locked t =
 (* Opening                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Open a summary file the cheapest way its format allows and package
-   it as an entry.  Runs outside the lock. *)
+(* Open a summary file the cheapest way its format allows — a v3 file
+   maps zero-copy in O(header + manifest), everything else heap-loads —
+   and package it as an entry.  Runs outside the lock. *)
 let open_entry t ~name ~path =
   match
     let t0 = Edb_util.Timing.now_s () in
-    let summary = Edb_shard.Store.open_any path in
+    let summary =
+      match Serialize.detect path with
+      | Serialize.MappedV3 -> Mapped.open_file path
+      | Serialize.Flat | Serialize.Sharded -> Serialize.load path
+    in
     Edb_obs.Registry.Hist.observe_us open_ns_hist
       ((Edb_util.Timing.now_s () -. t0) *. 1e9);
     summary
@@ -219,19 +223,13 @@ let open_entry t ~name ~path =
   | exception Unix.Unix_error (e, _, _) ->
       Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
   | summary ->
-      let cache =
-        Cache.of_fn ~capacity:t.cache_capacity
-          ~groups:(fun ~attrs pred ->
-            Sharded.estimate_groups_with_stddev summary ~attrs pred)
-          (Sharded.estimate summary)
-      in
       Ok
         {
           name;
           path;
           summary;
-          bytes = Sharded.footprint_bytes summary;
-          cache;
+          bytes = Summary.footprint_bytes summary;
+          cache = Cache.create ~capacity:t.cache_capacity summary;
           last_used = 0;
           pins = 0;
           aux = None;
@@ -407,7 +405,6 @@ let refresh t ~name ~path:csv_path =
                  "REFRESH supports unsharded summaries; %s has %d shards" name
                  (num_shards entry))
           else
-            let flat = (Sharded.shards entry.summary).(0) in
             match Edb_storage.Csv_io.load_indices (schema entry) csv_path with
             | exception Sys_error m -> Error m
             | Error e ->
@@ -417,7 +414,7 @@ let refresh t ~name ~path:csv_path =
             | Ok batch -> (
                 match
                   Edb_ingest.Ingest.append_with_stats
-                    ~source:(Filename.basename csv_path) flat batch
+                    ~source:(Filename.basename csv_path) entry.summary batch
                 with
                 | exception Invalid_argument m -> Error m
                 | exception Serialize.Format_error m ->

@@ -28,8 +28,8 @@ type aux = {
 type entry = {
   name : string;
   path : string;
-  summary : Edb_shard.Sharded.t;
-      (** v3 files open zero-copy as one read-only shard; flat files and
+  summary : Summary.t;
+      (** v3 files open zero-copy as one read-only part; flat files and
           sharded manifests are fully deserialized *)
   bytes : int;  (** footprint charged against the byte budget *)
   cache : Cache.t;

@@ -15,7 +15,6 @@
 open Edb_storage
 open Entropydb_core
 module T = Edb_query.Translate
-module Sharded = Edb_shard.Sharded
 
 let float_str v = Printf.sprintf "%.17g" v
 
@@ -33,44 +32,21 @@ let m_refresh_latency = Edb_obs.Registry.histogram "ingest_refresh"
 (* SQL execution                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* One cached batched evaluation yields every group's estimate AND its
-   stddev (the kernel exposes each cell's restricted P), so there is no
-   per-group re-evaluation here at all. *)
-let group_lines (entry : Catalog.entry) schema (c : T.compiled) predicate =
-  let groups =
-    Cache.estimate_groups entry.Catalog.cache ~attrs:c.group_attrs predicate
-  in
-  let groups =
-    match c.order with
-    | Some Edb_query.Ast.Asc ->
-        List.sort
-          (fun (ka, a, _) (kb, b, _) ->
-            let o = Float.compare a b in
-            if o <> 0 then o else Stdlib.compare ka kb)
-          groups
-    | _ ->
-        List.sort
-          (fun (ka, a, _) (kb, b, _) ->
-            let o = Float.compare b a in
-            if o <> 0 then o else Stdlib.compare ka kb)
-          groups
-  in
-  let groups =
-    match c.limit with
-    | Some k -> List.filteri (fun i _ -> i < k) groups
-    | None -> groups
-  in
+(* [group <est> <sd> <labels>] lines for grouped cells (key, estimate,
+   stddev), ordered and limited by the query's ORDER BY / LIMIT — the
+   one rendering QUERY and PLAN share. *)
+let group_lines schema (c : T.compiled) cells =
   List.map
     (fun (values, est, sd) ->
       let labels =
         List.map2
           (fun attr v -> Domain.label (Schema.domain schema attr) v)
-          c.group_attrs values
+          c.T.group_attrs values
       in
       (* Labels go last: they may contain spaces. *)
       Printf.sprintf "group %s %s %s" (float_str est) (float_str sd)
         (String.concat "," labels))
-    groups
+    (T.order_groups c cells)
 
 let run_sql (entry : Catalog.entry) sql =
   let schema = Catalog.schema entry in
@@ -87,13 +63,14 @@ let run_sql (entry : Catalog.entry) sql =
         | { aggregate = T.Sum attr; _ } ->
             let predicate = Option.get (T.conjunctive c) in
             let summary = entry.Catalog.summary in
-            let est = Sharded.estimate_sum summary ~attr predicate in
-            let sd = sqrt (Sharded.variance_sum summary ~attr predicate) in
+            let est = Summary.estimate_sum summary ~attr predicate in
+            let sd = sqrt (Summary.variance_sum summary ~attr predicate) in
             Protocol.Ok
               [ "estimate " ^ float_str est; "stddev " ^ float_str sd ]
         | { aggregate = T.Avg attr; _ } -> (
             let predicate = Option.get (T.conjunctive c) in
-            match Sharded.estimate_avg entry.Catalog.summary ~attr predicate with
+            let summary = entry.Catalog.summary in
+            match Summary.estimate_avg summary ~attr predicate with
             | Some est -> Protocol.Ok [ "estimate " ^ float_str est ]
             | None -> Protocol.Ok [ "estimate undefined" ])
         | { group_attrs = []; disjuncts = [ predicate ]; _ } ->
@@ -104,8 +81,8 @@ let run_sql (entry : Catalog.entry) sql =
               [ "estimate " ^ float_str est; "stddev " ^ float_str sd ]
         | { group_attrs = []; disjuncts; _ } ->
             let summary = entry.Catalog.summary in
-            let est = Sharded.estimate_disjuncts summary disjuncts in
-            let sd = Sharded.stddev_disjuncts summary disjuncts in
+            let est = Summary.estimate_disjuncts summary disjuncts in
+            let sd = Summary.stddev_disjuncts summary disjuncts in
             Protocol.Ok
               [ "estimate " ^ float_str est; "stddev " ^ float_str sd ]
         | _ -> (
@@ -114,7 +91,14 @@ let run_sql (entry : Catalog.entry) sql =
                 err Protocol.err_unsupported
                   "GROUP BY over OR predicates is not supported"
             | Some predicate ->
-                Protocol.Ok (group_lines entry schema c predicate))
+                (* One cached batched evaluation yields every group's
+                   estimate AND its stddev (the kernel exposes each
+                   cell's restricted P), so there is no per-group
+                   re-evaluation here at all. *)
+                Protocol.Ok
+                  (group_lines schema c
+                     (Cache.estimate_groups entry.Catalog.cache
+                        ~attrs:c.group_attrs predicate)))
       with
       | Invalid_argument m -> err Protocol.err_unsupported "%s" m
       | e -> err Protocol.err_internal "%s" (Printexc.to_string e))
@@ -129,7 +113,7 @@ module E = Edb_plan.Estimator
 (* The entry's registered routes: always its summary; plus the exact
    relation and a uniform sample once a base table is ATTACHed. *)
 let entry_estimators (entry : Catalog.entry) =
-  let summary = E.of_sharded entry.Catalog.summary in
+  let summary = E.of_summary entry.Catalog.summary in
   match entry.Catalog.aux with
   | None -> [ summary ]
   | Some aux ->
@@ -155,43 +139,12 @@ let route_line (d : P.decision) =
     (E.kind_name (E.kind d.P.chosen.P.estimator))
     d.P.reason
 
-let plan_group_lines schema (c : T.compiled) cells =
-  let cells =
-    List.map
-      (fun (values, (a : E.answer)) ->
-        (values, a.E.est, sqrt (Float.max 0. a.E.var)))
-      cells
-  in
-  let cells =
-    match c.T.order with
-    | Some Edb_query.Ast.Asc ->
-        List.sort
-          (fun (ka, a, _) (kb, b, _) ->
-            let o = Float.compare a b in
-            if o <> 0 then o else Stdlib.compare ka kb)
-          cells
-    | _ ->
-        List.sort
-          (fun (ka, a, _) (kb, b, _) ->
-            let o = Float.compare b a in
-            if o <> 0 then o else Stdlib.compare ka kb)
-          cells
-  in
-  let cells =
-    match c.T.limit with
-    | Some k -> List.filteri (fun i _ -> i < k) cells
-    | None -> cells
-  in
-  List.map
-    (fun (values, est, sd) ->
-      let labels =
-        List.map2
-          (fun attr v -> Domain.label (Schema.domain schema attr) v)
-          c.T.group_attrs values
-      in
-      Printf.sprintf "group %s %s %s" (float_str est) (float_str sd)
-        (String.concat "," labels))
-    cells
+let plan_group_lines schema c cells =
+  group_lines schema c
+    (List.map
+       (fun (values, (a : E.answer)) ->
+         (values, a.E.est, sqrt (Float.max 0. a.E.var)))
+       cells)
 
 let plan_sql (entry : Catalog.entry) ~ci sql =
   let schema = Catalog.schema entry in

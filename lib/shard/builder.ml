@@ -1,4 +1,4 @@
-(* Parallel construction of sharded summaries.
+(* Parallel construction of partitioned summaries.
 
    Partition once, then build the k per-shard summaries concurrently on
    OCaml 5 domains via Edb_util.Parallel.fold: each chunk of shard
@@ -36,6 +36,6 @@ let build ?(solver_config = quiet_config) ?term_cap ?domains rel ~shards
   let summaries =
     Edb_util.Parallel.fold ~domains ~n:shards ~chunk ~combine:( @ ) ~init:[]
   in
-  Sharded.create
+  Summary.of_parts
     ~strategy:(Partition.strategy_tag (Relation.schema rel) strategy)
     (Array.of_list summaries)

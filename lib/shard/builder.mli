@@ -1,4 +1,4 @@
-(** Parallel construction of sharded summaries on OCaml 5 domains. *)
+(** Parallel construction of partitioned summaries on OCaml 5 domains. *)
 
 open Edb_storage
 open Entropydb_core
@@ -15,11 +15,13 @@ val build :
   shards:int ->
   strategy:Partition.strategy ->
   joints:Predicate.t list ->
-  Sharded.t
+  Summary.t
 (** [build rel ~shards ~strategy ~joints] partitions [rel] and builds one
-    summary per shard, [domains] at a time (default: the [EDB_DOMAINS]
+    part per shard, [domains] at a time (default: the [EDB_DOMAINS]
     environment variable via
     {!Edb_util.Parallel.default_domains}).  [joints] are the statistic
     predicates shared by every shard; each shard computes its own targets
-    from its own rows.  The result is independent of [domains].  Raises
-    like {!Partition.split} and {!Entropydb_core.Summary.build}. *)
+    from its own rows.  The result is one summary of [shards] parts,
+    tagged with {!Partition.strategy_tag}, and is independent of
+    [domains].  Raises like {!Partition.split} and
+    {!Entropydb_core.Summary.build}. *)

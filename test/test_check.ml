@@ -229,107 +229,78 @@ let test_kernel_pinned () =
    0, GROUP BY cells and top-3, every disjunction, and the planner's
    summary route.  Nothing else pins a k > 1 answer bitwise, so this is
    what holds the per-part fold to its summation order. *)
-type surface = {
-  est : Edb_storage.Predicate.t -> float;
-  var : Edb_storage.Predicate.t -> float;
-  ewv : Edb_storage.Predicate.t -> float * float;
-  sum : Edb_storage.Predicate.t -> float;
-  sum_var : Edb_storage.Predicate.t -> float;
-  avg : Edb_storage.Predicate.t -> float option;
-  groups :
-    int list -> Edb_storage.Predicate.t -> (int list * float * float) list;
-  top3 : int list -> Edb_storage.Predicate.t -> (int list * float) list;
-  or_est : Edb_storage.Predicate.t list -> float;
-  or_var : Edb_storage.Predicate.t list -> float;
-  plan : Edb_plan.Estimator.t;
-}
-
-let flat_surface s =
-  let open Entropydb_core in
-  {
-    est = Summary.estimate s;
-    var = Summary.variance s;
-    ewv = Summary.estimate_with_variance s;
-    sum = Summary.estimate_sum s ~attr:0;
-    sum_var = Summary.variance_sum s ~attr:0;
-    avg = Summary.estimate_avg s ~attr:0;
-    groups = (fun attrs q -> Summary.estimate_groups_with_variance s ~attrs q);
-    top3 = (fun attrs q -> Summary.top_k_groups s ~attrs ~k:3 q);
-    or_est = Disjunction.estimate s;
-    or_var = Disjunction.variance s;
-    plan = Edb_plan.Estimator.of_summary s;
-  }
-
-let sharded_surface sh =
-  let open Edb_shard in
-  {
-    est = Sharded.estimate sh;
-    var = Sharded.variance sh;
-    ewv = Sharded.estimate_with_variance sh;
-    sum = Sharded.estimate_sum sh ~attr:0;
-    sum_var = Sharded.variance_sum sh ~attr:0;
-    avg = Sharded.estimate_avg sh ~attr:0;
-    groups = (fun attrs q -> Sharded.estimate_groups_with_variance sh ~attrs q);
-    top3 = (fun attrs q -> Sharded.top_k_groups sh ~attrs ~k:3 q);
-    or_est = Sharded.estimate_disjuncts sh;
-    or_var = Sharded.variance_disjuncts sh;
-    plan = Edb_plan.Estimator.of_sharded sh;
-  }
-
 let summary_pin_lines () =
+  let module S = Entropydb_core.Summary in
   let module E = Edb_plan.Estimator in
+  let module T = Edb_query.Translate in
   List.concat_map
     (fun seed ->
       let spec = Gen.spec_of_seed seed in
       let case = Case.build spec in
       let schema = Edb_storage.Relation.schema case.Case.rel in
       let part k strategy =
-        sharded_surface
-          (Edb_shard.Builder.build ~solver_config:Case.quiet case.Case.rel
-             ~shards:k ~strategy ~joints:case.Case.joints)
+        Edb_shard.Builder.build ~solver_config:Case.quiet case.Case.rel
+          ~shards:k ~strategy ~joints:case.Case.joints
       in
       let builds =
         [
-          ("flat", flat_surface case.Case.summary);
+          ("flat", case.Case.summary);
           ("rows3", part 3 Edb_shard.Partition.Rows);
           ("attr2", part 2 (Edb_shard.Partition.By_attr 0));
         ]
       in
       let group_sets = Gen.group_attr_sets spec schema in
       let q0 = List.hd case.Case.queries in
+      let top3 attrs =
+        {
+          T.disjuncts = [ q0 ];
+          aggregate = T.Count;
+          group_attrs = attrs;
+          order = Some Edb_query.Ast.Desc;
+          limit = Some 3;
+        }
+      in
       let key k = String.concat "," (List.map string_of_int k) in
       List.concat_map
         (fun (build, s) ->
+          let plan = E.of_summary s in
           let buf = ref [] in
           let addf fmt = Printf.ksprintf (fun l -> buf := l :: !buf) fmt in
           addf "seed %d build %s" seed build;
           List.iteri
             (fun i q ->
-              let e, v = s.ewv q in
-              addf "count %d %h %h %h %h" i (s.est q) (s.var q) e v;
-              addf "sum %d %h %h %s" i (s.sum q) (s.sum_var q)
-                (match s.avg q with
+              let e, v = S.estimate_with_variance s q in
+              addf "count %d %h %h %h %h" i (S.estimate s q) (S.variance s q) e
+                v;
+              addf "sum %d %h %h %s" i
+                (S.estimate_sum s ~attr:0 q)
+                (S.variance_sum s ~attr:0 q)
+                (match S.estimate_avg s ~attr:0 q with
                 | Some a -> Printf.sprintf "%h" a
                 | None -> "none");
-              let c = E.count s.plan q in
-              let sm = Option.get (E.sum s.plan 0 q) in
+              let c = E.count plan q in
+              let sm = Option.get (E.sum plan 0 q) in
               addf "plan %d %h %h %h %h" i c.E.est c.E.var sm.E.est sm.E.var)
             case.Case.queries;
           List.iteri
             (fun gi attrs ->
+              let cells = S.estimate_groups_with_variance s ~attrs q0 in
               List.iter
                 (fun (k, e, v) -> addf "group %d %s %h %h" gi (key k) e v)
-                (s.groups attrs q0);
+                cells;
               List.iter
-                (fun (k, e) -> addf "top %d %s %h" gi (key k) e)
-                (s.top3 attrs q0);
+                (fun (k, e, _) -> addf "top %d %s %h" gi (key k) e)
+                (T.order_groups (top3 attrs) cells);
               List.iter
                 (fun (k, (a : E.answer)) ->
                   addf "plan_group %d %s %h %h" gi (key k) a.E.est a.E.var)
-                (Option.get (E.groups s.plan attrs q0)))
+                (Option.get (E.groups plan attrs q0)))
             group_sets;
           List.iteri
-            (fun di d -> addf "or %d %h %h" di (s.or_est d) (s.or_var d))
+            (fun di d ->
+              addf "or %d %h %h" di
+                (S.estimate_disjuncts s d)
+                (S.variance_disjuncts s d))
             (Gen.disjunctions spec schema);
           List.rev !buf)
         builds)

@@ -635,7 +635,19 @@ let test_estimate_groups () =
   Alcotest.(check (float 1e-3))
     "groups partition the total" (Summary.estimate summary q) total;
   let k = 3 in
-  let top = Summary.top_k_groups summary ~attrs ~k q in
+  (* ORDER BY COUNT( * ) DESC LIMIT k, by the one grouped-answer rule. *)
+  let top =
+    Edb_query.Translate.order_groups
+      {
+        Edb_query.Translate.disjuncts = [ q ];
+        aggregate = Edb_query.Translate.Count;
+        group_attrs = attrs;
+        order = Some Edb_query.Ast.Desc;
+        limit = Some k;
+      }
+      (Summary.estimate_groups_with_stddev summary ~attrs q)
+    |> List.map (fun (key, e, _) -> (key, e))
+  in
   Alcotest.(check bool) "at most k" true (List.length top <= k);
   let rec desc = function
     | (_, a) :: ((_, b) :: _ as rest) -> a >= b -. 1e-12 && desc rest
@@ -703,9 +715,9 @@ let batched_kernel_matches_per_value =
            check;
          true))
 
-(* Summary.estimate_groups (batched, flat and k = 1 sharded) must match
-   the naive one-estimate-per-cell enumeration it replaced, keys, order,
-   variances, and all. *)
+(* Summary.estimate_groups (batched, flat and a k = 1 partitioned build)
+   must match the naive one-estimate-per-cell enumeration it replaced,
+   keys, order, variances, and all. *)
 let test_estimate_groups_matches_naive () =
   let case = random_case 903 in
   let phi = Phi.of_relation case.rel ~joints:case.joints in
@@ -715,7 +727,11 @@ let test_estimate_groups_matches_naive () =
   in
   let schema = Phi.schema phi in
   let arity = Schema.arity schema in
-  let sharded = Edb_shard.Sharded.of_flat summary in
+  let sharded =
+    Edb_shard.Builder.build
+      ~solver_config:{ Solver.default_config with log_every = 0 }
+      case.rel ~shards:1 ~strategy:Edb_shard.Partition.Rows ~joints:case.joints
+  in
   let rng = Prng.create ~seed:904 () in
   for _ = 1 to 6 do
     let q = random_query rng schema in
@@ -762,7 +778,7 @@ let test_estimate_groups_matches_naive () =
     (* k = 1 sharded must be bitwise identical to flat. *)
     let triples = Summary.estimate_groups_with_stddev summary ~attrs q in
     let sharded_triples =
-      Edb_shard.Sharded.estimate_groups_with_stddev sharded ~attrs q
+      Summary.estimate_groups_with_stddev sharded ~attrs q
     in
     List.iter2
       (fun (ka, ea, sa) (kb, eb, sb) ->
@@ -897,12 +913,15 @@ let test_cache_grouped_no_collision () =
   (* Cached grouped values equal the uncached evaluation. *)
   Alcotest.(check bool)
     "grouped = summary" true
-    (g0 = Summary.estimate_groups_with_stddev summary ~attrs:[ 0 ] q);
-  (* Without a grouped evaluator the grouped entry point refuses. *)
-  let plain = Cache.of_fn (fun _ -> 0.) in
-  match Cache.estimate_groups plain ~attrs:[ 0 ] q with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument without grouped evaluator"
+    (g0 = Summary.estimate_groups_with_stddev summary ~attrs:[ 0 ] q)
+
+(* A one-attribute summary with 12 values: the cache tests below only
+   need distinct predicates over it. *)
+let cache_summary () =
+  let schema = make_schema [ 12 ] in
+  let rel = random_relation (Prng.create ~seed:705 ()) schema 40 in
+  Summary.build ~solver_config:{ Solver.default_config with log_every = 0 }
+    rel ~joints:[]
 
 (* Eviction must drop exactly the least-recently-used entries: recency is
    ticked on hits, not just inserts. *)
@@ -915,7 +934,8 @@ let test_cache_starts_small () =
     ignore (Sys.opaque_identity (f ()));
     Gc.allocated_bytes () -. b0
   in
-  let make capacity () = Cache.of_fn ~capacity (fun _ -> 0.) in
+  let summary = cache_summary () in
+  let make capacity () = Cache.create ~capacity summary in
   ignore (allocated (make 16));
   let small = allocated (make 16) and large = allocated (make 4096) in
   Alcotest.(check bool)
@@ -925,7 +945,7 @@ let test_cache_starts_small () =
 
 let test_cache_eviction_order () =
   let pred k = Predicate.of_alist ~arity:1 [ (0, Ranges.interval 0 k) ] in
-  let cache = Cache.of_fn ~capacity:10 (fun _ -> 0.) in
+  let cache = Cache.create ~capacity:10 (cache_summary ()) in
   (* Fill to capacity: q0..q9, inserted in order. *)
   for k = 0 to 9 do
     ignore (Cache.estimate cache (pred k))
@@ -1366,11 +1386,15 @@ let sharded_manifest_roundtrip =
            ~finally:(fun () -> manifest_rm_rf dir)
            (fun () ->
              let path = Filename.concat dir "s.edb" in
-             Serialize.save_sharded ~strategy:"rows" summaries path;
+             Serialize.save_sharded
+               (Summary.of_parts ~strategy:"rows" summaries)
+               path;
              if Serialize.detect path <> Serialize.Sharded then false
              else begin
-               let strategy, loaded = Serialize.load_sharded path in
-               strategy = "rows"
+               (* The format-dispatching load reads manifests too. *)
+               let whole = Serialize.load path in
+               let loaded = Summary.parts whole in
+               Summary.strategy whole = "rows"
                && Array.length loaded = k
                && begin
                     let rng = Prng.create ~seed:(seed + 1) () in
@@ -1405,7 +1429,7 @@ let test_sharded_manifest_corruption () =
     ~finally:(fun () -> manifest_rm_rf dir)
     (fun () ->
       let path = Filename.concat dir "s.edb" in
-      Serialize.save_sharded ~strategy:"rows" summaries path;
+      Serialize.save_sharded (Summary.of_parts ~strategy:"rows" summaries) path;
       let original = In_channel.with_open_bin path In_channel.input_all in
       let len = String.length original in
       let write bytes =
@@ -1465,10 +1489,9 @@ let test_sharded_manifest_corruption () =
       (* Restored intact, it loads again. *)
       Out_channel.with_open_bin shard1 (fun oc ->
           Out_channel.output_string oc shard1_bytes);
-      match Serialize.load_sharded path with
-      | strategy, loaded ->
-          Alcotest.(check string) "strategy back" "rows" strategy;
-          Alcotest.(check int) "both shards back" 2 (Array.length loaded))
+      let loaded = Serialize.load_sharded path in
+      Alcotest.(check string) "strategy back" "rows" (Summary.strategy loaded);
+      Alcotest.(check int) "both shards back" 2 (Summary.num_parts loaded))
 
 (* ------------------------------------------------------------------ *)
 (* Possible-world sampling                                             *)
@@ -1603,7 +1626,7 @@ let test_disjunction_inclusion_exclusion () =
     for _ = 1 to 5 do
       let d = 1 + Prng.int rng 3 in
       let preds = List.init d (fun _ -> random_query rng schema) in
-      let fast = Disjunction.estimate summary preds in
+      let fast = Summary.estimate_disjuncts summary preds in
       (* Reference: per-tuple union membership via brute force. *)
       let slow =
         let probs = Bruteforce.tuple_probabilities bf alpha in
@@ -1630,22 +1653,22 @@ let test_disjunction_guards () =
       phi
   in
   (try
-     ignore (Disjunction.estimate summary []);
+     ignore (Summary.estimate_disjuncts summary []);
      Alcotest.fail "empty disjunction must raise"
    with Invalid_argument _ -> ());
   let arity = Schema.arity (Phi.schema phi) in
   let taut = Predicate.tautology arity in
   (try
-     ignore (Disjunction.estimate summary (List.init 11 (fun _ -> taut)));
+     ignore (Summary.estimate_disjuncts summary (List.init 11 (fun _ -> taut)));
      Alcotest.fail "too many disjuncts must raise"
    with Invalid_argument _ -> ());
   (* Union with the tautology is everything. *)
   Alcotest.(check (float 1e-6))
     "union with true = n"
     (float_of_int (Summary.cardinality summary))
-    (Disjunction.estimate summary [ taut; taut ]);
+    (Summary.estimate_disjuncts summary [ taut; taut ]);
   (* Probability bounded. *)
-  let p = Disjunction.probability summary [ taut ] in
+  let p = Disjunction.probability (Summary.poly summary) [ taut ] in
   Alcotest.(check (float 1e-9)) "P[true] = 1" 1. p
 
 (* ------------------------------------------------------------------ *)
@@ -1764,24 +1787,24 @@ let test_disjunction_edge_clauses () =
      so the whole inclusion–exclusion sum for it collapses). *)
   Alcotest.(check (float 1e-9))
     "unsat alone" 0.
-    (Disjunction.estimate summary [ unsat ]);
+    (Summary.estimate_disjuncts summary [ unsat ]);
   Alcotest.(check (float 1e-9))
     "unsat clause drops out"
-    (Disjunction.estimate summary [ q ])
-    (Disjunction.estimate summary [ q; unsat ]);
+    (Summary.estimate_disjuncts summary [ q ])
+    (Summary.estimate_disjuncts summary [ q; unsat ]);
   (* A clause explicitly enumerating an attribute's whole domain is the
      tautology in disguise; with any other clause it absorbs the union. *)
   let full = Predicate.of_alist ~arity:2 [ (0, Ranges.interval 0 4) ] in
   Alcotest.(check (float 1e-6))
     "explicit full-domain clause = n" n
-    (Disjunction.estimate summary [ full ]);
+    (Summary.estimate_disjuncts summary [ full ]);
   Alcotest.(check (float 1e-6))
     "full-domain clause absorbs" n
-    (Disjunction.estimate summary [ q; full ]);
+    (Summary.estimate_disjuncts summary [ q; full ]);
   Alcotest.(check (float 1e-9))
     "singleton OR = plain estimate"
     (Summary.estimate summary q)
-    (Disjunction.estimate summary [ q ])
+    (Summary.estimate_disjuncts summary [ q ])
 
 let test_single_bucket_attribute () =
   (* A degenerate attribute whose active domain has exactly one value:
@@ -1817,7 +1840,7 @@ let test_single_bucket_attribute () =
   Alcotest.(check (float 1e-9))
     "disjunction over the degenerate schema"
     (Summary.estimate summary q)
-    (Disjunction.estimate summary [ q ])
+    (Summary.estimate_disjuncts summary [ q ])
 
 let test_hierarchy_edges () =
   let schema = make_schema [ 6; 3 ] in
@@ -2019,10 +2042,12 @@ let test_heap_mapped_one_answer () =
       queries;
     List.iter
       (fun d ->
-        same "OR" (Disjunction.estimate heap d) (Disjunction.estimate mapped d);
+        same "OR"
+          (Summary.estimate_disjuncts heap d)
+          (Summary.estimate_disjuncts mapped d);
         same "OR variance"
-          (Disjunction.variance heap d)
-          (Disjunction.variance mapped d))
+          (Summary.variance_disjuncts heap d)
+          (Summary.variance_disjuncts mapped d))
       disjunctions;
     match !differ with
     | [] -> ()

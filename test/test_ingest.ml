@@ -461,13 +461,23 @@ let test_save_atomic_v3 () =
     (Summary.cardinality s');
   Alcotest.(check int) "journal survived" 1
     (Journal.batches (Summary.journal s'));
-  (* Forcing a format wins over sniffing, both directions. *)
-  Ingest.save_atomic ~format:`Flat s2 path;
-  Alcotest.(check bool) "forced flat" true
-    (Serialize.detect path = Serialize.Flat);
-  Ingest.save_atomic ~format:`V3 s2 path;
-  Alcotest.(check bool) "forced v3" true
-    (Serialize.detect path = Serialize.MappedV3);
+  (* Writing to a new path keeps the source file's format ([~like], as
+     `entropydb ingest -o NEW` passes it), in both directions. *)
+  let copy = Filename.concat dir "copy.v3" in
+  Ingest.save_atomic ~like:path s2 copy;
+  Alcotest.(check bool) "v3 source, new path: v3" true
+    (Serialize.detect copy = Serialize.MappedV3);
+  let flat_src = Filename.concat dir "s.flat" in
+  Serialize.save s1 flat_src;
+  let flat_copy = Filename.concat dir "copy.flat" in
+  Ingest.save_atomic ~like:flat_src s2 flat_copy;
+  Alcotest.(check bool) "flat source, new path: flat" true
+    (Serialize.detect flat_copy = Serialize.Flat);
+  (* Without [~like], the target's own format is kept: v3 above, flat
+     here. *)
+  Ingest.save_atomic s2 flat_src;
+  Alcotest.(check bool) "default keeps a flat target flat" true
+    (Serialize.detect flat_src = Serialize.Flat);
   Alcotest.(check (list string)) "no temp files" []
     (Ingest.orphan_temps ~dir)
 

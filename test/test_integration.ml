@@ -48,7 +48,7 @@ let test_sql_pipeline () =
       match Edb_query.Translate.compile_string schema sql with
       | Error e -> Alcotest.failf "%s: %a" sql Edb_query.Translate.pp_error e
       | Ok c ->
-          let est = Disjunction.estimate summary c.disjuncts in
+          let est = Summary.estimate_disjuncts summary c.disjuncts in
           let truth = float_of_int (Exec.count_dnf rel c.disjuncts) in
           let err = Metrics.rel_error ~truth ~est in
           if err > 0.35 then

@@ -350,13 +350,11 @@ let test_no_answer_before_verification () =
           ignore (Summary.estimate_sum m ~attr:2 q));
       refuses "Summary.estimate_groups_with_variance" (fun m ->
           ignore (Summary.estimate_groups_with_variance m ~attrs:[ 0 ] q));
-      refuses "Disjunction.estimate" (fun m ->
-          ignore (Disjunction.estimate m [ q; q' ]));
+      refuses "Summary.estimate_disjuncts" (fun m ->
+          ignore (Summary.estimate_disjuncts m [ q; q' ]));
       refuses "Plan.Estimator count" (fun m ->
           ignore
-            (Edb_plan.Estimator.count
-               (Edb_plan.Estimator.of_sharded (Edb_shard.Sharded.of_flat m))
-               q));
+            (Edb_plan.Estimator.count (Edb_plan.Estimator.of_summary m) q));
       List.iter
         (fun (what, request) ->
           let catalog = Catalog.create () in
@@ -507,9 +505,9 @@ let test_handler_dispatch () =
            lines)
   | Protocol.Err { message; _ } -> Alcotest.fail message
 
-(* Sharded summaries must be served transparently: same protocol, same
-   answers as querying the Sharded value in-process, with shard counts
-   surfaced in LOAD/LIST/STATS. *)
+(* Partitioned summaries must be served transparently: same protocol,
+   same answers as querying the summary in-process, with part counts
+   surfaced as shards in LOAD/LIST/STATS. *)
 let test_handler_sharded () =
   let contains line needle =
     let ll = String.length line and nl = String.length needle in
@@ -530,7 +528,7 @@ let test_handler_sharded () =
       rel ~shards:2 ~strategy:Edb_shard.Partition.Rows ~joints
   in
   let path = Filename.concat dir "sharded.edb" in
-  Edb_shard.Store.save sh path;
+  Serialize.save_sharded sh path;
   let catalog = Catalog.create () in
   let metrics = Metrics.create () in
   let handle r = fst (Handler.handle ~catalog ~metrics r) in
@@ -556,7 +554,7 @@ let test_handler_sharded () =
       let q = Predicate.of_alist ~arity:3 [ (0, Ranges.interval 1 3) ] in
       Alcotest.(check (float 1e-9))
         "wire answer = in-process fan-out"
-        (Edb_shard.Sharded.estimate sh q)
+        (Summary.estimate sh q)
         v
   | Protocol.Err { message; _ } -> Alcotest.fail message);
   let groupby_sql = "SELECT COUNT(*) FROM f GROUP BY a1" in
@@ -566,7 +564,7 @@ let test_handler_sharded () =
       (* Estimates and stddevs come from the batched grouped path; they
          must equal the in-process fan-out's answers. *)
       let expected =
-        Edb_shard.Sharded.estimate_groups_with_stddev sh ~attrs:[ 1 ]
+        Summary.estimate_groups_with_stddev sh ~attrs:[ 1 ]
           (Predicate.tautology 3)
         (* The handler's default order: estimate descending, key-broken. *)
         |> List.sort (fun (ka, a, _) (kb, b, _) ->
@@ -605,6 +603,85 @@ let test_handler_sharded () =
    after it, a tight target must route to the exact scan and answer the
    true count, EXPLAIN must grow a candidate table, and the planner's
    edb_obs counters must surface in STATS. *)
+(* QUERY and PLAN order grouped answers by one rule: by estimate,
+   descending unless ASC, ties broken by ascending key, then LIMIT.
+   Every reply must be the library's cells sorted by that rule (restated
+   here independently), rendered byte for byte — including under a WHERE
+   no row satisfies, where every cell is 0 and the order is the
+   tie-break alone. *)
+let test_handler_group_order () =
+  let dir = temp_dir () in
+  let summary = small_summary ~seed:37 () in
+  let path = saved_summary dir "g" summary in
+  let catalog = Catalog.create () in
+  let metrics = Metrics.create () in
+  let handle r = fst (Handler.handle ~catalog ~metrics r) in
+  (match handle (Protocol.Load { name = "g"; path }) with
+  | Protocol.Ok _ -> ()
+  | Protocol.Err { message; _ } -> Alcotest.fail message);
+  let empty = Predicate.of_alist ~arity:3 [ (2, Ranges.empty) ] in
+  let cases =
+    [
+      ("", Predicate.tautology 3);
+      (* a2's domain is 0..3: no row has 99. *)
+      (" WHERE a2 = 99", empty);
+    ]
+  in
+  let orders =
+    [
+      (" ORDER BY COUNT(*) ASC LIMIT 3", `Asc, Some 3);
+      (" ORDER BY COUNT(*) DESC LIMIT 3", `Desc, Some 3);
+      ("", `Desc, None);
+    ]
+  in
+  List.iter
+    (fun (where, pred) ->
+      let cells =
+        Summary.estimate_groups_with_stddev summary ~attrs:[ 0; 1 ] pred
+      in
+      if pred == empty then
+        Alcotest.(check bool) "unsatisfiable WHERE: every cell 0" true
+          (List.for_all (fun (_, e, _) -> e = 0.) cells);
+      List.iter
+        (fun (order_sql, dir, limit) ->
+          let sorted =
+            List.sort
+              (fun (ka, a, _) (kb, b, _) ->
+                let o =
+                  match dir with
+                  | `Asc -> Float.compare a b
+                  | `Desc -> Float.compare b a
+                in
+                if o <> 0 then o else compare ka kb)
+              cells
+          in
+          let kept =
+            match limit with
+            | Some k -> List.filteri (fun i _ -> i < k) sorted
+            | None -> sorted
+          in
+          let expected =
+            List.map
+              (fun (key, e, sd) ->
+                Printf.sprintf "group %.17g %.17g %s" e sd
+                  (String.concat "," (List.map string_of_int key)))
+              kept
+          in
+          let sql =
+            "SELECT COUNT(*) FROM f" ^ where ^ " GROUP BY a0, a1" ^ order_sql
+          in
+          (match handle (Protocol.Query { name = "g"; sql }) with
+          | Protocol.Ok lines ->
+              Alcotest.(check (list string)) ("QUERY " ^ sql) expected lines
+          | Protocol.Err { message; _ } -> Alcotest.fail message);
+          match handle (Protocol.Plan { name = "g"; ci = "95:50"; sql }) with
+          | Protocol.Ok (_route :: lines) ->
+              Alcotest.(check (list string)) ("PLAN " ^ sql) expected lines
+          | Protocol.Ok [] -> Alcotest.fail "empty PLAN payload"
+          | Protocol.Err { message; _ } -> Alcotest.fail message)
+        orders)
+    cases
+
 let test_handler_plan () =
   let starts_with prefix line =
     String.length line >= String.length prefix
@@ -795,7 +872,7 @@ let test_handler_refresh () =
         ]
   in
   let shpath = Filename.concat dir "sh.edb" in
-  Edb_shard.Store.save sh shpath;
+  Serialize.save_sharded sh shpath;
   (match handle (Protocol.Load { name = "sh"; path = shpath }) with
   | Protocol.Ok _ -> ()
   | Protocol.Err { message; _ } -> Alcotest.fail message);
@@ -891,7 +968,7 @@ let test_e2e_smoke () =
       | Ok payload ->
           let v = Option.get (Client.estimate_of_payload payload) in
           let expected =
-            Disjunction.estimate summary
+            Summary.estimate_disjuncts summary
               [
                 Predicate.of_alist ~arity [ (0, Ranges.singleton 1) ];
                 Predicate.of_alist ~arity [ (1, Ranges.singleton 2) ];
@@ -1116,10 +1193,7 @@ let test_e2e_refresh_race () =
   let s0 = Serialize.load path in
   let s1 = Edb_ingest.Ingest.append ~source:"b1.csv" s0 b1 in
   let s2 = Edb_ingest.Ingest.append ~source:"b2.csv" s1 b2 in
-  let pair s =
-    let sh = Edb_shard.Sharded.of_flat s in
-    (Edb_shard.Sharded.estimate sh q, Edb_shard.Sharded.stddev sh q)
-  in
+  let pair s = (Summary.estimate s q, Summary.stddev s q) in
   let consistent = List.map pair [ s0; s1; s2 ] in
   let answer_of payload =
     let field key =
@@ -1546,6 +1620,8 @@ let () =
           Alcotest.test_case "dispatch" `Quick test_handler_dispatch;
           Alcotest.test_case "sharded summary" `Quick test_handler_sharded;
           Alcotest.test_case "attach + plan routing" `Quick test_handler_plan;
+          Alcotest.test_case "grouped ORDER BY / LIMIT on QUERY and PLAN"
+            `Quick test_handler_group_order;
           Alcotest.test_case "refresh ingests and swaps" `Quick
             test_handler_refresh;
         ] );

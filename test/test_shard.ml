@@ -1,7 +1,7 @@
 (* Tests for edb_shard: partitioning invariants, parallel build
-   determinism, and the central exactness claim — a sharded summary's
-   every estimator equals the sum of the per-shard answers, and at k = 1
-   equals the flat summary bitwise. *)
+   determinism, and the central exactness claim — a partitioned
+   summary's every estimator equals the sum of the per-part answers, and
+   at k = 1 equals the flat summary bitwise. *)
 
 open Edb_util
 open Edb_storage
@@ -62,6 +62,9 @@ let fixture_joints =
     Predicate.of_alist ~arity:3
       [ (0, Ranges.interval 3 5); (1, Ranges.interval 0 1) ];
   ]
+
+let cardinalities sh =
+  Array.to_list (Array.map Summary.cardinality (Summary.parts sh))
 
 let rows_of rel =
   List.init (Relation.cardinality rel) (fun i ->
@@ -136,7 +139,7 @@ let test_partition_validation () =
     (Partition.strategy_tag fixture_schema (Partition.By_attr 1))
 
 (* ------------------------------------------------------------------ *)
-(* Builder + Sharded: exactness                                        *)
+(* Builder: exactness                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let test_k1_matches_flat () =
@@ -146,30 +149,26 @@ let test_k1_matches_flat () =
     Builder.build ~solver_config:quiet rel ~shards:1 ~strategy:Partition.Rows
       ~joints:fixture_joints
   in
-  Alcotest.(check int) "one shard" 1 (Sharded.num_shards sh);
+  Alcotest.(check int) "one shard" 1 (Summary.num_parts sh);
   let rng = Prng.create ~seed:21 () in
   for _ = 1 to 40 do
     let q = random_query rng fixture_schema in
     (* Bitwise: the single shard is the same relation, the build is
        deterministic, and the fan-out fold starts at 0. *)
     Alcotest.(check (float 0.))
-      "estimate" (Summary.estimate flat q) (Sharded.estimate sh q);
+      "estimate" (Summary.estimate flat q) (Summary.estimate sh q);
     Alcotest.(check (float 0.))
-      "variance" (Summary.variance flat q) (Sharded.variance sh q);
+      "variance" (Summary.variance flat q) (Summary.variance sh q);
     Alcotest.(check (float 0.))
       "sum"
       (Summary.estimate_sum flat ~attr:2 q)
-      (Sharded.estimate_sum sh ~attr:2 q)
+      (Summary.estimate_sum sh ~attr:2 q)
   done;
   let q = Predicate.of_alist ~arity:3 [ (0, Ranges.interval 0 4) ] in
   Alcotest.(check (list (pair (list int) (float 0.))))
     "groups"
     (Summary.estimate_groups flat ~attrs:[ 1 ] q)
-    (Sharded.estimate_groups sh ~attrs:[ 1 ] q);
-  Alcotest.(check (list (pair (list int) (float 0.))))
-    "top-k"
-    (Summary.top_k_groups flat ~attrs:[ 1 ] ~k:3 q)
-    (Sharded.top_k_groups sh ~attrs:[ 1 ] ~k:3 q);
+    (Summary.estimate_groups sh ~attrs:[ 1 ] q);
   (* The grouped-with-uncertainty surface must also be bitwise at k = 1 —
      the handler serves its stddevs straight from this path. *)
   List.iter2
@@ -178,7 +177,7 @@ let test_k1_matches_flat () =
       Alcotest.(check (float 0.)) "group estimate" ea eb;
       Alcotest.(check (float 0.)) "group stddev" sa sb)
     (Summary.estimate_groups_with_stddev flat ~attrs:[ 1 ] q)
-    (Sharded.estimate_groups_with_stddev sh ~attrs:[ 1 ] q)
+    (Summary.estimate_groups_with_stddev sh ~attrs:[ 1 ] q)
 
 let test_fanout_equals_per_shard_sums () =
   let rel = fixture_rel () in
@@ -188,7 +187,7 @@ let test_fanout_equals_per_shard_sums () =
         Builder.build ~solver_config:quiet rel ~shards
           ~strategy:Partition.Rows ~joints:fixture_joints
       in
-      let parts = Sharded.shards sh in
+      let parts = Summary.parts sh in
       Alcotest.(check int) "k shards" shards (Array.length parts);
       let sum f = Array.fold_left (fun acc s -> acc +. f s) 0. parts in
       let rng = Prng.create ~seed:(100 + shards) () in
@@ -197,29 +196,29 @@ let test_fanout_equals_per_shard_sums () =
         Alcotest.(check (float 1e-9))
           "estimate = per-shard sum"
           (sum (fun s -> Summary.estimate s q))
-          (Sharded.estimate sh q);
+          (Summary.estimate sh q);
         Alcotest.(check (float 1e-9))
           "variance = per-shard sum"
           (sum (fun s -> Summary.variance s q))
-          (Sharded.variance sh q);
+          (Summary.variance sh q);
         Alcotest.(check (float 1e-9))
           "sum = per-shard sum"
           (sum (fun s -> Summary.estimate_sum s ~attr:2 q))
-          (Sharded.estimate_sum sh ~attr:2 q);
-        (match Sharded.estimate_avg sh ~attr:2 q with
+          (Summary.estimate_sum sh ~attr:2 q);
+        (match Summary.estimate_avg sh ~attr:2 q with
         | Some avg ->
             Alcotest.(check (float 1e-9))
               "avg = total sum / total count"
-              (Sharded.estimate_sum sh ~attr:2 q /. Sharded.estimate sh q)
+              (Summary.estimate_sum sh ~attr:2 q /. Summary.estimate sh q)
               avg
         | None ->
             Alcotest.(check bool) "avg undefined only at count 0" true
-              (Sharded.estimate sh q <= 0.))
+              (Summary.estimate sh q <= 0.))
       done;
       (* GROUP BY: per-key sums across shards, keys in shard-0 (= flat)
          enumeration order. *)
       let q = Predicate.of_alist ~arity:3 [ (2, Ranges.interval 0 2) ] in
-      let merged = Sharded.estimate_groups sh ~attrs:[ 0 ] q in
+      let merged = Summary.estimate_groups sh ~attrs:[ 0 ] q in
       let per_shard =
         Array.to_list
           (Array.map (fun s -> Summary.estimate_groups s ~attrs:[ 0 ] q) parts)
@@ -248,17 +247,17 @@ let test_fanout_equals_per_shard_sums () =
           if not (Floatx.approx_eq ~rtol:1e-9 ~atol:1e-9 exp_var var) then
             Alcotest.failf "group variance %.12g vs per-shard sum %.12g" var
               exp_var;
-          let exp_est = Sharded.estimate sh group_pred in
+          let exp_est = Summary.estimate sh group_pred in
           if not (Floatx.approx_eq ~rtol:1e-9 ~atol:1e-9 exp_est est) then
             Alcotest.failf "group estimate %.12g vs scalar fan-out %.12g" est
               exp_est)
-        (Sharded.estimate_groups_with_variance sh ~attrs:[ 0 ] q);
+        (Summary.estimate_groups_with_variance sh ~attrs:[ 0 ] q);
       (* Total cardinality: tautology estimates n exactly-ish because
          each shard's model preserves its own row count. *)
       Alcotest.(check (float 1e-3))
         "tautology sums to n"
         (float_of_int (Relation.cardinality rel))
-        (Sharded.estimate sh (Predicate.tautology 3)))
+        (Summary.estimate sh (Predicate.tautology 3)))
     [ 1; 2; 4 ]
 
 let test_by_attr_build () =
@@ -267,14 +266,14 @@ let test_by_attr_build () =
     Builder.build ~solver_config:quiet rel ~shards:3
       ~strategy:(Partition.By_attr 1) ~joints:fixture_joints
   in
-  Alcotest.(check string) "strategy tag" "attr:a1" (Sharded.strategy sh);
+  Alcotest.(check string) "strategy tag" "attr:a1" (Summary.strategy sh);
   Alcotest.(check int) "cardinality preserved"
     (Relation.cardinality rel)
-    (Sharded.cardinality sh);
+    (Summary.cardinality sh);
   Alcotest.(check (float 1e-3))
     "tautology sums to n"
     (float_of_int (Relation.cardinality rel))
-    (Sharded.estimate sh (Predicate.tautology 3))
+    (Summary.estimate sh (Predicate.tautology 3))
 
 let test_build_deterministic_across_domains () =
   let rel = fixture_rel () in
@@ -290,11 +289,11 @@ let test_build_deterministic_across_domains () =
        order — and hence every answer — is bitwise independent of the
        domain count. *)
     Alcotest.(check (float 0.))
-      "estimate independent of domains" (Sharded.estimate a q)
-      (Sharded.estimate b q);
+      "estimate independent of domains" (Summary.estimate a q)
+      (Summary.estimate b q);
     Alcotest.(check (float 0.))
-      "variance independent of domains" (Sharded.variance a q)
-      (Sharded.variance b q)
+      "variance independent of domains" (Summary.variance a q)
+      (Summary.variance b q)
   done
 
 let test_empty_shards () =
@@ -305,14 +304,14 @@ let test_empty_shards () =
     Builder.build ~solver_config:quiet rel ~shards:8 ~strategy:Partition.Rows
       ~joints:fixture_joints
   in
-  Alcotest.(check int) "eight shards" 8 (Sharded.num_shards sh);
-  Alcotest.(check int) "three rows" 3 (Sharded.cardinality sh);
+  Alcotest.(check int) "eight shards" 8 (Summary.num_parts sh);
+  Alcotest.(check int) "three rows" 3 (Summary.cardinality sh);
   Alcotest.(check bool) "some shard is empty" true
-    (List.mem 0 (Sharded.cardinalities sh));
+    (List.mem 0 (cardinalities sh));
   let rng = Prng.create ~seed:41 () in
   for _ = 1 to 20 do
     let q = random_query rng fixture_schema in
-    let e = Sharded.estimate sh q and v = Sharded.variance sh q in
+    let e = Summary.estimate sh q and v = Summary.variance sh q in
     if not (Float.is_finite e && e >= 0.) then
       Alcotest.failf "estimate not finite/non-negative: %g" e;
     if not (Float.is_finite v && v >= 0.) then
@@ -324,13 +323,13 @@ let test_empty_shards () =
         Alcotest.(check (float 0.))
           "empty shard tautology" 0.
           (Summary.estimate s (Predicate.tautology 3)))
-    (Sharded.shards sh);
+    (Summary.parts sh);
   Alcotest.(check (float 1e-3))
     "tautology still sums to n" 3.
-    (Sharded.estimate sh (Predicate.tautology 3))
+    (Summary.estimate sh (Predicate.tautology 3))
 
 (* ------------------------------------------------------------------ *)
-(* Store round-trip                                                    *)
+(* Persistence round-trip                                              *)
 (* ------------------------------------------------------------------ *)
 
 let temp_dir () =
@@ -356,22 +355,22 @@ let test_store_roundtrip () =
           ~strategy:Partition.Rows ~joints:fixture_joints
       in
       let path = Filename.concat dir "sharded.edb" in
-      Store.save sh path;
+      Serialize.save_sharded sh path;
       Alcotest.(check bool) "detected as sharded" true
         (Serialize.detect path = Serialize.Sharded);
-      let sh' = Store.load path in
-      Alcotest.(check int) "shards" 3 (Sharded.num_shards sh');
-      Alcotest.(check string) "strategy" "rows" (Sharded.strategy sh');
+      let sh' = Serialize.load path in
+      Alcotest.(check int) "shards" 3 (Summary.num_parts sh');
+      Alcotest.(check string) "strategy" "rows" (Summary.strategy sh');
       Alcotest.(check (list int))
         "cardinalities"
-        (Sharded.cardinalities sh)
-        (Sharded.cardinalities sh');
+        (cardinalities sh)
+        (cardinalities sh');
       let rng = Prng.create ~seed:51 () in
       for _ = 1 to 30 do
         let q = random_query rng fixture_schema in
         Alcotest.(check (float 1e-6))
-          "estimate preserved" (Sharded.estimate sh q)
-          (Sharded.estimate sh' q)
+          "estimate preserved" (Summary.estimate sh q)
+          (Summary.estimate sh' q)
       done)
 
 let test_store_loads_flat_as_single_shard () =
@@ -385,15 +384,15 @@ let test_store_loads_flat_as_single_shard () =
       in
       let path = Filename.concat dir "flat.edb" in
       Serialize.save flat path;
-      let sh = Store.load path in
-      Alcotest.(check int) "one shard" 1 (Sharded.num_shards sh);
-      Alcotest.(check string) "flat strategy" "flat" (Sharded.strategy sh);
+      let sh = Serialize.load path in
+      Alcotest.(check int) "one shard" 1 (Summary.num_parts sh);
+      Alcotest.(check string) "flat strategy" "flat" (Summary.strategy sh);
       let rng = Prng.create ~seed:61 () in
       for _ = 1 to 30 do
         let q = random_query rng fixture_schema in
         Alcotest.(check (float 1e-6))
           "estimate preserved" (Summary.estimate flat q)
-          (Sharded.estimate sh q)
+          (Summary.estimate sh q)
       done)
 
 let () =
