@@ -729,7 +729,7 @@ let shardscale config =
 (* ------------------------------------------------------------------ *)
 
 (* Speedup of the single-pass batched GROUP BY kernel
-   (Poly.eval_restricted_by_value, surfaced as Summary.estimate_groups)
+   (Poly.eval_restricted_by_value, surfaced as Summary.groups)
    over the naive one-full-evaluation-per-cell path it replaced, on the
    flights FINE relation grouped by origin (147 cities — the >= 100-value
    attribute the interactive dashboards of Sec. 1 sweep).  Also asserts,
@@ -771,7 +771,7 @@ let groupby config =
   Printf.printf
     "groupby: %d rows, %d joint statistics, GROUP BY origin (%d values)\n%!"
     rows (List.length joints) n_cities;
-  (* Naive path: what Summary.estimate_groups did before the batched
+  (* Naive path: what Summary's GROUP BY did before the batched
      kernel — one full restricted evaluation per group cell. *)
   let naive () =
     List.init n_cities (fun v ->
@@ -781,7 +781,9 @@ let groupby config =
                (Ranges.singleton v)) ))
   in
   let batched () =
-    Entropydb_core.Summary.estimate_groups flat ~attrs:[ F.origin ] query
+    List.map
+      (fun (key, (a : Entropydb_core.Summary.answer)) -> (key, a.est))
+      (Entropydb_core.Summary.groups flat ~attrs:[ F.origin ] query)
   in
   let naive_cells = naive () in
   let batched_cells = batched () in
@@ -800,17 +802,16 @@ let groupby config =
     failwith
       (Printf.sprintf "groupby: batched vs naive disagreement %.3g" max_rel);
   (* A one-part build through the partitioning path must be bitwise the
-     flat build: estimate, variance, and GROUP BY cells with stddev. *)
+     flat build: the COUNT answer and every GROUP BY cell's answer. *)
   let k1 =
     Edb_shard.Builder.build ~solver_config:config.Config.solver rel ~shards:1
       ~strategy:Edb_shard.Partition.Rows ~joints
   in
   let module S = Entropydb_core.Summary in
   if
-    S.estimate flat query <> S.estimate k1 query
-    || S.variance flat query <> S.variance k1 query
-    || S.estimate_groups_with_stddev flat ~attrs:[ F.origin ] query
-       <> S.estimate_groups_with_stddev k1 ~attrs:[ F.origin ] query
+    S.count flat query <> S.count k1 query
+    || S.groups flat ~attrs:[ F.origin ] query
+       <> S.groups k1 ~attrs:[ F.origin ] query
   then failwith "groupby: k=1 sharded differs from flat (not bitwise)";
   (* Multi-domain evaluation must agree with single-domain to <= 1e-9
      (chunk boundaries reassociate float sums, so not bitwise).  Forced
@@ -863,7 +864,7 @@ let groupby config =
   add "batched GROUP BY" (Printf.sprintf "%.3f ms" (batched_s *. 1e3));
   add "speedup" (Printf.sprintf "%.1fx" speedup);
   add "max rel err batched vs naive" (Printf.sprintf "%.3g" max_rel);
-  add "k=1 sharded vs flat" "0 (bitwise, incl. stddev)";
+  add "k=1 sharded vs flat" "0 (bitwise, incl. variance)";
   add
     (Printf.sprintf "max rel err %d-domain vs 1-domain" par_domains)
     (Printf.sprintf "%.3g" par_max_rel);
@@ -944,7 +945,7 @@ let kernel config =
       [ (F.distance, Ranges.interval 5 45) ]
   in
   let eval () = Core.Poly.eval_restricted poly query in
-  (* The production GROUP BY path ([Summary.estimate_groups]) reuses one
+  (* The production GROUP BY path ([Summary.groups]) reuses one
      result buffer across cells, so the kernel is measured through the
      buffer-filling entry point; the AoS baseline had only the allocating
      call, which was likewise its production path. *)
@@ -956,7 +957,7 @@ let kernel config =
       ~out:byvalue_buf;
     byvalue_buf
   in
-  let groups () = Core.Summary.estimate_groups flat ~attrs:[ F.origin ] query in
+  let groups () = Core.Summary.groups flat ~attrs:[ F.origin ] query in
   let n_cells = Edb_storage.Schema.domain_size schema F.origin in
   Printf.printf "kernel: %d rows, %d terms, layout %s\n%!" rows terms
     Core.Poly.layout;
@@ -1092,11 +1093,11 @@ let kernel config =
   add "eval_restricted_by_value"
     (Printf.sprintf "%.1f us (%.2f ns/term, %d cells)" (byvalue_s *. 1e6)
        byvalue_ns n_cells);
-  add "estimate_groups" (Printf.sprintf "%.1f us" (groups_s *. 1e6));
+  add "Summary.groups" (Printf.sprintf "%.1f us" (groups_s *. 1e6));
   add "solver sweep" (Printf.sprintf "%.3f ms" (sweep_s *. 1e3));
   add "eval minor words/call" (Printf.sprintf "%.1f" eval_words);
   add "by_value minor words/call" (Printf.sprintf "%.1f" byvalue_words);
-  add "estimate_groups minor words/call" (Printf.sprintf "%.1f" groups_words);
+  add "groups minor words/call" (Printf.sprintf "%.1f" groups_words);
   (match !speedup_vs_baseline with
   | Some s -> add "batched speedup vs baseline" (Printf.sprintf "%.1fx" s)
   | None -> ());
@@ -1872,7 +1873,7 @@ let catalog config =
     (match
        Catalog.with_entry cat
          (Printf.sprintf "sum-%04d" i)
-         (fun e -> Catalog.estimate e queries.(qi))
+         (fun e -> Summary.estimate e.Catalog.summary queries.(qi))
      with
     | Ok v ->
         if v <> expected.(i mod Array.length small_summaries).(qi) then

@@ -350,19 +350,13 @@ let summarize_cmd =
 (* query                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let conjunctive_exn c =
-  match Edb_query.Translate.conjunctive c with
-  | Some p -> p
-  | None -> failwith "OR predicates are not supported with SUM/AVG/GROUP BY"
-
 let query_cmd =
   let run verbose summary_path sql exact_csv dataset trace_out =
     setup_logs verbose;
     with_trace trace_out @@ fun () ->
-    (* Everything under here may raise (bad summary files, SUM/AVG over OR,
-       categorical SUM via bin midpoints, >10 disjuncts in
-       inclusion-exclusion): turn any of it into a one-line diagnostic and
-       a non-zero exit instead of an uncaught exception. *)
+    (* Everything under here may raise (a missing or corrupt summary
+       file, an unreadable --exact-csv): turn any of it into a one-line
+       diagnostic and a non-zero exit instead of an uncaught exception. *)
     try
     (* Serialize.load sniffs the magic, so this accepts flat summaries,
        v3 files and sharded manifests alike. *)
@@ -372,23 +366,36 @@ let query_cmd =
     | Error e ->
         Fmt.epr "query error: %a@." Edb_query.Translate.pp_error e;
         1
-    | Ok ({ aggregate = Edb_query.Translate.Sum attr; _ } as c) ->
-        let predicate =
-          conjunctive_exn c
-        in
-        let est = Entropydb_core.Summary.estimate_sum summary ~attr predicate in
-        let sd =
-          sqrt (Entropydb_core.Summary.variance_sum summary ~attr predicate)
-        in
-        Printf.printf "estimate: %.2f +/- %.2f\n" est sd;
+    | Ok
+        {
+          aggregate = Edb_query.Translate.Count;
+          disjuncts;
+          group_attrs = [];
+          _;
+        } ->
+        let a = Entropydb_core.Summary.count_disjuncts summary disjuncts in
+        Printf.printf "estimate: %.2f +/- %.2f\n" a.est (sqrt a.var);
+        (match (exact_csv, dataset) with
+        | Some path, Some ds ->
+            let rel = load_relation ds path in
+            Printf.printf "exact:    %d\n" (Exec.count_dnf rel disjuncts)
+        | _ -> ());
+        0
+    | Ok c -> (
+    (* [Translate.compile] admits OR only in a plain COUNT, so every
+       other shape is conjunctive. *)
+    let predicate = Option.get (Edb_query.Translate.conjunctive c) in
+    match c with
+    | { aggregate = Edb_query.Translate.Sum attr; _ } ->
+        let a = Entropydb_core.Summary.sum summary ~attr predicate in
+        Printf.printf "estimate: %.2f +/- %.2f\n" a.est (sqrt a.var);
         (match (exact_csv, dataset) with
         | Some path, Some ds ->
             let rel = load_relation ds path in
             Printf.printf "exact:    %.2f\n" (Exec.sum rel ~attr predicate)
         | _ -> ());
         0
-    | Ok ({ aggregate = Edb_query.Translate.Avg attr; _ } as c) ->
-        let predicate = conjunctive_exn c in
+    | { aggregate = Edb_query.Translate.Avg attr; _ } ->
         (match Entropydb_core.Summary.estimate_avg summary ~attr predicate with
         | Some est -> Printf.printf "estimate: %.4f\n" est
         | None -> Printf.printf "estimate: undefined (expected count 0)\n");
@@ -400,24 +407,16 @@ let query_cmd =
             | None -> Printf.printf "exact:    undefined (no rows)\n")
         | _ -> ());
         0
-    | Ok { disjuncts; group_attrs = []; _ } ->
-        let est = Entropydb_core.Summary.estimate_disjuncts summary disjuncts in
-        let sd = Entropydb_core.Summary.stddev_disjuncts summary disjuncts in
-        Printf.printf "estimate: %.2f +/- %.2f\n" est sd;
-        (match (exact_csv, dataset) with
-        | Some path, Some ds ->
-            let rel = load_relation ds path in
-            Printf.printf "exact:    %d\n" (Exec.count_dnf rel disjuncts)
-        | _ -> ());
-        0
-    | Ok ({ group_attrs; _ } as c) ->
-        let predicate = conjunctive_exn c in
+    | { group_attrs; _ } ->
         (* One batched evaluation yields estimates and stddevs for every
            group cell — no per-cell re-evaluation. *)
         let groups =
           Edb_query.Translate.order_groups c
-            (Entropydb_core.Summary.estimate_groups_with_stddev summary
-               ~attrs:group_attrs predicate)
+            (List.map
+               (fun (key, (a : Entropydb_core.Summary.answer)) ->
+                 (key, a.est, sqrt a.var))
+               (Entropydb_core.Summary.groups summary ~attrs:group_attrs
+                  predicate))
         in
         List.iter
           (fun (values, est, sd) ->
@@ -429,7 +428,7 @@ let query_cmd =
             Printf.printf "%s: %.2f +/- %.2f\n" (String.concat ", " labels) est
               sd)
           groups;
-        0
+        0)
     with
     | Entropydb_core.Serialize.Format_error m ->
         Fmt.epr "query error: %s: %s@." summary_path m;

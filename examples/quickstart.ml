@@ -68,9 +68,9 @@ let () =
             Option.get (Edb_query.Translate.conjunctive c)
           in
           let exact = Exec.count rel predicate in
-          let est = Summary.estimate summary predicate in
-          let sd = Summary.stddev summary predicate in
-          Printf.printf "%-78s %10d %10.1f %8.1f\n" sql exact est sd)
+          let a = Summary.count summary predicate in
+          Printf.printf "%-78s %10d %10.1f %8.1f\n" sql exact a.est
+            (sqrt a.var))
     queries;
 
   (* Bonus: the summary is a full probabilistic database — sample a

@@ -65,9 +65,10 @@ let () =
   match w.light with
   | (vs, c) :: _ ->
       let pred = Hitters.to_predicate ~arity ~attrs vs in
-      let e = Entropydb_core.Summary.estimate summary pred in
-      let sd = Entropydb_core.Summary.stddev summary pred in
+      let a = Entropydb_core.Summary.count summary pred in
       Printf.printf
-        "\nModel belief for the first rare value: %.2f +/- %.2f (true %d)\n" e
-        (1.96 *. sd) c
+        "\nModel belief for the first rare value: %.2f +/- %.2f (true %d)\n"
+        a.est
+        (1.96 *. sqrt a.var)
+        c
   | [] -> ()

@@ -127,7 +127,7 @@ let c_bruteforce_variance ctx =
   List.iter
     (fun q ->
       tally ctx;
-      let fast = Summary.variance s q in
+      let fast = (Summary.count s q).var in
       let p = ref 0. in
       Array.iteri
         (fun idx pr ->
@@ -153,7 +153,7 @@ let c_bruteforce_sum ctx =
   List.iter
     (fun q ->
       tally ctx;
-      let fast = Summary.estimate_sum s ~attr q in
+      let fast = (Summary.sum s ~attr q).est in
       let slow =
         nf ctx *. Bruteforce.eval_weighted bf alphas q ~weights:[ (attr, w) ]
         /. p_total
@@ -176,25 +176,21 @@ let c_flat_vs_k1 ctx =
   List.iter
     (fun q ->
       tally ctx;
-      let a = Summary.estimate s q and b = Summary.estimate k1 q in
-      if a <> b then
+      let a = Summary.count s q and b = Summary.count k1 q in
+      if a.est <> b.est then
         fail ctx ~check:"flat-vs-k1" ~tier:Differential
-          "estimate not bitwise: flat %.17g vs k=1 %.17g on %a" a b
+          "estimate not bitwise: flat %.17g vs k=1 %.17g on %a" a.est b.est
           Predicate.pp q;
       tally ctx;
-      let va = Summary.variance s q and vb = Summary.variance k1 q in
-      if va <> vb then
+      if a.var <> b.var then
         fail ctx ~check:"flat-vs-k1" ~tier:Differential
-          "variance not bitwise: flat %.17g vs k=1 %.17g on %a" va vb
+          "variance not bitwise: flat %.17g vs k=1 %.17g on %a" a.var b.var
           Predicate.pp q)
     ctx.case.Case.queries;
   let attrs = List.hd (Gen.group_attr_sets ctx.case.Case.spec (schema ctx)) in
   let q = List.hd ctx.case.Case.queries in
   tally ctx;
-  if
-    Summary.estimate_groups_with_stddev s ~attrs q
-    <> Summary.estimate_groups_with_stddev k1 ~attrs q
-  then
+  if Summary.groups s ~attrs q <> Summary.groups k1 ~attrs q then
     fail ctx ~check:"flat-vs-k1" ~tier:Differential
       "GROUP BY cells not bitwise at k=1 (attrs %a) on %a"
       Fmt.(Dump.list int)
@@ -218,10 +214,10 @@ let c_shard_additivity ctx =
   List.iter
     (fun d ->
       tally ctx;
-      let fan = Summary.estimate_disjuncts sh d in
+      let fan = (Summary.count_disjuncts sh d).est in
       let sum =
         Array.fold_left
-          (fun acc s -> acc +. Summary.estimate_disjuncts s d)
+          (fun acc s -> acc +. (Summary.count_disjuncts s d).est)
           0. shards
       in
       if not (approx ctx fan sum) then
@@ -263,7 +259,7 @@ let c_groupby_batched_vs_naive ctx =
       List.iter
         (fun q ->
           tally ctx;
-          let batched = Summary.estimate_groups s ~attrs q in
+          let batched = Summary.groups s ~attrs q in
           let naive = naive_groups s ~attrs q in
           if List.length batched <> List.length naive then
             fail ctx ~check:"groupby-batched-vs-naive" ~tier:Differential
@@ -273,7 +269,8 @@ let c_groupby_batched_vs_naive ctx =
               attrs Predicate.pp q
           else
             List.iter2
-              (fun (bk, bv) (nk, nv) ->
+              (fun (bk, (b : Summary.answer)) (nk, nv) ->
+                let bv = b.est in
                 if bk <> nk then
                   fail ctx ~check:"groupby-batched-vs-naive"
                     ~tier:Differential "cell key %a vs %a on %a"
@@ -422,23 +419,20 @@ let c_mmap_v3 ctx =
               "mapped estimate not bitwise: %.17g vs heap %.17g on %a" mm h
               Predicate.pp q;
           tally ctx;
-          let hv, hvar = Summary.estimate_with_variance s q in
-          let mv, mvar = Summary.estimate_with_variance m q in
-          if hv <> mv || hvar <> mvar then
+          let h = Summary.count s q and mm = Summary.count m q in
+          if h <> mm then
             fail ctx ~check:"mmap-v3" ~tier:Differential
               "mapped (est, var) not bitwise: (%.17g, %.17g) vs (%.17g, \
                %.17g) on %a"
-              mv mvar hv hvar Predicate.pp q;
+              mm.est mm.var h.est h.var Predicate.pp q;
           tally ctx;
-          let hs = Summary.estimate_sum s ~attr:0 q in
-          let ms = Summary.estimate_sum m ~attr:0 q in
-          if hs <> ms then
+          let hs = Summary.sum s ~attr:0 q and ms = Summary.sum m ~attr:0 q in
+          if hs.est <> ms.est then
             fail ctx ~check:"mmap-v3" ~tier:Differential
-              "mapped SUM not bitwise: %.17g vs heap %.17g on %a" ms hs
+              "mapped SUM not bitwise: %.17g vs heap %.17g on %a" ms.est hs.est
               Predicate.pp q;
           tally ctx;
-          if Summary.variance_sum s ~attr:0 q <> Summary.variance_sum m ~attr:0 q
-          then
+          if hs.var <> ms.var then
             fail ctx ~check:"mmap-v3" ~tier:Differential
               "mapped SUM variance differs from heap on %a" Predicate.pp q)
         ctx.case.Case.queries;
@@ -447,20 +441,19 @@ let c_mmap_v3 ctx =
       in
       let q0 = List.hd ctx.case.Case.queries in
       tally ctx;
-      if
-        Summary.estimate_groups_with_stddev s ~attrs q0
-        <> Summary.estimate_groups_with_stddev m ~attrs q0
-      then
+      if Summary.groups s ~attrs q0 <> Summary.groups m ~attrs q0 then
         fail ctx ~check:"mmap-v3" ~tier:Differential
           "mapped GROUP BY not bitwise on %a" Predicate.pp q0;
       List.iter
         (fun d ->
           tally ctx;
-          let h = Summary.estimate_disjuncts s d in
-          let mm = Summary.estimate_disjuncts m d in
+          let h = Summary.count_disjuncts s d in
+          let mm = Summary.count_disjuncts m d in
           if h <> mm then
             fail ctx ~check:"mmap-v3" ~tier:Differential
-              "mapped disjunction not bitwise: %.17g vs heap %.17g" mm h)
+              "mapped disjunction not bitwise: (%.17g, %.17g) vs heap \
+               (%.17g, %.17g)"
+              mm.est mm.var h.est h.var)
         (Gen.disjunctions ctx.case.Case.spec (schema ctx));
       (* v3 heap-load round-trips to the same summary as the v2 path. *)
       let flat_path = Filename.concat dir "flat.summary" in
@@ -494,18 +487,23 @@ let c_cache_vs_uncached ctx =
   List.iter
     (fun q ->
       tally ctx;
-      let direct = Summary.estimate s q in
-      let miss = Cache.estimate cache q in
-      let hit = Cache.estimate cache q in
+      let direct = Summary.count s q in
+      let miss = Cache.count cache q in
+      let hit = Cache.count cache q in
       if miss <> direct || hit <> direct then
         fail ctx ~check:"cache-vs-uncached" ~tier:Differential
-          "cache %.17g/%.17g vs direct %.17g on %a" miss hit direct
+          "cache (%.17g, %.17g)/(%.17g, %.17g) vs direct (%.17g, %.17g) on %a"
+          miss.est miss.var hit.est hit.var direct.est direct.var
           Predicate.pp q)
     ctx.case.Case.queries;
   let attrs = List.hd (Gen.group_attr_sets ctx.case.Case.spec (schema ctx)) in
   let q = List.hd ctx.case.Case.queries in
   tally ctx;
-  let direct = Summary.estimate_groups_with_stddev s ~attrs q in
+  let direct =
+    List.map
+      (fun (key, (a : Summary.answer)) -> (key, a.est, sqrt a.var))
+      (Summary.groups s ~attrs q)
+  in
   if
     Cache.estimate_groups cache ~attrs q <> direct
     || Cache.estimate_groups cache ~attrs q <> direct
@@ -540,6 +538,20 @@ let sql_of_query sch q =
       | [] -> "SELECT COUNT(*) FROM R"
       | _ -> "SELECT COUNT(*) FROM R WHERE " ^ String.concat " AND " cs)
     (clauses 0 [])
+
+(* The [estimate] and [stddev] lines of a scalar QUERY reply. *)
+let wire_answer payload =
+  let field key =
+    List.find_map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | [ k; v ] when k = key -> float_of_string_opt v
+        | _ -> None)
+      payload
+  in
+  match (field "estimate", field "stddev") with
+  | Some est, Some sd -> Some (est, sd)
+  | _ -> None
 
 let c_server_vs_library ctx =
   if not ctx.cfg.server then ()
@@ -592,7 +604,7 @@ let c_server_vs_library ctx =
                             | None -> ()
                             | Some sql -> (
                                 tally ctx;
-                                let lib = Summary.estimate s q in
+                                let lib = Summary.count s q in
                                 match
                                   Edb_server.Client.query conn ~name:"case"
                                     ~sql
@@ -601,23 +613,28 @@ let c_server_vs_library ctx =
                                     fail ctx ~check:"server-vs-library"
                                       ~tier:Differential "%s failed: %s" sql m
                                 | Ok payload -> (
-                                    match
-                                      Edb_server.Client.estimate_of_payload
-                                        payload
-                                    with
+                                    match wire_answer payload with
                                     | None ->
                                         fail ctx ~check:"server-vs-library"
                                           ~tier:Differential
-                                          "%s: no estimate line" sql
-                                    | Some v ->
+                                          "%s: no estimate/stddev lines" sql
+                                    | Some (v, sd) ->
                                         (* %.17g round-trips exactly, so
                                            the wire answer must equal the
                                            library's bitwise. *)
-                                        if v <> lib then
+                                        if v <> lib.est then
                                           fail ctx ~check:"server-vs-library"
                                             ~tier:Differential
                                             "%s: wire %.17g vs library %.17g"
-                                            sql v lib)))
+                                            sql v lib.est;
+                                        tally ctx;
+                                        let lib_sd = sqrt lib.var in
+                                        if sd <> lib_sd then
+                                          fail ctx ~check:"server-vs-library"
+                                            ~tier:Differential
+                                            "%s: wire stddev %.17g vs library \
+                                             %.17g"
+                                            sql sd lib_sd)))
                           ctx.case.Case.queries)))
   end
 
@@ -652,9 +669,9 @@ let c_groupby_total ctx =
           let total = Summary.estimate s q in
           let cells =
             List.fold_left
-              (fun acc (_, v) -> acc +. v)
+              (fun acc (_, (a : Summary.answer)) -> acc +. a.est)
               0.
-              (Summary.estimate_groups s ~attrs q)
+              (Summary.groups s ~attrs q)
           in
           if not (approx ctx total cells) then
             fail ctx ~check:"groupby-total" ~tier:Metamorphic
@@ -743,7 +760,7 @@ let c_disjunction_singleton ctx =
   List.iter
     (fun q ->
       tally ctx;
-      let d = Summary.estimate_disjuncts s [ q ] in
+      let d = (Summary.count_disjuncts s [ q ]).est in
       let e = Summary.estimate s q in
       if not (approx ctx d e) then
         fail ctx ~check:"disjunction-singleton" ~tier:Metamorphic
@@ -760,8 +777,9 @@ let c_disjunction_disjoint ctx =
       | Some (lo, hi) ->
           tally ctx;
           let d =
-            Summary.estimate_disjuncts s
-              [ Predicate.restrict q i lo; Predicate.restrict q i hi ]
+            (Summary.count_disjuncts s
+               [ Predicate.restrict q i lo; Predicate.restrict q i hi ])
+              .est
           in
           let e = Summary.estimate s q in
           if not (approx ctx d e) then
@@ -778,7 +796,7 @@ let c_disjunction_bounds ctx =
   List.iter
     (fun d ->
       tally ctx;
-      let est = Summary.estimate_disjuncts s d in
+      let est = (Summary.count_disjuncts s d).est in
       let each = List.map (Summary.estimate s) d in
       let upper = List.fold_left ( +. ) 0. each in
       let lower = List.fold_left Float.max 0. each in
@@ -786,7 +804,7 @@ let c_disjunction_bounds ctx =
         fail ctx ~check:"disjunction-bounds" ~tier:Metamorphic
           "OR estimate %.12g outside union bounds [%.12g, %.12g]" est lower
           upper;
-      let p = Disjunction.probability (Summary.poly s) d in
+      let p = snd (Disjunction.count (Summary.poly s) d) in
       tally ctx;
       if p < 0. || p > 1. then
         fail ctx ~check:"disjunction-bounds" ~tier:Metamorphic
@@ -794,14 +812,14 @@ let c_disjunction_bounds ctx =
       match d with
       | q :: _ ->
           tally ctx;
-          let with_unsat = Summary.estimate_disjuncts s [ q; unsat ] in
-          let alone = Summary.estimate_disjuncts s [ q ] in
+          let with_unsat = (Summary.count_disjuncts s [ q; unsat ]).est in
+          let alone = (Summary.count_disjuncts s [ q ]).est in
           if not (approx ctx with_unsat alone) then
             fail ctx ~check:"disjunction-bounds" ~tier:Metamorphic
               "OR with unsatisfiable clause %.12g vs alone %.12g" with_unsat
               alone;
           tally ctx;
-          let with_taut = Summary.estimate_disjuncts s [ q; taut ] in
+          let with_taut = (Summary.count_disjuncts s [ q; taut ]).est in
           if not (approx ctx with_taut (nf ctx)) then
             fail ctx ~check:"disjunction-bounds" ~tier:Metamorphic
               "OR with tautology %.12g vs n = %g" with_taut (nf ctx)
@@ -823,9 +841,9 @@ let c_exact_count ctx =
     List.iter
       (fun q ->
         tally ctx;
-        let est = Summary.estimate s q in
+        let a = Summary.count s q in
+        let est = a.est and sd = sqrt a.var in
         let exact = float_of_int (Exec.count ctx.case.Case.rel q) in
-        let sd = Summary.stddev s q in
         let sigma = Float.abs (est -. exact) /. (sd +. 1.) in
         ctx.max_sigma <- Float.max ctx.max_sigma sigma;
         if
@@ -864,14 +882,11 @@ let c_planner_singleton ctx =
         P.choose ~combine:false ~target:P.default_target [ est ] (P.Count q)
       in
       let a = P.chosen_answer d in
-      let direct_est = Summary.estimate s q in
-      let direct_est', direct_var = Summary.estimate_with_variance s q in
-      if a.E.est <> direct_est || a.E.est <> direct_est'
-         || a.E.var <> direct_var
-      then
+      let direct = Summary.count s q in
+      if a <> direct || a.E.est <> Summary.estimate s q then
         fail ctx ~check:"planner-singleton" ~tier:Differential
           "routed answer (%.17g, %.17g) vs direct (%.17g, %.17g) on %a"
-          a.E.est a.E.var direct_est direct_var Predicate.pp q)
+          a.E.est a.E.var direct.est direct.var Predicate.pp q)
     ctx.case.Case.queries
 
 (* Inverse-variance weighting can only help: the combined variance is
@@ -1093,10 +1108,9 @@ let c_ingest_additivity ctx =
               Summary.estimate old_s q +. Summary.estimate delta_s q
             in
             let whole = Summary.estimate inc q in
+            let sd s = sqrt (Summary.count s q).var in
             let tol =
-              ctx.cfg.z
-              *. (Summary.stddev old_s q +. Summary.stddev delta_s q
-                 +. Summary.stddev inc q)
+              (ctx.cfg.z *. (sd old_s +. sd delta_s +. sd inc))
               +. (3. *. ctx.cfg.exact_atol)
             in
             if Float.abs (parts -. whole) > tol then

@@ -24,7 +24,11 @@ open Edb_storage
 
 type pred_key = (int * (int * int) list) list
 type key = Count of pred_key | Grouped of int list * pred_key
-type result = Scalar of float | Groups of (int list * float * float) list
+(* A COUNT holds both moments of its answer; a GROUP BY holds its cells
+   as (key, estimate, stddev), converted once when the entry fills. *)
+type result =
+  | Answer of Summary.answer
+  | Cells of (int list * float * float) list
 
 type entry = { value : result; mutable last_used : int }
 
@@ -123,21 +127,26 @@ let cached t key compute =
           Hashtbl.replace t.table key { value; last_used = t.tick });
       value
 
-let estimate t pred =
+let count t pred =
   match
     cached t (Count (key_of_predicate pred)) (fun () ->
-        Scalar (Summary.estimate t.summary pred))
+        Answer (Summary.count t.summary pred))
   with
-  | Scalar v -> v
-  | Groups _ -> assert false (* Count keys only ever hold Scalar values *)
+  | Answer a -> a
+  | Cells _ -> assert false (* Count keys only ever hold answers *)
+
+let estimate t pred = (count t pred).est
 
 let estimate_groups t ~attrs pred =
   match
     cached t (Grouped (attrs, key_of_predicate pred)) (fun () ->
-        Groups (Summary.estimate_groups_with_stddev t.summary ~attrs pred))
+        Cells
+          (List.map
+             (fun (key, (a : Summary.answer)) -> (key, a.est, sqrt a.var))
+             (Summary.groups t.summary ~attrs pred)))
   with
-  | Groups g -> g
-  | Scalar _ -> assert false
+  | Cells g -> g
+  | Answer _ -> assert false
 
 type stats = { hits : int; misses : int; entries : int; evictions : int }
 

@@ -15,14 +15,18 @@ type t
 
 val create : ?capacity:int -> Summary.t -> t
 (** Default capacity 4096 entries.  Raises on non-positive capacities.
-    Serves both {!estimate} and {!estimate_groups}. *)
+    Serves {!count}, {!estimate} and {!estimate_groups}. *)
+
+val count : t -> Predicate.t -> Summary.answer
+(** Same answer as {!Summary.count}, both moments; cached, so a repeated
+    COUNT evaluates nothing. *)
 
 val estimate : t -> Predicate.t -> float
-(** Same value as {!Summary.estimate}; cached. *)
+(** [(count t q).est]. *)
 
 val estimate_groups :
   t -> attrs:int list -> Predicate.t -> (int list * float * float) list
-(** Same value as {!Summary.estimate_groups_with_stddev}; cached under a
+(** {!Summary.groups} as [(key, estimate, stddev)] cells; cached under a
     key combining the grouping attributes with the canonical predicate. *)
 
 type stats = { hits : int; misses : int; entries : int; evictions : int }

@@ -52,21 +52,21 @@ let fold_intersections preds ~f ~init =
 
 let sign size = if size mod 2 = 1 then 1. else -1.
 
-let estimate poly preds =
-  check_disjuncts preds;
-  Poly.verify poly;
-  fold_intersections preds ~init:0. ~f:(fun acc ~intersection ~size ->
-      acc +. (sign size *. Poly.estimate poly intersection))
-
-(* Pr[a random tuple from the model satisfies the disjunction], by the same
-   expansion over P[zeroed]/P. *)
-let probability poly preds =
+(* One walk, two accumulators: the expected count sums each
+   intersection's [Poly.estimate] (n·r/P, in its operation order), and
+   the probability sums the same restricted masses r before one division
+   by P. *)
+let count poly preds =
   check_disjuncts preds;
   let p_total = Poly.p poly in
-  if p_total <= 0. then 0.
+  if p_total <= 0. then (0., 0.)
   else
-    let mass =
-      fold_intersections preds ~init:0. ~f:(fun acc ~intersection ~size ->
-          acc +. (sign size *. Poly.eval_restricted poly intersection))
+    let n = float_of_int (Poly.cardinality poly) in
+    let est, mass =
+      fold_intersections preds ~init:(0., 0.)
+        ~f:(fun (est, mass) ~intersection ~size ->
+          let r = Poly.eval_restricted poly intersection in
+          ( est +. (sign size *. (n *. r /. p_total)),
+            mass +. (sign size *. r) ))
     in
-    Edb_util.Floatx.clamp ~lo:0. ~hi:1. (mass /. p_total)
+    (est, Edb_util.Floatx.clamp ~lo:0. ~hi:1. (mass /. p_total))

@@ -1580,12 +1580,6 @@ let estimate t query =
   else if t.p <= 0. then 0.
   else float_of_int t.n *. eval_restricted t query /. t.p
 
-let estimate_weighted t query ~weights =
-  verify t;
-  if Predicate.is_unsatisfiable query then 0.
-  else if t.p <= 0. then 0.
-  else float_of_int t.n *. eval_weighted t query ~weights /. t.p
-
 (* The dual objective Psi = sum_j s_j ln alpha_j - n ln P  (Eq. 11).
    Statistics with s_j = 0 contribute lim_{a->0} 0*ln a = 0. *)
 let dual t =

@@ -99,7 +99,7 @@ val eval_restricted_by_value_into :
     (over)written, values outside the query's restriction to 0.  [out]
     must be at least the attribute's domain size (larger is fine; the
     tail is untouched), which lets callers evaluating many cross-product
-    cells — [Summary.estimate_groups] — reuse one buffer for the whole
+    cells — [Summary.groups] — reuse one buffer for the whole
     query.  Raises [Invalid_argument] on a too-small buffer. *)
 
 val set_parallelism : ?threshold:int -> int -> unit
@@ -128,10 +128,6 @@ val eval_weighted :
     case), each group value gets the same cancellation clamp as
     {!eval_restricted}, so tiny negative totals cannot flip an
     estimate's sign; genuinely signed weights are left unclamped. *)
-
-val estimate_weighted :
-  t -> Predicate.t -> weights:(int * (int -> float)) list -> float
-(** E of the weighted linear query: n·[eval_weighted]/P. *)
 
 val dual : t -> float
 (** The dual objective Ψ = Σ_j s_j ln α_j − n ln P (Eq. 11); concave in the

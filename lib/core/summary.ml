@@ -99,49 +99,52 @@ let release_pages t = Array.iter (fun p -> Poly.release_pages p.poly) t.parts
 (* One part                                                            *)
 (* ------------------------------------------------------------------ *)
 
+type answer = { est : float; var : float }
+
+let zero = { est = 0.; var = 0. }
+
 (* Multinomial view (Sec. 3.1's slotted worlds of fixed cardinality n):
    each of the n slots holds tuple u with probability p_u = monomial_u / P
    independently, so a counting query's answer is Binomial(n, p) with
-   p = P[zeroed]/P; hence Var = n p (1-p). *)
-let part_variance p query =
-  let p_total = Poly.p p.poly in
-  if p_total <= 0. then 0.
+   p = P[zeroed]/P: one restricted mass r = P[zeroed] yields both the
+   expectation n·r/P (Sec. 4.2, with [Poly.estimate]'s operations in its
+   order) and the variance n·p·(1−p).  COUNT and every GROUP BY cell
+   answer through here. *)
+let binomial n ~p_total r =
+  if p_total <= 0. then zero
   else
-    let p_q = Poly.eval_restricted p.poly query /. p_total in
-    let p_q = Edb_util.Floatx.clamp ~lo:0. ~hi:1. p_q in
-    float_of_int p.n *. p_q *. (1. -. p_q)
+    let p = Edb_util.Floatx.clamp ~lo:0. ~hi:1. (r /. p_total) in
+    { est = n *. r /. p_total; var = n *. p *. (1. -. p) }
 
-(* One restricted evaluation serving both moments: the estimate is computed
-   with the same operations in the same order as [Poly.estimate], so it is
-   bitwise-identical to it, and the variance matches [part_variance]. *)
-let part_estimate_with_variance p query =
+let part_count p query =
   let p_total = Poly.p p.poly in
-  if Predicate.is_unsatisfiable query then (0., 0.)
-  else if p_total <= 0. then (0., 0.)
-  else
-    let r = Poly.eval_restricted p.poly query in
-    let est = float_of_int p.n *. r /. p_total in
-    let p_q = Edb_util.Floatx.clamp ~lo:0. ~hi:1. (r /. p_total) in
-    (est, float_of_int p.n *. p_q *. (1. -. p_q))
+  if Predicate.is_unsatisfiable query || p_total <= 0. then zero
+  else binomial (float_of_int p.n) ~p_total (Poly.eval_restricted p.poly query)
 
-(* Var[Σ_t w_t X_t] for the multinomial model: n (Σ w² p − (Σ w p)²). *)
-let part_variance_sum p ~attr w query =
+(* SUM over a weighted linear query: the w pass gives E = n·Σw·m/P, and
+   with the w² pass Var[Σ_t w_t X_t] = n·(E[w²] − E[w]²) per draw.  AVG
+   reads only the estimate, so [~var:false] skips the w² pass. *)
+let part_sum ~var p ~attr w query =
   let p_total = Poly.p p.poly in
-  if p_total <= 0. then 0.
+  if p_total <= 0. then zero
   else
-    let mean_w =
-      Poly.eval_weighted p.poly query ~weights:[ (attr, w) ] /. p_total
+    let n = float_of_int p.n in
+    let pass w = Poly.eval_weighted p.poly query ~weights:[ (attr, w) ] in
+    let r_w = pass w in
+    let est =
+      if Predicate.is_unsatisfiable query then 0. else n *. r_w /. p_total
     in
-    let mean_w2 =
-      Poly.eval_weighted p.poly query ~weights:[ (attr, fun v -> w v ** 2.) ]
-      /. p_total
-    in
-    Float.max 0. (float_of_int p.n *. (mean_w2 -. (mean_w ** 2.)))
+    if not var then { est; var = 0. }
+    else
+      let mean_w = r_w /. p_total in
+      let mean_w2 = pass (fun v -> w v ** 2.) /. p_total in
+      { est; var = Float.max 0. (n *. (mean_w2 -. (mean_w ** 2.))) }
 
-(* Binomial variance of a disjunction count, as for conjunctions. *)
-let part_variance_disjuncts p disjuncts =
-  let pr = Disjunction.probability p.poly disjuncts in
-  float_of_int p.n *. pr *. (1. -. pr)
+(* Binomial variance of a disjunction count, as for conjunctions, from
+   the same inclusion–exclusion walk as its estimate. *)
+let part_count_disjuncts p disjuncts =
+  let est, pr = Disjunction.count p.poly disjuncts in
+  { est; var = float_of_int p.n *. pr *. (1. -. pr) }
 
 (* GROUP BY estimation (the paper's Sec. 3.1 reading of GROUP BY +
    ORDER BY ... LIMIT).  The grouping attribute with the widest
@@ -150,27 +153,20 @@ let part_variance_disjuncts p disjuncts =
    values — and the cross product of the remaining attributes is
    enumerated around it, so a d-attribute GROUP BY costs
    Π_{i≠pivot}|D_i| kernel passes instead of Π_i|D_i| full scans.
-   Each cell's restricted P also yields its binomial p, so the
+   Each cell's restricted P is a binomial mass like a COUNT's, so the
    per-group variance is free.  Cells are emitted in the nested
    enumeration order of [attrs] (lexicographic in the group key). *)
 let part_groups schema p ~attrs query =
   let n = float_of_int p.n in
   let p_total = Poly.p p.poly in
-  let cell r =
-    if p_total <= 0. then (0., 0.)
-    else
-      let est = n *. r /. p_total in
-      let p = Edb_util.Floatx.clamp ~lo:0. ~hi:1. (r /. p_total) in
-      (est, n *. p *. (1. -. p))
-  in
+  let cell = binomial n ~p_total in
   match attrs with
   | [] ->
       let r =
         if Predicate.is_unsatisfiable query then 0.
         else Poly.eval_restricted p.poly query
       in
-      let est, var = cell r in
-      [ ([], est, var) ]
+      [ ([], cell r) ]
   | _ ->
       let attr_arr = Array.of_list attrs in
       let cand =
@@ -224,9 +220,7 @@ let part_groups schema p ~attrs query =
       (* Candidate sets are ascending, so lexicographic key order is the
          nested enumeration order of [attrs]. *)
       List.sort (fun (a, _) (b, _) -> compare a b) !cells
-      |> List.map (fun (key, r) ->
-             let est, var = cell r in
-             (key, est, var))
+      |> List.map (fun (key, r) -> (key, cell r))
 
 (* ------------------------------------------------------------------ *)
 (* The fold over parts                                                 *)
@@ -242,34 +236,26 @@ let eval_part i f =
     ~attrs:(fun () -> [ ("shard", string_of_int i) ])
     f
 
+let add a b = { est = a.est +. b.est; var = a.var +. b.var }
+
 (* Left-to-right sum over parts; starting from 0. keeps k = 1 bitwise
    equal to the part's answer (0. +. x = x for every x but -0., which
    no estimator here produces). *)
 let sum_parts t f =
-  let acc = ref 0. in
-  Array.iteri (fun i p -> acc := !acc +. eval_part i (fun () -> f p)) t.parts;
+  let acc = ref zero in
+  Array.iteri
+    (fun i p -> acc := add !acc (eval_part i (fun () -> f p)))
+    t.parts;
   !acc
 
-let estimate t query = sum_parts t (fun p -> Poly.estimate p.poly query)
+let count t query = sum_parts t (fun p -> part_count p query)
+let estimate t query = (count t query).est
 
 (* The paper rounds estimates below 0.5 to 0 when distinguishing rare from
    nonexistent values (Sec. 4.3 discussion of Fig. 2b). *)
 let estimate_rounded t query =
   let e = estimate t query in
   if e < 0.5 then 0. else e
-
-let variance t query = sum_parts t (fun p -> part_variance p query)
-let stddev t query = sqrt (variance t query)
-
-let estimate_with_variance t query =
-  let est = ref 0. and var = ref 0. in
-  Array.iteri
-    (fun i p ->
-      let e, v = eval_part i (fun () -> part_estimate_with_variance p query) in
-      est := !est +. e;
-      var := !var +. v)
-    t.parts;
-  (!est, !var)
 
 (* Aggregate queries beyond COUNT: SUM and AVG over a binned attribute,
    answered as weighted linear queries (each row contributes its bin's
@@ -286,29 +272,23 @@ let weights_for t ~attr = function
       in
       fun v -> table.(v)
 
-let estimate_sum t ~attr ?weights query =
+let sum t ~attr ?weights query =
   let w = weights_for t ~attr weights in
-  sum_parts t (fun p ->
-      Poly.estimate_weighted p.poly query ~weights:[ (attr, w) ])
-
-let variance_sum t ~attr ?weights query =
-  let w = weights_for t ~attr weights in
-  sum_parts t (fun p -> part_variance_sum p ~attr w query)
+  sum_parts t (fun p -> part_sum ~var:true p ~attr w query)
 
 let estimate_avg t ~attr query =
   let count = estimate t query in
-  if count <= 0. then None else Some (estimate_sum t ~attr query /. count)
+  if count <= 0. then None
+  else
+    let w = weights_for t ~attr None in
+    let total = sum_parts t (fun p -> part_sum ~var:false p ~attr w query) in
+    Some (total.est /. count)
 
 (* Disjunctions: inclusion–exclusion is itself a linear combination of
    conjunctive counts, so it runs per part and sums like any other
    linear query. *)
-let estimate_disjuncts t disjuncts =
-  sum_parts t (fun p -> Disjunction.estimate p.poly disjuncts)
-
-let variance_disjuncts t disjuncts =
-  sum_parts t (fun p -> part_variance_disjuncts p disjuncts)
-
-let stddev_disjuncts t disjuncts = sqrt (variance_disjuncts t disjuncts)
+let count_disjuncts t disjuncts =
+  sum_parts t (fun p -> part_count_disjuncts p disjuncts)
 
 (* GROUP BY: every part enumerates the same group keys in the same
    ascending order (the enumeration is driven by the schema's domains and
@@ -317,7 +297,7 @@ let stddev_disjuncts t disjuncts = sqrt (variance_disjuncts t disjuncts)
    [Parallel.fold] combines chunks left to right — part order — so the
    merge is deterministic, and at k = 1 part 0's cells are returned
    untouched. *)
-let estimate_groups_with_variance t ~attrs query =
+let groups t ~attrs query =
   let k = Array.length t.parts in
   let eval i =
     eval_part i (fun () -> part_groups t.schema t.parts.(i) ~attrs query)
@@ -335,21 +315,8 @@ let estimate_groups_with_variance t ~attrs query =
     | [] -> []
     | base :: rest ->
         List.fold_left
-          (fun acc cells ->
-            List.map2
-              (fun (key, e, v) (_, e', v') -> (key, e +. e', v +. v'))
-              acc cells)
+          (List.map2 (fun (key, a) (_, b) -> (key, add a b)))
           base rest
-
-let estimate_groups_with_stddev t ~attrs query =
-  List.map
-    (fun (key, est, var) -> (key, est, sqrt var))
-    (estimate_groups_with_variance t ~attrs query)
-
-let estimate_groups t ~attrs query =
-  List.map
-    (fun (key, est, _) -> (key, est))
-    (estimate_groups_with_variance t ~attrs query)
 
 (* ------------------------------------------------------------------ *)
 (* Size                                                                *)

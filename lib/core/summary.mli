@@ -105,70 +105,52 @@ val release_pages : t -> unit
 
 (** {1 Estimators} *)
 
+type answer = { est : float; var : float }
+(** An answer's two moments, E[⟨q,I⟩] and Var[⟨q,I⟩], from one
+    evaluation per part.  The variance is the multinomial view's: a
+    counting query is Binomial(n, p) with p = P\[zeroed\]/P, so
+    Var = n·p·(1−p) from the same restricted evaluation as the
+    estimate. *)
+
+val count : t -> Predicate.t -> answer
+(** A conjunctive counting query — Sec. 4.2's zeroing formula, one
+    restricted evaluation per part; typically sub-millisecond.  An
+    unsatisfiable query answers exactly [{ est = 0.; var = 0. }]. *)
+
 val estimate : t -> Predicate.t -> float
-(** E[⟨q,I⟩] for a conjunctive counting query — Sec. 4.2's zeroing formula;
-    typically sub-millisecond. *)
+(** [(count t q).est]: E[⟨q,I⟩], the paper's answer. *)
 
 val estimate_rounded : t -> Predicate.t -> float
 (** [estimate], with values below 0.5 rounded to 0 (the paper's policy for
     separating rare from nonexistent values). *)
 
-val variance : t -> Predicate.t -> float
-(** Var[⟨q,I⟩] = n·p·(1−p) with p = P\[zeroed\]/P, from the multinomial view
-    of the fixed-cardinality MaxEnt model. *)
-
-val stddev : t -> Predicate.t -> float
-
-val estimate_with_variance : t -> Predicate.t -> float * float
-(** Both moments from a single restricted evaluation per part.  The first
-    component is bitwise-identical to {!estimate}; the second equals
-    {!variance} (except that an unsatisfiable query reports exactly
-    [(0., 0.)]). *)
-
-val estimate_sum :
-  t -> attr:int -> ?weights:(int -> float) -> Predicate.t -> float
-(** E[SUM(attr)] under the predicate, as a weighted linear query; weights
+val sum : t -> attr:int -> ?weights:(int -> float) -> Predicate.t -> answer
+(** SUM(attr) under the predicate, as a weighted linear query; weights
     default to bin midpoints ({!Edb_storage.Domain.bin_midpoint}, raises
-    on categorical attributes). *)
-
-val estimate_avg : t -> attr:int -> Predicate.t -> float option
-(** E[SUM]/E[COUNT]; [None] when the expected count is 0. *)
-
-val variance_sum :
-  t -> attr:int -> ?weights:(int -> float) -> Predicate.t -> float
-(** Var[SUM(attr)] under the multinomial view:
+    on categorical attributes).  Two weighted evaluations per part, over
+    w and w²: the estimate is n·E\[w\] and the variance
     n·(E\[w²\] − E\[w\]²) over the per-draw weight distribution. *)
 
-val estimate_disjuncts : t -> Predicate.t list -> float
+val estimate_avg : t -> attr:int -> Predicate.t -> float option
+(** E[SUM]/E[COUNT] from the count and the w evaluation (no w² pass);
+    [None] when the expected count is 0. *)
+
+val count_disjuncts : t -> Predicate.t list -> answer
 (** Inclusion–exclusion COUNT over a disjunction of conjunctive
-    predicates; raises like {!Disjunction.estimate}. *)
+    predicates, from one walk per part over the intersections
+    ({!Disjunction.count}); the variance is n·p·(1−p) with p the
+    probability of the union.  Raises like {!Disjunction.count}. *)
 
-val variance_disjuncts : t -> Predicate.t list -> float
-(** n·p·(1−p) per part, with p = {!Disjunction.probability}. *)
-
-val stddev_disjuncts : t -> Predicate.t list -> float
-
-val estimate_groups :
-  t -> attrs:int list -> Predicate.t -> (int list * float) list
-(** GROUP BY estimate: one cell per combination of the grouping
-    attributes' values (restricted by the query's predicate), in
-    ascending group-key order.  The widest grouping attribute is
+val groups : t -> attrs:int list -> Predicate.t -> (int list * answer) list
+(** GROUP BY: one cell per combination of the grouping attributes'
+    values (restricted by the query's predicate), in ascending group-key
+    order, each with both moments.  The widest grouping attribute is
     answered by the batched kernel {!Poly.eval_restricted_by_value} —
     one term pass for all of its values — instead of one full scan per
-    cell.  Parts are evaluated concurrently on OCaml 5 domains and
+    cell, and each cell's restricted P yields its binomial variance for
+    free.  Parts are evaluated concurrently on OCaml 5 domains and
     merged in part order; at k = 1 the part's cells are returned
     untouched. *)
-
-val estimate_groups_with_variance :
-  t -> attrs:int list -> Predicate.t -> (int list * float * float) list
-(** [estimate_groups] plus each cell's Var[⟨q,I⟩] = n·p·(1−p): the
-    kernel yields every cell's restricted P, so the binomial p (and
-    hence the variance) costs nothing extra. *)
-
-val estimate_groups_with_stddev :
-  t -> attrs:int list -> Predicate.t -> (int list * float * float) list
-(** [estimate_groups_with_variance] with the variance replaced by its
-    square root. *)
 
 (** {1 Size} *)
 

@@ -16,7 +16,7 @@ let kind_name = function
   | Exact -> "exact"
   | Combined -> "combined"
 
-type answer = { est : float; var : float }
+type answer = Entropydb_core.Summary.answer = { est : float; var : float }
 
 type t = {
   name : string;
@@ -52,21 +52,9 @@ let of_summary ?(name = "summary") s =
     name;
     kind = Summary;
     cost_us = summary_cost (Summary.size_report s).Summary.num_terms;
-    count =
-      (fun q ->
-        let est, var = Summary.estimate_with_variance s q in
-        { est; var });
-    sum =
-      Some
-        (fun attr q ->
-          { est = Summary.estimate_sum s ~attr q;
-            var = Summary.variance_sum s ~attr q });
-    groups =
-      Some
-        (fun attrs q ->
-          List.map
-            (fun (key, est, var) -> (key, { est; var }))
-            (Summary.estimate_groups_with_variance s ~attrs q));
+    count = Summary.count s;
+    sum = Some (fun attr q -> Summary.sum s ~attr q);
+    groups = Some (fun attrs q -> Summary.groups s ~attrs q);
   }
 
 let of_sample ?name s =

@@ -14,7 +14,8 @@ val kind_name : kind -> string
 (** ["summary"], ["sample"], ["exact"], ["combined"] — stable names used
     in EXPLAIN output and [edb_obs] metric names. *)
 
-type answer = { est : float; var : float }
+type answer = Entropydb_core.Summary.answer = { est : float; var : float }
+(** The summary's answer type: every backend returns both moments. *)
 
 type t
 

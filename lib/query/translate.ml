@@ -175,12 +175,17 @@ let compile schema (q : Ast.t) =
           (Ok []) conjs
         |> Result.map List.rev
   in
+  (* A grouping attribute named twice is rejected: SQL groups by it once,
+     but the cell enumeration would cross it with itself, listing
+     impossible (x, y) groups and multiplying the cells by its domain
+     size. *)
   let* group_attrs =
     List.fold_left
       (fun acc name ->
         let* acc = acc in
         let* attr = resolve_attr schema name in
-        Ok (attr :: acc))
+        if List.mem attr acc then err "duplicate GROUP BY attribute %s" name
+        else Ok (attr :: acc))
       (Ok []) q.group_by
   in
   let numeric_attr name =

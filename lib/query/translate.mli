@@ -32,7 +32,8 @@ val order_groups :
 
 val compile : Schema.t -> Ast.t -> (compiled, error) result
 (** Values outside the active domain compile to empty restrictions (the
-    query is valid and counts 0); unknown attributes and type mismatches
+    query is valid and counts 0); unknown attributes, type mismatches,
+    a repeated GROUP BY attribute, and OR in anything but a plain COUNT
     are errors. *)
 
 val compile_string : Schema.t -> string -> (compiled, error) result

@@ -142,8 +142,7 @@ let kind_name entry = if mapped entry then "mapped" else "heap"
 let schema entry = Summary.schema entry.summary
 let cardinality entry = Summary.cardinality entry.summary
 let num_shards entry = Summary.num_parts entry.summary
-let estimate entry q = Summary.estimate entry.summary q
-let stddev entry q = Summary.stddev entry.summary q
+let stddev entry q = sqrt (Cache.count entry.cache q).Summary.var
 
 (* ------------------------------------------------------------------ *)
 (* Residency management (callers hold the lock)                        *)

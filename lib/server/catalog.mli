@@ -132,5 +132,10 @@ val kind_name : entry -> string
 val schema : entry -> Edb_storage.Schema.t
 val cardinality : entry -> int
 val num_shards : entry -> int
-val estimate : entry -> Edb_storage.Predicate.t -> float
+
 val stddev : entry -> Edb_storage.Predicate.t -> float
+(** The square root of the entry's cached COUNT answer's variance
+    ({!Entropydb_core.Cache.count}).  The daemon renders COUNT replies
+    from that answer directly; this remains only for the serving
+    benchmark's replay ([bench/suite/replay.ml]), whose [kernel.stddev]
+    stage calls it until a benchmark change retires that stage. *)

@@ -32,6 +32,14 @@ let m_refresh_latency = Edb_obs.Registry.histogram "ingest_refresh"
 (* SQL execution                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The [estimate]/[stddev] reply of every scalar answer: QUERY's COUNT,
+   OR and SUM, and PLAN's scalar route. *)
+let answer_lines (a : Summary.answer) =
+  [
+    "estimate " ^ float_str a.est;
+    "stddev " ^ float_str (sqrt (Float.max 0. a.var));
+  ]
+
 (* [group <est> <sd> <labels>] lines for grouped cells (key, estimate,
    stddev), ordered and limited by the query's ORDER BY / LIMIT — the
    one rendering QUERY and PLAN share. *)
@@ -53,44 +61,27 @@ let run_sql (entry : Catalog.entry) sql =
   match T.compile_string schema sql with
   | Error e -> err Protocol.err_parse "%s" e.T.message
   | Ok c -> (
+      let summary = entry.Catalog.summary in
       try
-        match c with
-        | { aggregate = T.Sum attr; _ } | { aggregate = T.Avg attr; _ }
-          when T.conjunctive c = None ->
-            err Protocol.err_unsupported
-              "SUM/AVG over OR predicates is not supported (attribute %s)"
-              (Schema.attr_name schema attr)
-        | { aggregate = T.Sum attr; _ } ->
-            let predicate = Option.get (T.conjunctive c) in
-            let summary = entry.Catalog.summary in
-            let est = Summary.estimate_sum summary ~attr predicate in
-            let sd = sqrt (Summary.variance_sum summary ~attr predicate) in
+        match T.conjunctive c with
+        | None ->
+            (* [T.compile] admits OR only in a plain COUNT. *)
             Protocol.Ok
-              [ "estimate " ^ float_str est; "stddev " ^ float_str sd ]
-        | { aggregate = T.Avg attr; _ } -> (
-            let predicate = Option.get (T.conjunctive c) in
-            let summary = entry.Catalog.summary in
-            match Summary.estimate_avg summary ~attr predicate with
-            | Some est -> Protocol.Ok [ "estimate " ^ float_str est ]
-            | None -> Protocol.Ok [ "estimate undefined" ])
-        | { group_attrs = []; disjuncts = [ predicate ]; _ } ->
-            (* The hot path: conjunctive COUNT through the shared cache. *)
-            let est = Cache.estimate entry.Catalog.cache predicate in
-            let sd = Catalog.stddev entry predicate in
-            Protocol.Ok
-              [ "estimate " ^ float_str est; "stddev " ^ float_str sd ]
-        | { group_attrs = []; disjuncts; _ } ->
-            let summary = entry.Catalog.summary in
-            let est = Summary.estimate_disjuncts summary disjuncts in
-            let sd = Summary.stddev_disjuncts summary disjuncts in
-            Protocol.Ok
-              [ "estimate " ^ float_str est; "stddev " ^ float_str sd ]
-        | _ -> (
-            match T.conjunctive c with
-            | None ->
-                err Protocol.err_unsupported
-                  "GROUP BY over OR predicates is not supported"
-            | Some predicate ->
+              (answer_lines (Summary.count_disjuncts summary c.disjuncts))
+        | Some predicate -> (
+            match c with
+            | { aggregate = T.Sum attr; _ } ->
+                Protocol.Ok
+                  (answer_lines (Summary.sum summary ~attr predicate))
+            | { aggregate = T.Avg attr; _ } -> (
+                match Summary.estimate_avg summary ~attr predicate with
+                | Some est -> Protocol.Ok [ "estimate " ^ float_str est ]
+                | None -> Protocol.Ok [ "estimate undefined" ])
+            | { group_attrs = []; _ } ->
+                (* The hot path: one cached answer carries both moments. *)
+                Protocol.Ok
+                  (answer_lines (Cache.count entry.Catalog.cache predicate))
+            | { group_attrs; _ } ->
                 (* One cached batched evaluation yields every group's
                    estimate AND its stddev (the kernel exposes each
                    cell's restricted P), so there is no per-group
@@ -98,7 +89,7 @@ let run_sql (entry : Catalog.entry) sql =
                 Protocol.Ok
                   (group_lines schema c
                      (Cache.estimate_groups entry.Catalog.cache
-                        ~attrs:c.group_attrs predicate)))
+                        ~attrs:group_attrs predicate)))
       with
       | Invalid_argument m -> err Protocol.err_unsupported "%s" m
       | e -> err Protocol.err_internal "%s" (Printexc.to_string e))
@@ -166,13 +157,8 @@ let plan_sql (entry : Catalog.entry) ~ci sql =
                     Protocol.Ok
                       (route_line d :: plan_group_lines schema c cells)
                 | None ->
-                    let a = P.chosen_answer d in
                     Protocol.Ok
-                      [
-                        route_line d;
-                        "estimate " ^ float_str a.E.est;
-                        "stddev " ^ float_str (sqrt (Float.max 0. a.E.var));
-                      ]
+                      (route_line d :: answer_lines (P.chosen_answer d))
               with
               | Invalid_argument m -> err Protocol.err_unsupported "%s" m
               | e -> err Protocol.err_internal "%s" (Printexc.to_string e))))

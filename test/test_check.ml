@@ -269,12 +269,13 @@ let summary_pin_lines () =
           addf "seed %d build %s" seed build;
           List.iteri
             (fun i q ->
-              let e, v = S.estimate_with_variance s q in
-              addf "count %d %h %h %h %h" i (S.estimate s q) (S.variance s q) e
-                v;
-              addf "sum %d %h %h %s" i
-                (S.estimate_sum s ~attr:0 q)
-                (S.variance_sum s ~attr:0 q)
+              (* Columns 2 and 3 recorded the split variance and the
+                 joint estimate before one answer carried both moments;
+                 the joint answer must still reproduce them. *)
+              let a = S.count s q in
+              addf "count %d %h %h %h %h" i (S.estimate s q) a.var a.est a.var;
+              let sm = S.sum s ~attr:0 q in
+              addf "sum %d %h %h %s" i sm.est sm.var
                 (match S.estimate_avg s ~attr:0 q with
                 | Some a -> Printf.sprintf "%h" a
                 | None -> "none");
@@ -284,7 +285,11 @@ let summary_pin_lines () =
             case.Case.queries;
           List.iteri
             (fun gi attrs ->
-              let cells = S.estimate_groups_with_variance s ~attrs q0 in
+              let cells =
+                List.map
+                  (fun (k, (a : S.answer)) -> (k, a.est, a.var))
+                  (S.groups s ~attrs q0)
+              in
               List.iter
                 (fun (k, e, v) -> addf "group %d %s %h %h" gi (key k) e v)
                 cells;
@@ -298,9 +303,8 @@ let summary_pin_lines () =
             group_sets;
           List.iteri
             (fun di d ->
-              addf "or %d %h %h" di
-                (S.estimate_disjuncts s d)
-                (S.variance_disjuncts s d))
+              let a = S.count_disjuncts s d in
+              addf "or %d %h %h" di a.est a.var)
             (Gen.disjunctions spec schema);
           List.rev !buf)
         builds)

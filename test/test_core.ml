@@ -114,6 +114,14 @@ let random_query rng schema =
   in
   Predicate.of_alist ~arity:m parts
 
+(* The estimate halves of the answers tests compare one moment of. *)
+let group_estimates s ~attrs q =
+  List.map
+    (fun (key, (a : Summary.answer)) -> (key, a.est))
+    (Summary.groups s ~attrs q)
+
+let or_estimate s d = (Summary.count_disjuncts s d).est
+
 (* Randomize the variable assignment so equivalence is checked away from
    the initialization point too. *)
 let randomize_alphas rng poly phi =
@@ -298,19 +306,15 @@ let test_estimate_sum_marginals_only () =
         acc +. (Domain.bin_midpoint domain v *. float_of_int h.(v)))
       0. [ 1; 2; 3 ]
   in
-  Alcotest.(check (float 0.1))
-    "sum matches marginal targets" expected
-    (Summary.estimate_sum summary ~attr:0 pred);
+  let sum = Summary.sum summary ~attr:0 pred in
+  Alcotest.(check (float 0.1)) "sum matches marginal targets" expected sum.est;
   (* AVG consistency: sum / count. *)
   let count = Summary.estimate summary pred in
   (match Summary.estimate_avg summary ~attr:0 pred with
   | Some avg ->
-      Alcotest.(check (float 1e-6)) "avg = sum/count"
-        (Summary.estimate_sum summary ~attr:0 pred /. count)
-        avg
+      Alcotest.(check (float 1e-6)) "avg = sum/count" (sum.est /. count) avg
   | None -> Alcotest.fail "avg undefined");
-  Alcotest.(check bool) "variance_sum >= 0" true
-    (Summary.variance_sum summary ~attr:0 pred >= 0.)
+  Alcotest.(check bool) "variance_sum >= 0" true (sum.var >= 0.)
 
 (* ------------------------------------------------------------------ *)
 (* Solver convergence                                                  *)
@@ -597,14 +601,16 @@ let test_variance_bounds () =
   let rng = Prng.create ~seed:3 () in
   for _ = 1 to 20 do
     let q = random_query rng (Phi.schema phi) in
-    let v = Summary.variance summary q in
+    let v = (Summary.count summary q).var in
     let n = float_of_int (Summary.cardinality summary) in
     if v < 0. || v > n /. 4. +. 1e-9 then
       Alcotest.failf "variance %.6g outside [0, n/4]" v
   done;
   (* Tautology: p = 1, variance 0. *)
   let taut = Predicate.tautology (Schema.arity (Phi.schema phi)) in
-  Alcotest.(check (float 1e-6)) "Var[n] = 0" 0. (Summary.variance summary taut)
+  Alcotest.(check (float 1e-6))
+    "Var[n] = 0" 0.
+    (Summary.count summary taut).var
 
 let test_tautology_estimate () =
   let case = random_case 78 in
@@ -630,7 +636,7 @@ let test_estimate_groups () =
   let rng = Prng.create ~seed:901 () in
   let q = random_query rng schema in
   let attrs = [ 0; arity - 1 ] |> List.sort_uniq compare in
-  let groups = Summary.estimate_groups summary ~attrs q in
+  let groups = group_estimates summary ~attrs q in
   let total = List.fold_left (fun acc (_, e) -> acc +. e) 0. groups in
   Alcotest.(check (float 1e-3))
     "groups partition the total" (Summary.estimate summary q) total;
@@ -645,8 +651,8 @@ let test_estimate_groups () =
         order = Some Edb_query.Ast.Desc;
         limit = Some k;
       }
-      (Summary.estimate_groups_with_stddev summary ~attrs q)
-    |> List.map (fun (key, e, _) -> (key, e))
+      (List.map (fun (key, e) -> (key, e, ())) groups)
+    |> List.map (fun (key, e, ()) -> (key, e))
   in
   Alcotest.(check bool) "at most k" true (List.length top <= k);
   let rec desc = function
@@ -715,7 +721,7 @@ let batched_kernel_matches_per_value =
            check;
          true))
 
-(* Summary.estimate_groups (batched, flat and a k = 1 partitioned build)
+(* Summary.groups (batched, flat and a k = 1 partitioned build)
    must match the naive one-estimate-per-cell enumeration it replaced,
    keys, order, variances, and all. *)
 let test_estimate_groups_matches_naive () =
@@ -761,31 +767,28 @@ let test_estimate_groups_matches_naive () =
             candidates
     in
     let expected = naive [] attrs in
-    let batched = Summary.estimate_groups_with_variance summary ~attrs q in
+    let batched = Summary.groups summary ~attrs q in
     Alcotest.(check int)
       "same cell count" (List.length expected) (List.length batched);
     List.iter2
-      (fun (key, est, nq) (key', est', var') ->
+      (fun (key, est, nq) (key', (a : Summary.answer)) ->
         Alcotest.(check (list int)) "same key order" key key';
-        if not (Floatx.approx_eq ~rtol:1e-9 ~atol:1e-9 est est') then
+        if not (Floatx.approx_eq ~rtol:1e-9 ~atol:1e-9 est a.est) then
           Alcotest.failf "%s: cell estimate %.12g vs naive %.12g" case.descr
-            est' est;
-        let var = Summary.variance summary nq in
-        if not (Floatx.approx_eq ~rtol:1e-9 ~atol:1e-9 var var') then
+            a.est est;
+        let var = (Summary.count summary nq).var in
+        if not (Floatx.approx_eq ~rtol:1e-9 ~atol:1e-9 var a.var) then
           Alcotest.failf "%s: cell variance %.12g vs naive %.12g" case.descr
-            var' var)
+            a.var var)
       expected batched;
     (* k = 1 sharded must be bitwise identical to flat. *)
-    let triples = Summary.estimate_groups_with_stddev summary ~attrs q in
-    let sharded_triples =
-      Summary.estimate_groups_with_stddev sharded ~attrs q
-    in
     List.iter2
-      (fun (ka, ea, sa) (kb, eb, sb) ->
-        if ka <> kb || ea <> eb || sa <> sb then
+      (fun (ka, (a : Summary.answer)) (kb, (b : Summary.answer)) ->
+        if ka <> kb || a.est <> b.est || a.var <> b.var then
           Alcotest.failf "%s: k=1 sharded group-by differs from flat"
             case.descr)
-      triples sharded_triples
+      batched
+      (Summary.groups sharded ~attrs q)
   done
 
 (* Estimate invariants on solved models: bounds and monotonicity. *)
@@ -913,7 +916,10 @@ let test_cache_grouped_no_collision () =
   (* Cached grouped values equal the uncached evaluation. *)
   Alcotest.(check bool)
     "grouped = summary" true
-    (g0 = Summary.estimate_groups_with_stddev summary ~attrs:[ 0 ] q)
+    (g0
+    = List.map
+        (fun (key, (a : Summary.answer)) -> (key, a.est, sqrt a.var))
+        (Summary.groups summary ~attrs:[ 0 ] q))
 
 (* A one-attribute summary with 12 values: the cache tests below only
    need distinct predicates over it. *)
@@ -1002,7 +1008,7 @@ let test_variance_calibrated () =
   done;
   List.iteri
     (fun qi q ->
-      let theory = Summary.variance summary q in
+      let theory = (Summary.count summary q).var in
       let empirical = Floatx.variance (List.nth counts qi) in
       (* Sample variance of a variance estimate is itself noisy: accept a
          generous but meaningful band. *)
@@ -1626,9 +1632,11 @@ let test_disjunction_inclusion_exclusion () =
     for _ = 1 to 5 do
       let d = 1 + Prng.int rng 3 in
       let preds = List.init d (fun _ -> random_query rng schema) in
-      let fast = Summary.estimate_disjuncts summary preds in
-      (* Reference: per-tuple union membership via brute force. *)
-      let slow =
+      let fast = Summary.count_disjuncts summary preds in
+      (* Reference: per-tuple union membership via brute force; the
+         union's count is Binomial(n, m). *)
+      let n = float_of_int (Phi.n phi) in
+      let m =
         let probs = Bruteforce.tuple_probabilities bf alpha in
         let m = ref 0. in
         Array.iteri
@@ -1637,11 +1645,15 @@ let test_disjunction_inclusion_exclusion () =
             if List.exists (fun q -> Predicate.matches_row q tuple) preds
             then m := !m +. p)
           probs;
-        float_of_int (Phi.n phi) *. !m
+        !m
       in
-      if not (Floatx.approx_eq ~rtol:1e-6 ~atol:1e-6 fast slow) then
+      if not (Floatx.approx_eq ~rtol:1e-6 ~atol:1e-6 fast.est (n *. m)) then
         Alcotest.failf "%s: disjunction %.8g vs brute force %.8g" case.descr
-          fast slow
+          fast.est (n *. m);
+      let var = n *. m *. (1. -. m) in
+      if not (Floatx.approx_eq ~rtol:1e-6 ~atol:1e-6 fast.var var) then
+        Alcotest.failf "%s: disjunction variance %.8g vs brute force %.8g"
+          case.descr fast.var var
     done
   done
 
@@ -1653,22 +1665,22 @@ let test_disjunction_guards () =
       phi
   in
   (try
-     ignore (Summary.estimate_disjuncts summary []);
+     ignore (Summary.count_disjuncts summary []);
      Alcotest.fail "empty disjunction must raise"
    with Invalid_argument _ -> ());
   let arity = Schema.arity (Phi.schema phi) in
   let taut = Predicate.tautology arity in
   (try
-     ignore (Summary.estimate_disjuncts summary (List.init 11 (fun _ -> taut)));
+     ignore (Summary.count_disjuncts summary (List.init 11 (fun _ -> taut)));
      Alcotest.fail "too many disjuncts must raise"
    with Invalid_argument _ -> ());
   (* Union with the tautology is everything. *)
   Alcotest.(check (float 1e-6))
     "union with true = n"
     (float_of_int (Summary.cardinality summary))
-    (Summary.estimate_disjuncts summary [ taut; taut ]);
+    (Summary.count_disjuncts summary [ taut; taut ]).est;
   (* Probability bounded. *)
-  let p = Disjunction.probability (Summary.poly summary) [ taut ] in
+  let p = snd (Disjunction.count (Summary.poly summary) [ taut ]) in
   Alcotest.(check (float 1e-9)) "P[true] = 1" 1. p
 
 (* ------------------------------------------------------------------ *)
@@ -1787,24 +1799,24 @@ let test_disjunction_edge_clauses () =
      so the whole inclusion–exclusion sum for it collapses). *)
   Alcotest.(check (float 1e-9))
     "unsat alone" 0.
-    (Summary.estimate_disjuncts summary [ unsat ]);
+    (or_estimate summary [ unsat ]);
   Alcotest.(check (float 1e-9))
     "unsat clause drops out"
-    (Summary.estimate_disjuncts summary [ q ])
-    (Summary.estimate_disjuncts summary [ q; unsat ]);
+    (or_estimate summary [ q ])
+    (or_estimate summary [ q; unsat ]);
   (* A clause explicitly enumerating an attribute's whole domain is the
      tautology in disguise; with any other clause it absorbs the union. *)
   let full = Predicate.of_alist ~arity:2 [ (0, Ranges.interval 0 4) ] in
   Alcotest.(check (float 1e-6))
     "explicit full-domain clause = n" n
-    (Summary.estimate_disjuncts summary [ full ]);
+    (or_estimate summary [ full ]);
   Alcotest.(check (float 1e-6))
     "full-domain clause absorbs" n
-    (Summary.estimate_disjuncts summary [ q; full ]);
+    (or_estimate summary [ q; full ]);
   Alcotest.(check (float 1e-9))
     "singleton OR = plain estimate"
     (Summary.estimate summary q)
-    (Summary.estimate_disjuncts summary [ q ])
+    (or_estimate summary [ q ])
 
 let test_single_bucket_attribute () =
   (* A degenerate attribute whose active domain has exactly one value:
@@ -1833,14 +1845,14 @@ let test_single_bucket_attribute () =
     "1D restriction exact"
     (float_of_int (Exec.count rel q))
     (Summary.estimate summary q);
-  (match Summary.estimate_groups summary ~attrs:[ 0 ] (Predicate.tautology 2) with
+  (match group_estimates summary ~attrs:[ 0 ] (Predicate.tautology 2) with
   | [ ([ 0 ], total) ] ->
       Alcotest.(check (float 1e-6)) "one group cell = n" n total
   | cells -> Alcotest.failf "expected one cell, got %d" (List.length cells));
   Alcotest.(check (float 1e-9))
     "disjunction over the degenerate schema"
     (Summary.estimate summary q)
-    (Summary.estimate_disjuncts summary [ q ])
+    (or_estimate summary [ q ])
 
 let test_hierarchy_edges () =
   let schema = make_schema [ 6; 3 ] in
@@ -1946,7 +1958,7 @@ let test_kernel_allocation () =
     ()
   else begin
     (* Wide pivot domain so a per-cell result vector (the pre-SoA
-       behavior of [estimate_groups]) would dominate the budget. *)
+       behavior of GROUP BY) would dominate the budget. *)
     let schema = make_schema [ 64; 3; 4 ] in
     let rng = Prng.create ~seed:77 () in
     let rel = random_relation rng schema 400 in
@@ -1971,10 +1983,10 @@ let test_kernel_allocation () =
        revived per-evaluation kernel scratch (the pre-SoA behavior,
        hundreds of words per cell) would blow through the cap. *)
     let cells = 64 * 6 in
-    check_words_cap "estimate_groups"
+    check_words_cap "Summary.groups"
       (100. *. float_of_int cells)
       (minor_words_per_call (fun () ->
-           ignore (Summary.estimate_groups s ~attrs:[ 0; 1; 2 ] q)))
+           ignore (Summary.groups s ~attrs:[ 0; 1; 2 ] q)))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -2019,22 +2031,22 @@ let test_heap_mapped_one_answer () =
     let same what a b = if not (same_bits a b) then differ := what :: !differ in
     List.iter
       (fun q ->
-        let he, hv = Summary.estimate_with_variance heap q
-        and me, mv = Summary.estimate_with_variance mapped q in
-        same "COUNT" he me;
-        same "COUNT variance" hv mv;
-        same "SUM"
-          (Summary.estimate_sum heap ~attr:Edb_datagen.Flights.distance q)
-          (Summary.estimate_sum mapped ~attr:Edb_datagen.Flights.distance q);
+        let h = Summary.count heap q and m = Summary.count mapped q in
+        same "COUNT" h.est m.est;
+        same "COUNT variance" h.var m.var;
+        let sum s = Summary.sum s ~attr:Edb_datagen.Flights.distance q in
+        let h = sum heap and m = sum mapped in
+        same "SUM" h.est m.est;
+        same "SUM variance" h.var m.var;
         List.iter
           (fun (what, attrs) ->
             List.iter2
-              (fun (hk, he, hv) (mk, me, mv) ->
+              (fun (hk, (h : Summary.answer)) (mk, (m : Summary.answer)) ->
                 if hk <> mk then differ := what :: !differ;
-                same what he me;
-                same what hv mv)
-              (Summary.estimate_groups_with_variance heap ~attrs q)
-              (Summary.estimate_groups_with_variance mapped ~attrs q))
+                same what h.est m.est;
+                same what h.var m.var)
+              (Summary.groups heap ~attrs q)
+              (Summary.groups mapped ~attrs q))
           [
             ("GROUP BY grouped", [ Edb_datagen.Flights.origin ]);
             ("GROUP BY free", [ Edb_datagen.Flights.fl_time ]);
@@ -2042,12 +2054,10 @@ let test_heap_mapped_one_answer () =
       queries;
     List.iter
       (fun d ->
-        same "OR"
-          (Summary.estimate_disjuncts heap d)
-          (Summary.estimate_disjuncts mapped d);
-        same "OR variance"
-          (Summary.variance_disjuncts heap d)
-          (Summary.variance_disjuncts mapped d))
+        let h = Summary.count_disjuncts heap d
+        and m = Summary.count_disjuncts mapped d in
+        same "OR" h.est m.est;
+        same "OR variance" h.var m.var)
       disjunctions;
     match !differ with
     | [] -> ()

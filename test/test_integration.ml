@@ -48,7 +48,7 @@ let test_sql_pipeline () =
       match Edb_query.Translate.compile_string schema sql with
       | Error e -> Alcotest.failf "%s: %a" sql Edb_query.Translate.pp_error e
       | Ok c ->
-          let est = Summary.estimate_disjuncts summary c.disjuncts in
+          let est = (Summary.count_disjuncts summary c.disjuncts).est in
           let truth = float_of_int (Exec.count_dnf rel c.disjuncts) in
           let err = Metrics.rel_error ~truth ~est in
           if err > 0.35 then
@@ -67,7 +67,7 @@ let test_sql_aggregates_pipeline () =
   | Ok c -> (
       match (Edb_query.Translate.conjunctive c, c.aggregate) with
       | Some pred, Edb_query.Translate.Sum attr ->
-          let est = Summary.estimate_sum summary ~attr pred in
+          let est = (Summary.sum summary ~attr pred).est in
           let truth = Exec.sum rel ~attr pred in
           let err = Metrics.rel_error ~truth ~est in
           if err > 0.1 then

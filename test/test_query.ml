@@ -411,6 +411,24 @@ let test_translate_group_attrs () =
   let c = compile_ok "SELECT state, delay, COUNT(*) FROM r GROUP BY state, delay" in
   Alcotest.(check (list int)) "group attrs" [ 0; 1 ] c.group_attrs
 
+(* Grouping by an attribute twice would enumerate its cross product with
+   itself — impossible (x, y) cells, |D| times as many — so it is a
+   compile error however the repeat is spelled. *)
+let test_translate_duplicate_group_attr () =
+  List.iter
+    (fun input ->
+      match Translate.compile_string (schema ()) input with
+      | Error e ->
+          Alcotest.(check string)
+            input "duplicate GROUP BY attribute state" e.Translate.message
+      | Ok _ -> Alcotest.failf "expected compile error: %s" input)
+    [
+      "SELECT COUNT(*) FROM r GROUP BY state, state";
+      "SELECT state, state, COUNT(*) FROM r";
+      "SELECT COUNT(*) FROM r WHERE delay IN [0, 20] GROUP BY state, delay, \
+       state ORDER BY COUNT(*) ASC LIMIT 3";
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end against the exact engine                                 *)
 (* ------------------------------------------------------------------ *)
@@ -473,6 +491,8 @@ let () =
           Alcotest.test_case "OR" `Quick test_translate_or;
           Alcotest.test_case "<> complement" `Quick test_translate_neq;
           Alcotest.test_case "group attrs" `Quick test_translate_group_attrs;
+          Alcotest.test_case "duplicate GROUP BY attribute" `Quick
+            test_translate_duplicate_group_attr;
         ] );
       ( "end-to-end",
         [

@@ -62,6 +62,26 @@ let saved_summary dir name summary =
   Serialize.save summary path;
   path
 
+(* GROUP BY cells as the wire renders them: (key, estimate, stddev). *)
+let group_cells s ~attrs q =
+  List.map
+    (fun (key, (a : Summary.answer)) -> (key, a.est, sqrt a.var))
+    (Summary.groups s ~attrs q)
+
+(* The (estimate, stddev) lines of a scalar QUERY or PLAN reply. *)
+let answer_of payload =
+  let field key =
+    List.find_map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | [ k; v ] when k = key -> float_of_string_opt v
+        | _ -> None)
+      payload
+  in
+  match (field "estimate", field "stddev") with
+  | Some e, Some s -> Some (e, s)
+  | _ -> None
+
 (* ------------------------------------------------------------------ *)
 (* Protocol properties                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -288,8 +308,11 @@ let test_catalog_weighted () =
   (* Eviction gave the mapping's pages back; reads fault them in again. *)
   Alcotest.(check (float 0.))
     "evicted entry still answers" (Summary.estimate s q)
-    (Catalog.estimate stale q);
-  (match Catalog.with_entry catalog "a" (fun e -> Catalog.estimate e q) with
+    (Summary.estimate stale.Catalog.summary q);
+  (match
+     Catalog.with_entry catalog "a" (fun e ->
+         Summary.estimate e.Catalog.summary q)
+   with
   | Ok v ->
       Alcotest.(check (float 0.)) "reopened answer" (Summary.estimate s q) v
   | Error m -> Alcotest.fail m);
@@ -344,14 +367,15 @@ let test_no_answer_before_verification () =
         | () -> Alcotest.failf "%s answered from a corrupt %s" what section
       in
       refuses "Summary.estimate" (fun m -> ignore (Summary.estimate m q));
-      refuses "Summary.estimate_with_variance" (fun m ->
-          ignore (Summary.estimate_with_variance m q));
-      refuses "Summary.estimate_sum" (fun m ->
-          ignore (Summary.estimate_sum m ~attr:2 q));
-      refuses "Summary.estimate_groups_with_variance" (fun m ->
-          ignore (Summary.estimate_groups_with_variance m ~attrs:[ 0 ] q));
-      refuses "Summary.estimate_disjuncts" (fun m ->
-          ignore (Summary.estimate_disjuncts m [ q; q' ]));
+      refuses "Summary.count" (fun m -> ignore (Summary.count m q));
+      refuses "Summary.sum" (fun m -> ignore (Summary.sum m ~attr:2 q));
+      refuses "Summary.groups" (fun m ->
+          ignore (Summary.groups m ~attrs:[ 0 ] q));
+      refuses "Summary.count_disjuncts" (fun m ->
+          ignore (Summary.count_disjuncts m [ q; q' ]));
+      let unsat = Predicate.restrict q 0 Ranges.empty in
+      refuses "Summary.count_disjuncts, every intersection pruned" (fun m ->
+          ignore (Summary.count_disjuncts m [ unsat; unsat ]));
       refuses "Plan.Estimator count" (fun m ->
           ignore
             (Edb_plan.Estimator.count (Edb_plan.Estimator.of_summary m) q));
@@ -415,7 +439,9 @@ let test_catalog_pinning () =
     (Catalog.find tiny "p" = None);
   let arity = Schema.arity (Summary.schema s) in
   let q = Predicate.of_alist ~arity [ (1, Ranges.interval 0 2) ] in
-  (match Catalog.with_entry tiny "p" (fun e -> Catalog.estimate e q) with
+  (match
+     Catalog.with_entry tiny "p" (fun e -> Summary.estimate e.Catalog.summary q)
+   with
   | Ok v -> Alcotest.(check (float 0.)) "tiny-budget answer" (Summary.estimate s q) v
   | Error m -> Alcotest.fail m);
   Alcotest.(check int) "reopened once" 1 (Catalog.stats tiny).Catalog.reopens;
@@ -564,8 +590,7 @@ let test_handler_sharded () =
       (* Estimates and stddevs come from the batched grouped path; they
          must equal the in-process fan-out's answers. *)
       let expected =
-        Summary.estimate_groups_with_stddev sh ~attrs:[ 1 ]
-          (Predicate.tautology 3)
+        group_cells sh ~attrs:[ 1 ] (Predicate.tautology 3)
         (* The handler's default order: estimate descending, key-broken. *)
         |> List.sort (fun (ka, a, _) (kb, b, _) ->
                let o = Float.compare b a in
@@ -597,6 +622,66 @@ let test_handler_sharded () =
       Alcotest.(check bool) "STATS reports resident shard total" true
         (List.mem "catalog_shards 2" lines)
   | Protocol.Err { message; _ } -> Alcotest.fail message
+
+(* One kernel pass per answer, counted on the [poly.evals] registry
+   counter around in-process QUERYs, for a one-part v3 entry and a k = 3
+   manifest entry.  Per part: a fresh COUNT evaluates once (estimate and
+   variance share it) and its repeat not at all (the cache holds both
+   moments); a two-way OR evaluates its three satisfiable intersections
+   once each; SUM makes its w and w² passes and AVG its count and w
+   passes; a GROUP BY evaluates once on a miss and not on a hit. *)
+let test_handler_one_kernel_pass () =
+  let dir = temp_dir () in
+  let rel = small_relation ~seed:91 [ 6; 5; 4 ] 400 in
+  let joints =
+    [
+      Predicate.of_alist ~arity:3
+        [ (0, Ranges.interval 0 2); (1, Ranges.interval 1 3) ];
+    ]
+  in
+  let solver_config = { Solver.default_config with log_every = 0 } in
+  let flat = Summary.build ~solver_config rel ~joints in
+  let sh =
+    Edb_shard.Builder.build ~solver_config rel ~shards:3
+      ~strategy:Edb_shard.Partition.Rows ~joints
+  in
+  let manifest = Filename.concat dir "rows3.edb" in
+  Serialize.save_sharded sh manifest;
+  let evals = Edb_obs.Registry.counter "poly.evals" in
+  let count_sql = "SELECT COUNT(*) FROM f WHERE a0 IN [1,3] AND a2 IN [0,2]" in
+  let group_sql = "SELECT COUNT(*) FROM f WHERE a2 IN [1,3] GROUP BY a1" in
+  List.iter
+    (fun (name, path, k) ->
+      let catalog = Catalog.create () in
+      (match Catalog.load catalog ~name ~path with
+      | Ok e ->
+          Alcotest.(check int) (name ^ " parts") k (Catalog.num_shards e)
+      | Error m -> Alcotest.fail m);
+      let metrics = Metrics.create () in
+      List.iter
+        (fun (what, sql, per_part) ->
+          let before = Edb_obs.Registry.Counter.value evals in
+          (match
+             fst
+               (Handler.handle ~catalog ~metrics (Protocol.Query { name; sql }))
+           with
+          | Protocol.Ok _ -> ()
+          | Protocol.Err { message; _ } ->
+              Alcotest.failf "%s: %s" what message);
+          Alcotest.(check int)
+            (Printf.sprintf "%s, k = %d: kernel passes" what k)
+            (per_part * k)
+            (Edb_obs.Registry.Counter.value evals - before))
+        [
+          ("fresh COUNT", count_sql, 1);
+          ("the same COUNT again", count_sql, 0);
+          ("2-way OR", "SELECT COUNT(*) FROM f WHERE a0 = 1 OR a1 = 2", 3);
+          ("SUM", "SELECT SUM(a2) FROM f WHERE a0 IN [0,4]", 2);
+          ("AVG", "SELECT AVG(a2) FROM f WHERE a0 IN [0,4]", 2);
+          ("GROUP BY, miss", group_sql, 1);
+          ("GROUP BY, hit", group_sql, 0);
+        ])
+    [ ("flat", saved_summary_v3 dir "flat" flat, 1); ("rows3", manifest, 3) ]
 
 (* ATTACH wires a base table (and sample) into a resident entry; PLAN
    routes per-request.  Before ATTACH the summary is the only route;
@@ -636,9 +721,7 @@ let test_handler_group_order () =
   in
   List.iter
     (fun (where, pred) ->
-      let cells =
-        Summary.estimate_groups_with_stddev summary ~attrs:[ 0; 1 ] pred
-      in
+      let cells = group_cells summary ~attrs:[ 0; 1 ] pred in
       if pred == empty then
         Alcotest.(check bool) "unsatisfiable WHERE: every cell 0" true
           (List.for_all (fun (_, e, _) -> e = 0.) cells);
@@ -960,30 +1043,29 @@ let test_e2e_smoke () =
               (Summary.estimate summary q)
               v
       done;
-      (* OR query and SUM exercise the non-cached paths end to end. *)
-      (match
-         Client.query c ~name:"flights"
-           ~sql:"SELECT COUNT(*) FROM f WHERE a0 = 1 OR a1 = 2"
-       with
-      | Ok payload ->
-          let v = Option.get (Client.estimate_of_payload payload) in
-          let expected =
-            Summary.estimate_disjuncts summary
-              [
-                Predicate.of_alist ~arity [ (0, Ranges.singleton 1) ];
-                Predicate.of_alist ~arity [ (1, Ranges.singleton 2) ];
-              ]
-          in
-          Alcotest.(check (float 0.)) "OR query" expected v
-      | Error m -> Alcotest.fail m);
-      (match
-         Client.query c ~name:"flights"
-           ~sql:"SELECT SUM(a2) FROM f WHERE a0 IN [0,4]"
-       with
-      | Ok payload ->
-          Alcotest.(check bool) "sum answered" true
-            (Client.estimate_of_payload payload <> None)
-      | Error m -> Alcotest.fail m);
+      (* OR query and SUM exercise the non-cached paths end to end: both
+         reply lines equal the library's answer bitwise. *)
+      let wire_is what sql (expected : Summary.answer) =
+        match Client.query c ~name:"flights" ~sql with
+        | Ok payload -> (
+            match answer_of payload with
+            | Some (est, sd) ->
+                Alcotest.(check (float 0.)) (what ^ " estimate") expected.est
+                  est;
+                Alcotest.(check (float 0.))
+                  (what ^ " stddev") (sqrt expected.var) sd
+            | None -> Alcotest.failf "%s: no estimate/stddev lines" what)
+        | Error m -> Alcotest.fail m
+      in
+      wire_is "OR query" "SELECT COUNT(*) FROM f WHERE a0 = 1 OR a1 = 2"
+        (Summary.count_disjuncts summary
+           [
+             Predicate.of_alist ~arity [ (0, Ranges.singleton 1) ];
+             Predicate.of_alist ~arity [ (1, Ranges.singleton 2) ];
+           ]);
+      wire_is "SUM" "SELECT SUM(a2) FROM f WHERE a0 IN [0,4]"
+        (Summary.sum summary ~attr:2
+           (Predicate.of_alist ~arity [ (0, Ranges.interval 0 4) ]));
       (* Malformed SQL: ERR parse, and the connection survives. *)
       (match Client.query c ~name:"flights" ~sql:"SELECT COUNT(*) FORM f" with
       | Error m ->
@@ -993,6 +1075,20 @@ let test_e2e_smoke () =
       (match Client.ping c with
       | Ok [ "pong" ] -> ()
       | _ -> Alcotest.fail "connection should survive a parse error");
+      (* A repeated GROUP BY attribute is refused at compile time, as a
+         parse error, before any cell is enumerated. *)
+      (match
+         Client.query c ~name:"flights"
+           ~sql:"SELECT COUNT(*) FROM f GROUP BY a1, a1 ORDER BY COUNT(*) ASC"
+       with
+      | Error m ->
+          Alcotest.(check string)
+            "duplicate GROUP BY error" "parse: duplicate GROUP BY attribute a1"
+            m
+      | Ok _ -> Alcotest.fail "duplicate GROUP BY attribute accepted");
+      (match Client.ping c with
+      | Ok [ "pong" ] -> ()
+      | _ -> Alcotest.fail "connection should survive a duplicate GROUP BY");
       (* ATTACH a base table, then PLAN routes over the wire. *)
       let csv = Filename.concat dir "flights.csv" in
       Csv_io.save_indices (small_relation ~seed:41 [ 6; 5; 4 ] 400) csv;
@@ -1193,21 +1289,11 @@ let test_e2e_refresh_race () =
   let s0 = Serialize.load path in
   let s1 = Edb_ingest.Ingest.append ~source:"b1.csv" s0 b1 in
   let s2 = Edb_ingest.Ingest.append ~source:"b2.csv" s1 b2 in
-  let pair s = (Summary.estimate s q, Summary.stddev s q) in
-  let consistent = List.map pair [ s0; s1; s2 ] in
-  let answer_of payload =
-    let field key =
-      List.find_map
-        (fun line ->
-          match String.split_on_char ' ' line with
-          | [ k; v ] when k = key -> float_of_string_opt v
-          | _ -> None)
-        payload
-    in
-    match (field "estimate", field "stddev") with
-    | Some e, Some s -> Some (e, s)
-    | _ -> None
+  let pair s =
+    let a = Summary.count s q in
+    (a.est, sqrt a.var)
   in
+  let consistent = List.map pair [ s0; s1; s2 ] in
   with_server ~max_conns:24 ~catalog dir (fun _ socket ->
       let failed = Atomic.make 0 and mixed = Atomic.make 0 in
       let stop = Atomic.make false in
@@ -1619,6 +1705,8 @@ let () =
         [
           Alcotest.test_case "dispatch" `Quick test_handler_dispatch;
           Alcotest.test_case "sharded summary" `Quick test_handler_sharded;
+          Alcotest.test_case "one kernel pass per answer" `Quick
+            test_handler_one_kernel_pass;
           Alcotest.test_case "attach + plan routing" `Quick test_handler_plan;
           Alcotest.test_case "grouped ORDER BY / LIMIT on QUERY and PLAN"
             `Quick test_handler_group_order;

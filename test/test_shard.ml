@@ -155,29 +155,23 @@ let test_k1_matches_flat () =
     let q = random_query rng fixture_schema in
     (* Bitwise: the single shard is the same relation, the build is
        deterministic, and the fan-out fold starts at 0. *)
-    Alcotest.(check (float 0.))
-      "estimate" (Summary.estimate flat q) (Summary.estimate sh q);
-    Alcotest.(check (float 0.))
-      "variance" (Summary.variance flat q) (Summary.variance sh q);
-    Alcotest.(check (float 0.))
-      "sum"
-      (Summary.estimate_sum flat ~attr:2 q)
-      (Summary.estimate_sum sh ~attr:2 q)
+    let a = Summary.count flat q and b = Summary.count sh q in
+    Alcotest.(check (float 0.)) "estimate" a.est b.est;
+    Alcotest.(check (float 0.)) "variance" a.var b.var;
+    let a = Summary.sum flat ~attr:2 q and b = Summary.sum sh ~attr:2 q in
+    Alcotest.(check (float 0.)) "sum" a.est b.est;
+    Alcotest.(check (float 0.)) "sum variance" a.var b.var
   done;
   let q = Predicate.of_alist ~arity:3 [ (0, Ranges.interval 0 4) ] in
-  Alcotest.(check (list (pair (list int) (float 0.))))
-    "groups"
-    (Summary.estimate_groups flat ~attrs:[ 1 ] q)
-    (Summary.estimate_groups sh ~attrs:[ 1 ] q);
-  (* The grouped-with-uncertainty surface must also be bitwise at k = 1 —
-     the handler serves its stddevs straight from this path. *)
+  (* GROUP BY cells, both moments, must also be bitwise at k = 1 — the
+     handler serves its stddevs straight from this path. *)
   List.iter2
-    (fun (ka, ea, sa) (kb, eb, sb) ->
-      Alcotest.(check (list int)) "stddev key" ka kb;
-      Alcotest.(check (float 0.)) "group estimate" ea eb;
-      Alcotest.(check (float 0.)) "group stddev" sa sb)
-    (Summary.estimate_groups_with_stddev flat ~attrs:[ 1 ] q)
-    (Summary.estimate_groups_with_stddev sh ~attrs:[ 1 ] q)
+    (fun (ka, (a : Summary.answer)) (kb, (b : Summary.answer)) ->
+      Alcotest.(check (list int)) "group key" ka kb;
+      Alcotest.(check (float 0.)) "group estimate" a.est b.est;
+      Alcotest.(check (float 0.)) "group variance" a.var b.var)
+    (Summary.groups flat ~attrs:[ 1 ] q)
+    (Summary.groups sh ~attrs:[ 1 ] q)
 
 let test_fanout_equals_per_shard_sums () =
   let rel = fixture_rel () in
@@ -199,17 +193,22 @@ let test_fanout_equals_per_shard_sums () =
           (Summary.estimate sh q);
         Alcotest.(check (float 1e-9))
           "variance = per-shard sum"
-          (sum (fun s -> Summary.variance s q))
-          (Summary.variance sh q);
+          (sum (fun s -> (Summary.count s q).var))
+          (Summary.count sh q).var;
+        let total = Summary.sum sh ~attr:2 q in
         Alcotest.(check (float 1e-9))
           "sum = per-shard sum"
-          (sum (fun s -> Summary.estimate_sum s ~attr:2 q))
-          (Summary.estimate_sum sh ~attr:2 q);
+          (sum (fun s -> (Summary.sum s ~attr:2 q).est))
+          total.est;
+        Alcotest.(check (float 1e-9))
+          "sum variance = per-shard sum"
+          (sum (fun s -> (Summary.sum s ~attr:2 q).var))
+          total.var;
         (match Summary.estimate_avg sh ~attr:2 q with
         | Some avg ->
             Alcotest.(check (float 1e-9))
               "avg = total sum / total count"
-              (Summary.estimate_sum sh ~attr:2 q /. Summary.estimate sh q)
+              (total.est /. Summary.estimate sh q)
               avg
         | None ->
             Alcotest.(check bool) "avg undefined only at count 0" true
@@ -218,32 +217,32 @@ let test_fanout_equals_per_shard_sums () =
       (* GROUP BY: per-key sums across shards, keys in shard-0 (= flat)
          enumeration order. *)
       let q = Predicate.of_alist ~arity:3 [ (2, Ranges.interval 0 2) ] in
-      let merged = Summary.estimate_groups sh ~attrs:[ 0 ] q in
+      let merged = Summary.groups sh ~attrs:[ 0 ] q in
       let per_shard =
         Array.to_list
-          (Array.map (fun s -> Summary.estimate_groups s ~attrs:[ 0 ] q) parts)
+          (Array.map (fun s -> Summary.groups s ~attrs:[ 0 ] q) parts)
       in
       List.iter
-        (fun (key, v) ->
+        (fun (key, (a : Summary.answer)) ->
           let expected =
             List.fold_left
               (fun acc groups ->
                 match List.assoc_opt key groups with
-                | Some x -> acc +. x
+                | Some (x : Summary.answer) -> acc +. x.est
                 | None -> acc)
               0. per_shard
           in
-          Alcotest.(check (float 1e-9)) "group value" expected v)
+          Alcotest.(check (float 1e-9)) "group value" expected a.est)
         merged;
       (* Grouped estimates and variances add across shards exactly like
          the scalar fan-out does (the kernel reassociates float sums, so
          relative, not bitwise). *)
       List.iter
-        (fun (key, est, var) ->
+        (fun (key, { Summary.est; var }) ->
           let group_pred =
             Predicate.restrict q 0 (Ranges.singleton (List.hd key))
           in
-          let exp_var = sum (fun s -> Summary.variance s group_pred) in
+          let exp_var = sum (fun s -> (Summary.count s group_pred).var) in
           if not (Floatx.approx_eq ~rtol:1e-9 ~atol:1e-9 exp_var var) then
             Alcotest.failf "group variance %.12g vs per-shard sum %.12g" var
               exp_var;
@@ -251,7 +250,7 @@ let test_fanout_equals_per_shard_sums () =
           if not (Floatx.approx_eq ~rtol:1e-9 ~atol:1e-9 exp_est est) then
             Alcotest.failf "group estimate %.12g vs scalar fan-out %.12g" est
               exp_est)
-        (Summary.estimate_groups_with_variance sh ~attrs:[ 0 ] q);
+        merged;
       (* Total cardinality: tautology estimates n exactly-ish because
          each shard's model preserves its own row count. *)
       Alcotest.(check (float 1e-3))
@@ -288,12 +287,9 @@ let test_build_deterministic_across_domains () =
     (* The chunk results are lists combined with ( @ ), so the shard
        order — and hence every answer — is bitwise independent of the
        domain count. *)
-    Alcotest.(check (float 0.))
-      "estimate independent of domains" (Summary.estimate a q)
-      (Summary.estimate b q);
-    Alcotest.(check (float 0.))
-      "variance independent of domains" (Summary.variance a q)
-      (Summary.variance b q)
+    let x = Summary.count a q and y = Summary.count b q in
+    Alcotest.(check (float 0.)) "estimate independent of domains" x.est y.est;
+    Alcotest.(check (float 0.)) "variance independent of domains" x.var y.var
   done
 
 let test_empty_shards () =
@@ -311,7 +307,7 @@ let test_empty_shards () =
   let rng = Prng.create ~seed:41 () in
   for _ = 1 to 20 do
     let q = random_query rng fixture_schema in
-    let e = Summary.estimate sh q and v = Summary.variance sh q in
+    let { Summary.est = e; var = v } = Summary.count sh q in
     if not (Float.is_finite e && e >= 0.) then
       Alcotest.failf "estimate not finite/non-negative: %g" e;
     if not (Float.is_finite v && v >= 0.) then
