@@ -1829,6 +1829,38 @@ let catalog config =
                (int_of_float (p *. float_of_int (Array.length arr - 1))))
   in
   let open_p50 = pct 0.50 small_opens and open_p99 = pct 0.99 small_opens in
+  (* The reopen split: what a transparent reopen pays between a catalog
+     miss and its first answer (sniff, open, section-checksum pass, the
+     first COUNT), and what eviction pays, one step at a time over the
+     small fleet.  Nanosecond clock: several steps take a microsecond or
+     two. *)
+  let split_q = St.Predicate.of_alist ~arity:3 [ (0, Ranges.interval 1 3) ] in
+  let split = Array.make_matrix 5 n_files 0. in
+  Array.iteri
+    (fun i path ->
+      let step k f =
+        let t0 = Monotonic_clock.now () in
+        let r = f () in
+        split.(k).(i) <-
+          Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e3;
+        r
+      in
+      ignore (Sys.opaque_identity (step 0 (fun () -> Serialize.detect path)));
+      let m = step 1 (fun () -> Mapped.open_file path) in
+      step 2 (fun () -> Summary.verify m);
+      ignore (Sys.opaque_identity (step 3 (fun () -> Summary.count m split_q)));
+      step 4 (fun () -> Summary.release_pages m))
+    paths;
+  let split_p50 = Array.map (fun xs -> pct 0.50 (Array.to_list xs)) split in
+  let split_names =
+    [|
+      ("Serialize.detect", "detect");
+      ("Mapped.open_file", "open_file");
+      ("Summary.verify", "verify");
+      ("first Summary.count", "first_count");
+      ("Summary.release_pages", "release_pages");
+    |]
+  in
   let fat_p50 = pct 0.50 fat_opens in
   (* Heap-load p50 of the same fat file, for scale: open must be far
      below it, but only the O(1) guard below is load-bearing. *)
@@ -1899,6 +1931,10 @@ let catalog config =
        (float_of_int fat_bytes /. float_of_int small_bytes));
   add "open p50" (Printf.sprintf "%.1f us" open_p50);
   add "open p99" (Printf.sprintf "%.1f us" open_p99);
+  Array.iteri
+    (fun k (label, _) ->
+      add ("reopen p50: " ^ label) (Printf.sprintf "%.1f us" split_p50.(k)))
+    split_names;
   add "fat open p50" (Printf.sprintf "%.1f us" fat_p50);
   add "fat heap-load p50" (Printf.sprintf "%.1f us" load_p50);
   add "accesses" (string_of_int accesses);
@@ -1918,6 +1954,13 @@ let catalog config =
       ("open_p50_us", Json.Float open_p50);
       ("open_p99_us", Json.Float open_p99);
       ("fat_open_p50_us", Json.Float fat_p50);
+    ]
+    @ Array.to_list
+        (Array.mapi
+           (fun k (_, key) ->
+             ("reopen_" ^ key ^ "_p50_us", Json.Float split_p50.(k)))
+           split_names)
+    @ [
       ("fat_heap_load_p50_us", Json.Float load_p50);
       ("budget_bytes", Json.Int budget);
       ("accesses", Json.Int accesses);

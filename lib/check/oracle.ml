@@ -395,10 +395,24 @@ let c_serialize_roundtrip ctx =
    mapping (the views the reader carves).  Exercise every estimator
    surface against the heap answers, check the v3 round-trip heap-loads
    to the same summary as the v2 round-trip, and that a close/reopen of
-   the mapping changes nothing. *)
+   the mapping changes nothing.  Residency and lifetime: released pages
+   fault back in with the same bytes, and finalizing one mapping of a
+   file leaves another mapping of it answering. *)
 let c_mmap_v3 ctx =
   let s = ctx.case.Case.summary in
   let dir = temp_dir () in
+  let counts_match ~tier what m =
+    List.iter
+      (fun q ->
+        tally ctx;
+        let h = Summary.count s q and mm = Summary.count m q in
+        if h <> mm then
+          fail ctx ~check:"mmap-v3" ~tier
+            "%s: mapped (est, var) not bitwise: (%.17g, %.17g) vs (%.17g, \
+             %.17g) on %a"
+            what mm.est mm.var h.est h.var Predicate.pp q)
+      ctx.case.Case.queries
+  in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
@@ -469,6 +483,8 @@ let c_mmap_v3 ctx =
               "v3 heap-load differs from v2 round-trip: %.17g vs %.17g on %a"
               b a Predicate.pp q)
         ctx.case.Case.queries;
+      Summary.release_pages m;
+      counts_match ~tier:Metamorphic "after release_pages" m;
       (* Close/reopen idempotence: a second mapping of the same file
          answers identically to the first (and to the heap). *)
       let m2 = Mapped.open_file v3_path in
@@ -479,7 +495,11 @@ let c_mmap_v3 ctx =
           if Summary.estimate m q <> Summary.estimate m2 q then
             fail ctx ~check:"mmap-v3" ~tier:Metamorphic
               "reopened mapping is not idempotent on %a" Predicate.pp q)
-        ctx.case.Case.queries)
+        ctx.case.Case.queries;
+      (* [m] is dead from here on: a full major collection finalizes it
+         and unmaps its region, which must not touch [m2]'s. *)
+      Gc.full_major ();
+      counts_match ~tier:Metamorphic "after the first mapping is collected" m2)
 
 let c_cache_vs_uncached ctx =
   let s = ctx.case.Case.summary in

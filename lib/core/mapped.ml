@@ -1,16 +1,19 @@
 (* Zero-copy mapped summaries: a format-v3 file opened as an ordinary,
    read-only [Summary.t] whose kernel tables are views of the file.
 
-   [open_file] validates the header and manifest (O(header + manifest)
-   I/O), maps the whole file three times — char for checksumming,
-   float64 and native-int for the tables — and carves the evaluator's
-   section views with [Bigarray.Array1.sub].  Three maps per file (not
-   per section) keeps the per-summary mapping count constant, so a
-   thousand-summary catalog stays far from vm.max_map_count.  The views
-   go to [Poly.of_tables]: the one evaluator answers a mapped summary
-   exactly as it answers the heap summary that wrote the file (the
-   writer refreshes the polynomial before exporting, so the stored
-   tables are the ones any loader rebuilds).
+   [open_file] opens the file once, validates the header and manifest
+   ([Serialize.with_v3_file], O(header + manifest) I/O), maps the whole
+   file once and wraps the mapping three times — char for checksumming,
+   float64 and native-int for the tables — with one shared Bigarray proxy
+   (mapped_stubs.c), then carves the evaluator's section views with
+   [Bigarray.Array1.sub].  One map per file (not per section or per view)
+   keeps the per-summary mapping count at one, so a thousand-summary
+   catalog stays far from vm.max_map_count; the region is unmapped when
+   the last view, section views included, is finalized.  The views go to
+   [Poly.of_tables]: the one evaluator answers a mapped summary exactly as
+   it answers the heap summary that wrote the file (the writer refreshes
+   the polynomial before exporting, so the stored tables are the ones any
+   loader rebuilds).
 
    Integrity: the body is NOT verified at open (that would break the
    O(1) open).  Instead the polynomial carries a once-only latch that
@@ -21,8 +24,8 @@
    verified bytes, which are exactly the bytes a valid polynomial
    exported.
 
-   Residency: [Summary.release_pages] gives the views' pages back to the
-   kernel (madvise, see mapped_stubs.c) without unmapping them; the
+   Residency: [Summary.release_pages] gives the mapping's pages back to
+   the kernel (one madvise, see mapped_stubs.c) without unmapping it; the
    catalog calls it on eviction, since the GC neither sees a mapping's
    size nor unmaps it before finalizing its Bigarray. *)
 
@@ -31,6 +34,15 @@ open Edb_storage
 module A1 = Bigarray.Array1
 
 let opens_counter = Edb_obs.Registry.counter "mapped.opens"
+
+(* Time of one section-checksum pass, in nanoseconds (observed through
+   the microsecond API, like catalog_open_ns): with it, STATS splits a
+   reopen's cost into the open and the verify. *)
+let verify_ns_hist = Edb_obs.Registry.histogram "mapped_verify_ns"
+
+external map_views :
+  Unix.file_descr -> int -> Crc32.bigchar * Poly.fbuf * Poly.ibuf
+  = "edb_mapped_map"
 
 external release : (_, _, Bigarray.c_layout) A1.t -> unit = "edb_mapped_release"
 
@@ -48,33 +60,24 @@ let verify_sections path manifest (cview : Crc32.bigchar) () =
   Edb_obs.Obs.with_span "mapped.verify" ~cat:"io"
     ~attrs:(fun () -> [ ("path", path) ])
   @@ fun () ->
+  let t0 = Timing.now_s () in
   List.iter
     (fun s ->
       let sub = A1.sub cview s.Serialize.sec_off (8 * s.Serialize.sec_len) in
       if Crc32.bigchar sub <> s.Serialize.sec_crc then
         fail "section %s checksum mismatch" s.Serialize.sec_name)
-    manifest.Serialize.v3_sections
+    manifest.Serialize.v3_sections;
+  Edb_obs.Registry.Hist.observe_us verify_ns_hist
+    ((Timing.now_s () -. t0) *. 1e9)
 
 let open_file path =
   Edb_obs.Obs.with_span "mapped.open" ~cat:"io"
     ~attrs:(fun () -> [ ("path", path) ])
   @@ fun () ->
   Edb_obs.Registry.Counter.incr opens_counter;
-  let manifest = Serialize.v3_manifest_of path in
-  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-  let size, cview, fview, iview =
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        let size = (Unix.fstat fd).Unix.st_size in
-        let map kind n =
-          Bigarray.array1_of_genarray
-            (Unix.map_file fd kind Bigarray.c_layout false [| n |])
-        in
-        ( size,
-          (map Bigarray.char size : Crc32.bigchar),
-          (map Bigarray.float64 (size / 8) : Poly.fbuf),
-          (map Bigarray.int (size / 8) : Poly.ibuf) ))
+  let size, manifest, (cview, fview, iview) =
+    Serialize.with_v3_file path (fun fd ~size manifest ->
+        (size, manifest, map_views fd size))
   in
   let slice view is_float name =
     let s = find_section manifest name in
@@ -149,10 +152,7 @@ let open_file path =
   let poly =
     Poly.of_tables schema ~n tables ~phi
       ~verify:(verify_sections path manifest cview)
-      ~release:(fun () ->
-        release cview;
-        release fview;
-        release iview)
+      ~release:(fun () -> release cview)
       ~footprint_bytes:size
   in
   Summary.of_solved_poly ~journal:manifest.Serialize.v3_journal ~poly

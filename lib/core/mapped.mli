@@ -17,9 +17,9 @@
     silently wrong answer. *)
 
 val open_file : string -> Summary.t
-(** Map a v3 summary file.  O(header + manifest) I/O: validates the
-    header and manifest ({!Serialize.v3_manifest_of}), maps the file,
-    and carves the section views.  Raises {!Serialize.Format_error} on
-    any format or integrity problem it can see without reading the
-    body.  The result is {!Summary.read_only}; its
+(** Map a v3 summary file.  O(header + manifest) I/O: opens the file
+    once, validates the header and manifest ({!Serialize.with_v3_file}),
+    maps the file once and carves the section views.  Raises
+    {!Serialize.Format_error} on any format or integrity problem it can
+    see without reading the body.  The result is {!Summary.read_only}; its
     {!Summary.footprint_bytes} is the file size. *)

@@ -159,16 +159,47 @@ let read_magic ic =
 
 let v3_magic = "ENTROPYDB\x03"
 
+(* The sniff and the v3 header and manifest reads go through a file
+   descriptor, not an in_channel: they need a few bytes each, and a
+   channel allocates and fills a 64 KiB buffer for them.  Failures keep
+   the Sys_error texts the channel functions give. *)
+let open_fd path =
+  try Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0
+  with Unix.Unix_error (e, _, _) ->
+    raise (Sys_error (path ^ ": " ^ Unix.error_message e))
+
+let with_fd path f =
+  let fd = open_fd path in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> f fd)
+
+(* [len] bytes at offset [off], or fewer when the file ends first. *)
+let read_at fd ~off len =
+  let buf = Bytes.create len in
+  let rec go got =
+    if got = len then got
+    else
+      match Unix.read fd buf got (len - got) with
+      | 0 -> got
+      | r -> go (got + r)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go got
+  in
+  match
+    ignore (Unix.lseek fd off Unix.SEEK_SET);
+    go 0
+  with
+  | got when got = len -> Bytes.unsafe_to_string buf
+  | got -> Bytes.sub_string buf 0 got
+  | exception Unix.Unix_error (e, _, _) ->
+      raise (Sys_error (Unix.error_message e))
+
 let detect path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let buf = read_magic ic in
-      if buf = magic then Flat
-      else if buf = sharded_magic then Sharded
-      else if buf = v3_magic then MappedV3
-      else raise (Format_error "bad magic"))
+  let buf = with_fd path (fun fd -> read_at fd ~off:0 (String.length magic)) in
+  if String.length buf < String.length magic then
+    raise (Format_error "truncated file")
+  else if buf = magic then Flat
+  else if buf = sharded_magic then Sharded
+  else if buf = v3_magic then MappedV3
+  else raise (Format_error "bad magic")
 
 let output_str oc s =
   output_binary_int oc (String.length s);
@@ -324,10 +355,10 @@ let v3_blob n elt =
   done;
   b
 
-let v3_floats_of_bytes b =
+let v3_floats_of_string b =
   Array.init
-    (Bytes.length b / 8)
-    (fun i -> Int64.float_of_bits (Bytes.get_int64_le b (8 * i)))
+    (String.length b / 8)
+    (fun i -> Int64.float_of_bits (String.get_int64_le b (8 * i)))
 
 (* Fixed header field offsets (bytes; all fields int64 LE after the
    magic).  The CRC at [v3_hdr_crc] covers bytes [0, v3_hdr_crc). *)
@@ -492,74 +523,77 @@ let save_v3 summary path =
       let pad = file_size - pos_out oc in
       if pad > 0 then output_bytes oc (Bytes.make pad '\000'))
 
-(* Validated header + manifest read: everything [Mapped.open_file] and the
-   heap loader need before touching the body, in O(header + manifest)
-   I/O.  Every integrity failure is a Format_error naming what broke. *)
-let v3_manifest_of path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let size = in_channel_length ic in
-      if size < v3_page then raise (Format_error "truncated v3 header");
-      let header = really_input_string ic v3_page in
-      if String.sub header 0 (String.length v3_magic) <> v3_magic then
-        raise (Format_error "bad magic");
-      let get o = Int64.to_int (String.get_int64_le header o) in
-      let crc = Edb_util.Crc32.string (String.sub header 0 v3_hdr_crc) in
-      if crc <> get v3_hdr_crc then
-        raise (Format_error "v3 header checksum mismatch");
-      let v = get v3_hdr_version in
-      if v <> v3_version then
-        raise (Format_error (Printf.sprintf "unsupported v3 version %d" v));
-      if get v3_hdr_int_size <> Sys.int_size then
+(* Validated header + manifest read of an open v3 file of [size] bytes:
+   everything [Mapped.open_file] and the heap loader need before touching
+   the body, in O(header + manifest) I/O.  Every integrity failure is a
+   Format_error naming what broke. *)
+let v3_read_manifest fd ~size =
+  if size < v3_page then raise (Format_error "truncated v3 header");
+  let header = read_at fd ~off:0 (v3_hdr_crc + 8) in
+  if String.length header < v3_hdr_crc + 8 then
+    raise (Format_error "truncated v3 header");
+  if String.sub header 0 (String.length v3_magic) <> v3_magic then
+    raise (Format_error "bad magic");
+  let get o = Int64.to_int (String.get_int64_le header o) in
+  let crc = Edb_util.Crc32.string (String.sub header 0 v3_hdr_crc) in
+  if crc <> get v3_hdr_crc then
+    raise (Format_error "v3 header checksum mismatch");
+  let v = get v3_hdr_version in
+  if v <> v3_version then
+    raise (Format_error (Printf.sprintf "unsupported v3 version %d" v));
+  if get v3_hdr_int_size <> Sys.int_size then
+    raise
+      (Format_error
+         (Printf.sprintf "v3 int size mismatch (file %d, host %d)"
+            (get v3_hdr_int_size) Sys.int_size));
+  if get v3_hdr_endian <> if Sys.big_endian then 0 else 1 then
+    raise (Format_error "v3 byte order mismatch");
+  if get v3_hdr_page <> v3_page then
+    raise
+      (Format_error
+         (Printf.sprintf "unsupported v3 page size %d" (get v3_hdr_page)));
+  if get v3_hdr_file_size <> size then
+    raise
+      (Format_error
+         (Printf.sprintf "truncated v3 file (%d bytes, header records %d)" size
+            (get v3_hdr_file_size)));
+  let moff = get v3_hdr_manifest_off and mlen = get v3_hdr_manifest_len in
+  if moff < v3_page || mlen < 0 || moff + mlen > size then
+    raise (Format_error "corrupt v3 manifest bounds");
+  let mstr = read_at fd ~off:moff mlen in
+  if String.length mstr < mlen then
+    raise (Format_error "truncated v3 manifest");
+  if Edb_util.Crc32.string mstr <> get v3_hdr_manifest_crc then
+    raise (Format_error "v3 manifest checksum mismatch");
+  let manifest =
+    try (Marshal.from_string mstr 0 : v3_manifest)
+    with _ -> raise (Format_error "corrupt v3 manifest")
+  in
+  if List.length manifest.v3_sections <> get v3_hdr_sections then
+    raise (Format_error "v3 section table mismatch");
+  let seen = Hashtbl.create 64 in
+  List.iter
+    (fun s ->
+      if
+        s.sec_off < v3_page
+        || s.sec_off mod 8 <> 0
+        || s.sec_len < 0
+        || s.sec_off + (8 * s.sec_len) > moff
+        || Hashtbl.mem seen s.sec_name
+      then
         raise
           (Format_error
-             (Printf.sprintf "v3 int size mismatch (file %d, host %d)"
-                (get v3_hdr_int_size) Sys.int_size));
-      if get v3_hdr_endian <> if Sys.big_endian then 0 else 1 then
-        raise (Format_error "v3 byte order mismatch");
-      if get v3_hdr_page <> v3_page then
-        raise
-          (Format_error
-             (Printf.sprintf "unsupported v3 page size %d" (get v3_hdr_page)));
-      if get v3_hdr_file_size <> size then
-        raise
-          (Format_error
-             (Printf.sprintf "truncated v3 file (%d bytes, header records %d)"
-                size (get v3_hdr_file_size)));
-      let moff = get v3_hdr_manifest_off and mlen = get v3_hdr_manifest_len in
-      if moff < v3_page || mlen < 0 || moff + mlen > size then
-        raise (Format_error "corrupt v3 manifest bounds");
-      seek_in ic moff;
-      let mstr =
-        try really_input_string ic mlen
-        with End_of_file -> raise (Format_error "truncated v3 manifest")
-      in
-      if Edb_util.Crc32.string mstr <> get v3_hdr_manifest_crc then
-        raise (Format_error "v3 manifest checksum mismatch");
-      let manifest =
-        try (Marshal.from_string mstr 0 : v3_manifest)
-        with _ -> raise (Format_error "corrupt v3 manifest")
-      in
-      if List.length manifest.v3_sections <> get v3_hdr_sections then
-        raise (Format_error "v3 section table mismatch");
-      let seen = Hashtbl.create 64 in
-      List.iter
-        (fun s ->
-          if
-            s.sec_off < v3_page
-            || s.sec_off mod 8 <> 0
-            || s.sec_len < 0
-            || s.sec_off + (8 * s.sec_len) > moff
-            || Hashtbl.mem seen s.sec_name
-          then
-            raise
-              (Format_error
-                 (Printf.sprintf "corrupt v3 section table (%s)" s.sec_name));
-          Hashtbl.add seen s.sec_name ())
-        manifest.v3_sections;
-      manifest)
+             (Printf.sprintf "corrupt v3 section table (%s)" s.sec_name));
+      Hashtbl.add seen s.sec_name ())
+    manifest.v3_sections;
+  manifest
+
+let with_v3_file path f =
+  with_fd path (fun fd ->
+      let size = (Unix.fstat fd).Unix.st_size in
+      f fd ~size (v3_read_manifest fd ~size))
+
+let v3_manifest_of path = with_v3_file path (fun _ ~size:_ m -> m)
 
 let v3_sections path = (v3_manifest_of path).v3_sections
 
@@ -569,30 +603,27 @@ let v3_sections path = (v3_manifest_of path).v3_sections
    full battery costs nothing extra and keeps "corruption is never a
    silent misread" true for every loader. *)
 let v3_load ?term_cap path =
-  let manifest = v3_manifest_of path in
-  let ic = open_in_bin path in
-  let alpha_bytes = ref None in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      List.iter
-        (fun s ->
-          seek_in ic s.sec_off;
-          let blob = Bytes.create (8 * s.sec_len) in
-          (try really_input ic blob 0 (8 * s.sec_len)
-           with End_of_file ->
-             raise
-               (Format_error
-                  (Printf.sprintf "truncated section %s" s.sec_name)));
-          if Edb_util.Crc32.bytes blob <> s.sec_crc then
-            raise
-              (Format_error
-                 (Printf.sprintf "section %s checksum mismatch" s.sec_name));
-          if s.sec_name = "alpha" then alpha_bytes := Some blob)
-        manifest.v3_sections);
+  let manifest, alpha =
+    with_v3_file path (fun fd ~size:_ manifest ->
+        let alpha = ref None in
+        List.iter
+          (fun s ->
+            let blob = read_at fd ~off:s.sec_off (8 * s.sec_len) in
+            if String.length blob < 8 * s.sec_len then
+              raise
+                (Format_error
+                   (Printf.sprintf "truncated section %s" s.sec_name));
+            if Edb_util.Crc32.string blob <> s.sec_crc then
+              raise
+                (Format_error
+                   (Printf.sprintf "section %s checksum mismatch" s.sec_name));
+            if s.sec_name = "alpha" then alpha := Some blob)
+          manifest.v3_sections;
+        (manifest, !alpha))
+  in
   let alpha =
-    match !alpha_bytes with
-    | Some b -> v3_floats_of_bytes b
+    match alpha with
+    | Some b -> v3_floats_of_string b
     | None -> raise (Format_error "missing section alpha")
   in
   let phi =

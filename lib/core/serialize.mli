@@ -34,7 +34,8 @@ type format = Flat | Sharded | MappedV3
 
 val detect : string -> format
 (** Classify a summary file by magic; {!Format_error} when it is none of
-    the known formats.  Reads only the header. *)
+    the known formats.  Reads only the 10-byte magic, through a file
+    descriptor (no channel buffer). *)
 
 val save_sharded : Summary.t -> string -> unit
 (** Write one flat file per part and then the manifest at [path], at
@@ -97,11 +98,18 @@ val save_v3 : Summary.t -> string -> unit
     bitwise what any loader rebuilds from the variable vector. *)
 
 val v3_manifest_of : string -> v3_manifest
-(** Validated header + manifest read in O(header + manifest) I/O — the
-    low-level entry {!Mapped.open_file} builds on.  Raises
-    {!Format_error} on bad magic, version/geometry mismatches, a header
-    or manifest checksum failure, truncation, or an inconsistent section
-    table.  Body sections are {e not} read or verified here. *)
+(** Validated header + manifest read in O(header + manifest) I/O.
+    Raises {!Format_error} on bad magic, version/geometry mismatches, a
+    header or manifest checksum failure, truncation, or an inconsistent
+    section table.  Body sections are {e not} read or verified here. *)
+
+val with_v3_file :
+  string -> (Unix.file_descr -> size:int -> v3_manifest -> 'a) -> 'a
+(** [with_v3_file path f] opens [path] once, validates its header and
+    manifest exactly as {!v3_manifest_of} does, and calls [f] with the
+    open descriptor, the file size and the manifest; the descriptor is
+    closed when [f] returns or raises.  The low-level entry
+    {!v3_manifest_of}, {!v3_load} and {!Mapped.open_file} share. *)
 
 val v3_sections : string -> v3_section list
 (** The section table of a v3 file (used by corruption tests and

@@ -96,6 +96,9 @@ type t = {
   budget : int option;
   cache_capacity : int;
   table : (string, slot) Hashtbl.t;
+  resident : (string, slot) Hashtbl.t;
+      (* the slots of [table] that hold an entry: its length is the
+         resident count, and eviction scans it, not every slot *)
   lock : Mutex.t;
   mutable tick : int;
   mutable resident_bytes : int;
@@ -117,6 +120,7 @@ let create ?(capacity = 8) ?budget_bytes ?(cache_capacity = 4096) () =
     budget = budget_bytes;
     cache_capacity;
     table = Hashtbl.create 64;
+    resident = Hashtbl.create 16;
     lock = Mutex.create ();
     tick = 0;
     resident_bytes = 0;
@@ -151,12 +155,7 @@ let stddev entry q = sqrt (Cache.count entry.cache q).Summary.var
 let resident_entries_locked t =
   Hashtbl.fold
     (fun _ s acc -> match s.s_resident with Some e -> e :: acc | None -> acc)
-    t.table []
-
-let resident_count_locked t =
-  Hashtbl.fold
-    (fun _ s acc -> acc + (if s.s_resident = None then 0 else 1))
-    t.table 0
+    t.resident []
 
 (* Drop residency, keep the slot.  The entry object stays valid for any
    request still holding it; a mapped summary's pages go back to the
@@ -165,6 +164,7 @@ let resident_count_locked t =
 let unmap_locked t slot entry =
   Summary.release_pages entry.summary;
   slot.s_resident <- None;
+  Hashtbl.remove t.resident slot.s_name;
   t.resident_bytes <- t.resident_bytes - entry.bytes;
   t.evictions <- t.evictions + 1
 
@@ -174,7 +174,7 @@ let unmap_locked t slot entry =
    by in-flight bytes rather than yanking an active request's entry. *)
 let rebalance_locked t =
   let over () =
-    resident_count_locked t > t.capacity
+    Hashtbl.length t.resident > t.capacity
     || (match t.budget with Some b -> t.resident_bytes > b | None -> false)
   in
   let continue_ = ref (over ()) in
@@ -188,7 +188,7 @@ let rebalance_locked t =
               | Some (_, best) when best.last_used <= e.last_used -> acc
               | _ -> Some (s, e))
           | _ -> acc)
-        t.table None
+        t.resident None
     in
     match victim with
     | Some (slot, e) ->
@@ -250,6 +250,7 @@ let install_locked t entry =
   | None -> ());
   slot.s_path <- entry.path;
   slot.s_resident <- Some entry;
+  Hashtbl.replace t.resident entry.name slot;
   t.resident_bytes <- t.resident_bytes + entry.bytes;
   t.tick <- t.tick + 1;
   entry.last_used <- t.tick;

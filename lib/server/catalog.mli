@@ -70,6 +70,14 @@ val load : t -> name:string -> path:string -> (entry, string) result
     least-recently-used unpinned entries beyond capacity or budget.
     Replaces any previous summary of the same name. *)
 
+val acquire : t -> string -> (entry, string) result
+(** Resolve [name] as {!with_entry} does and return the entry pinned;
+    the caller must {!release} it. *)
+
+val release : t -> entry -> unit
+(** Drop one pin taken by {!acquire}; the last pin lets the entry be
+    evicted again, and the catalog rebalances. *)
+
 val with_entry : t -> string -> (entry -> 'a) -> ('a, string) result
 (** Resolve [name] — resident hit, or transparent reopen from the
     name's recorded path — pin the entry for the duration of [f], and

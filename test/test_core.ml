@@ -2117,6 +2117,54 @@ let test_mapped_is_read_only () =
     "answers unchanged after release_pages" true
     (same_bits (Summary.estimate heap q) (Summary.estimate mapped q))
 
+(* A mapped summary is one mapping of its file, whatever number of views
+   the evaluator carves from it. *)
+let test_mapped_one_mapping () =
+  if not (Sys.file_exists "/proc/self/maps") then
+    Alcotest.skip ();
+  let _, fixture = Lazy.force one_evaluator_fixture in
+  let path = Filename.temp_file "entropydb-one-map" ".v3" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc
+            (In_channel.with_open_bin fixture In_channel.input_all));
+      let mapped = Mapped.open_file path in
+      Summary.verify mapped;
+      let suffix = "/" ^ Filename.basename path in
+      let maps =
+        In_channel.with_open_bin "/proc/self/maps" In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (String.ends_with ~suffix)
+      in
+      Alcotest.(check int) "mappings of the file" 1 (List.length maps);
+      ignore (Sys.opaque_identity (Summary.cardinality mapped)))
+
+(* A table view outlives the summary it came from: the mapping is
+   unmapped only when the last view of it is finalized. *)
+let test_mapped_view_outlives_summary () =
+  let heap, path = Lazy.force one_evaluator_fixture in
+  let views () =
+    let tb = Poly.tables (Summary.poly (Mapped.open_file path)) in
+    (tb.Poly.tb_alpha, tb.Poly.tb_groups.(0).Poly.factors)
+  in
+  let alpha, factors = views () in
+  for _ = 1 to 3 do
+    Gc.full_major ()
+  done;
+  let tb = Poly.tables (Summary.poly heap) in
+  let same_view what (a : Poly.fbuf) (b : Poly.fbuf) =
+    Alcotest.(check int) (what ^ " length") (Bigarray.Array1.dim b)
+      (Bigarray.Array1.dim a);
+    for i = 0 to Bigarray.Array1.dim a - 1 do
+      if not (same_bits a.{i} b.{i}) then
+        Alcotest.failf "%s.{%d}: mapped %h vs heap %h" what i a.{i} b.{i}
+    done
+  in
+  same_view "alpha" alpha tb.Poly.tb_alpha;
+  same_view "g0.factors" factors tb.Poly.tb_groups.(0).Poly.factors
+
 let () =
   Alcotest.run "entropydb-core"
     [
@@ -2210,6 +2258,10 @@ let () =
             `Quick test_heap_mapped_one_answer;
           Alcotest.test_case "nothing writes through a mapping" `Quick
             test_mapped_is_read_only;
+          Alcotest.test_case "one mapping per mapped file" `Quick
+            test_mapped_one_mapping;
+          Alcotest.test_case "a table view outlives its summary" `Quick
+            test_mapped_view_outlives_summary;
         ] );
       ( "worlds",
         [

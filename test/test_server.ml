@@ -400,6 +400,177 @@ let test_no_answer_before_verification () =
    would otherwise evict it; the budget overshoots instead.  A budget
    smaller than a single entry is the degenerate stress: nothing stays
    resident between requests, yet every request succeeds via reopen. *)
+(* Random LOAD / acquire / release / evict sequences against a reference
+   weighted-LRU model.  One summary is saved under every name, so all
+   footprints are equal and the model needs no byte sizes beyond one.
+   After each step the residents, resident bytes, evictions and reopens
+   must match: the catalog's bookkeeping (the resident set it keeps next
+   to the slots) never drifts from the policy. *)
+type cat_op = Load of int | Acquire of int | Release of int | Evict of int
+
+let cat_names = 5
+
+let cat_fixture =
+  lazy
+    (let dir = temp_dir () in
+     let s = small_summary ~seed:67 () in
+     let paths =
+       Array.init cat_names (fun i ->
+           saved_summary_v3 dir (Printf.sprintf "n%d" i) s)
+     in
+     (paths, (Unix.stat paths.(0)).Unix.st_size))
+
+type m_entry = { m_name : string; mutable m_last : int; mutable m_pins : int }
+
+let catalog_matches_model =
+  let op_gen =
+    QCheck.Gen.(
+      map2
+        (fun k i ->
+          match k with
+          | 0 -> Load i
+          | 1 | 2 -> Acquire i
+          | 3 | 4 -> Release i
+          | _ -> Evict i)
+        (int_bound 5) (int_bound (cat_names - 1)))
+  in
+  let print_op = function
+    | Load i -> Printf.sprintf "LOAD n%d" i
+    | Acquire i -> Printf.sprintf "acquire n%d" i
+    | Release i -> Printf.sprintf "release #%d" i
+    | Evict i -> Printf.sprintf "EVICT n%d" i
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (cap, budget, ops) ->
+        Printf.sprintf "capacity %d, budget %s entries: %s" cap
+          (match budget with
+          | None -> "unlimited"
+          | Some k -> Printf.sprintf "%d.5" k)
+          (String.concat "; " (List.map print_op ops)))
+      QCheck.Gen.(
+        triple (int_range 1 4)
+          (opt (int_bound 4))
+          (list_size (int_bound 40) op_gen))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:150
+       ~name:"catalog matches a weighted-LRU model" arb
+       (fun (capacity, budget_k, ops) ->
+         let paths, bytes = Lazy.force cat_fixture in
+         let budget =
+           Option.map (fun k -> (k * bytes) + (bytes / 2)) budget_k
+         in
+         let cat = Catalog.create ~capacity ?budget_bytes:budget () in
+         (* The model: name -> resident entry (None once evicted). *)
+         let slots : (string, m_entry option ref) Hashtbl.t =
+           Hashtbl.create 8
+         in
+         let tick = ref 0 and evictions = ref 0 and reopens = ref 0 in
+         let residents () =
+           Hashtbl.fold
+             (fun _ r acc -> match !r with Some e -> e :: acc | None -> acc)
+             slots []
+         in
+         let rec rebalance () =
+           let rs = residents () in
+           let over =
+             List.length rs > capacity
+             || match budget with
+                | Some b -> List.length rs * bytes > b
+                | None -> false
+           in
+           let lru =
+             List.fold_left
+               (fun acc e ->
+                 match acc with
+                 | _ when e.m_pins > 0 -> acc
+                 | Some best when best.m_last <= e.m_last -> acc
+                 | _ -> Some e)
+               None rs
+           in
+           match lru with
+           | Some e when over ->
+               Hashtbl.find slots e.m_name := None;
+               incr evictions;
+               rebalance ()
+           | _ -> ()
+         in
+         let install e =
+           (match Hashtbl.find_opt slots e.m_name with
+           | Some r -> r := Some e
+           | None -> Hashtbl.add slots e.m_name (ref (Some e)));
+           incr tick;
+           e.m_last <- !tick;
+           rebalance ()
+         in
+         let pinned = ref [] in
+         let step op =
+           match op with
+           | Load i -> (
+               let name = Printf.sprintf "n%d" i in
+               match Catalog.load cat ~name ~path:paths.(i) with
+               | Ok _ -> install { m_name = name; m_last = 0; m_pins = 0 }
+               | Error m -> Alcotest.fail m)
+           | Acquire i -> (
+               let name = Printf.sprintf "n%d" i in
+               incr tick;
+               let model =
+                 match Hashtbl.find_opt slots name with
+                 | None -> None
+                 | Some { contents = Some e } ->
+                     e.m_last <- !tick;
+                     e.m_pins <- e.m_pins + 1;
+                     Some e
+                 | Some { contents = None } ->
+                     let e = { m_name = name; m_last = 0; m_pins = 1 } in
+                     incr reopens;
+                     install e;
+                     Some e
+               in
+               match (Catalog.acquire cat name, model) with
+               | Ok entry, Some e -> pinned := (entry, e) :: !pinned
+               | Error _, None -> ()
+               | Ok _, None -> Alcotest.failf "acquired unknown %s" name
+               | Error m, Some _ -> Alcotest.failf "acquire %s: %s" name m)
+           | Release k -> (
+               match !pinned with
+               | [] -> ()
+               | ps ->
+                   let entry, e = List.nth ps (k mod List.length ps) in
+                   pinned := List.filter (fun (x, _) -> x != entry) ps;
+                   Catalog.release cat entry;
+                   e.m_pins <- e.m_pins - 1;
+                   if e.m_pins = 0 then rebalance ())
+           | Evict i ->
+               let name = Printf.sprintf "n%d" i in
+               let known =
+                 match Hashtbl.find_opt slots name with
+                 | Some r ->
+                     if Option.is_some !r then incr evictions;
+                     Hashtbl.remove slots name;
+                     true
+                 | None -> false
+               in
+               if Catalog.evict cat name <> known then
+                 Alcotest.failf "EVICT %s: known %b in the model" name known
+         in
+         List.for_all
+           (fun op ->
+             step op;
+             let st = Catalog.stats cat in
+             let got =
+               List.sort compare
+                 (List.map (fun e -> e.Catalog.name) (Catalog.entries cat))
+             and want =
+               List.sort compare (List.map (fun e -> e.m_name) (residents ()))
+             in
+             got = want
+             && st.Catalog.resident_bytes = List.length want * bytes
+             && st.Catalog.evictions = !evictions
+             && st.Catalog.reopens = !reopens)
+           ops))
+
 let test_catalog_pinning () =
   let dir = temp_dir () in
   let s = small_summary ~seed:62 () in
@@ -530,6 +701,46 @@ let test_handler_dispatch () =
            (fun l -> String.length l >= 8 && String.sub l 0 8 = "requests")
            lines)
   | Protocol.Err { message; _ } -> Alcotest.fail message
+
+(* STATS splits a reopen into its open and its section-checksum pass:
+   one verify per (re)opened v3 entry, counted when the entry first
+   answers. *)
+let test_handler_verify_in_stats () =
+  Edb_obs.Registry.Hist.reset (Edb_obs.Registry.histogram "mapped_verify_ns");
+  let dir = temp_dir () in
+  let s = small_summary ~seed:68 () in
+  let pa = saved_summary_v3 dir "a" s and pb = saved_summary_v3 dir "b" s in
+  let bytes = (Unix.stat pa).Unix.st_size in
+  let catalog = Catalog.create ~budget_bytes:bytes () in
+  let metrics = Metrics.create () in
+  let handle r =
+    match fst (Handler.handle ~catalog ~metrics r) with
+    | Protocol.Ok lines -> lines
+    | Protocol.Err { message; _ } -> Alcotest.fail message
+  in
+  let verifies () =
+    List.find_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ "obs_mapped_verify_ns_count"; v ] -> int_of_string_opt v
+        | _ -> None)
+      (handle Protocol.Stats)
+  in
+  let query name =
+    ignore
+      (handle
+         (Protocol.Query
+            { name; sql = "SELECT COUNT(*) FROM f WHERE a0 IN [1,3]" }))
+  in
+  ignore (handle (Protocol.Load { name = "a"; path = pa }));
+  query "a";
+  Alcotest.(check (option int)) "LOAD + QUERY" (Some 1) (verifies ());
+  (* The budget holds one file: loading "b" evicts "a". *)
+  ignore (handle (Protocol.Load { name = "b"; path = pb }));
+  query "a";
+  Alcotest.(check int) "a reopened" 1 (Catalog.stats catalog).Catalog.reopens;
+  Alcotest.(check (option int)) "after the reopening QUERY" (Some 2)
+    (verifies ())
 
 (* Partitioned summaries must be served transparently: same protocol,
    same answers as querying the summary in-process, with part counts
@@ -1698,6 +1909,7 @@ let () =
             test_no_answer_before_verification;
           Alcotest.test_case "pinning under budget pressure" `Quick
             test_catalog_pinning;
+          catalog_matches_model;
         ] );
       ( "cache",
         [ Alcotest.test_case "concurrent hammering" `Quick test_cache_concurrent ] );
@@ -1707,6 +1919,8 @@ let () =
           Alcotest.test_case "sharded summary" `Quick test_handler_sharded;
           Alcotest.test_case "one kernel pass per answer" `Quick
             test_handler_one_kernel_pass;
+          Alcotest.test_case "reopen verify in STATS" `Quick
+            test_handler_verify_in_stats;
           Alcotest.test_case "attach + plan routing" `Quick test_handler_plan;
           Alcotest.test_case "grouped ORDER BY / LIMIT on QUERY and PLAN"
             `Quick test_handler_group_order;

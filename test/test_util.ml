@@ -422,6 +422,77 @@ let test_mpsc_concurrent () =
         (List.for_all2 ( = ) l (List.init per Fun.id)))
     per_producer
 
+(* ------------------------------------------------------------------ *)
+(* Crc32                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The bytewise reference: one table lookup per byte, the loop the
+   slicing-by-8 implementation must agree with. *)
+let crc32_reference s =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB8_8320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let crc = ref 0xFFFF_FFFF in
+  String.iter
+    (fun ch ->
+      crc := table.((!crc lxor Char.code ch) land 0xff) lxor (!crc lsr 8))
+    s;
+  !crc lxor 0xFFFF_FFFF
+
+let bigchar_of_string s =
+  let a = Bigarray.(Array1.create char c_layout (String.length s)) in
+  String.iteri (fun i c -> a.{i} <- c) s;
+  a
+
+let test_crc32_known_answers () =
+  List.iter
+    (fun (s, want) ->
+      let check what got =
+        Alcotest.(check int) (what ^ " " ^ String.escaped s) want got
+      in
+      check "string" (Crc32.string s);
+      check "bytes" (Crc32.bytes (Bytes.of_string s));
+      check "bigchar" (Crc32.bigchar (bigchar_of_string s)))
+    [ ("", 0); ("123456789", 0xCBF4_3926) ];
+  (* The 8-byte step keeps its loads unboxed: a mapped summary's
+     checksum pass allocates nothing per byte. *)
+  let buf = bigchar_of_string (String.make 65536 'z') in
+  ignore (Crc32.bigchar buf);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Crc32.bigchar buf));
+  let words = Gc.minor_words () -. before in
+  if words > 64. then
+    Alcotest.failf "Crc32.bigchar allocated %.0f words for 64 KiB" words
+
+(* Every prefix length 0-70 (so every tail length mod 8) of a random
+   string, also as a section-style view at an unaligned offset into a
+   larger buffer. *)
+let crc32_props =
+  let arb =
+    QCheck.make
+      ~print:(fun (s, off) -> Printf.sprintf "%S @%d" s off)
+      QCheck.Gen.(pair (string_size ~gen:char (return 70)) (int_bound 9))
+  in
+  [
+    prop "string, bytes, bigchar and unaligned views = bytewise" arb
+      (fun (s, off) ->
+        let padded = bigchar_of_string (String.make off 'x' ^ s ^ "yz") in
+        List.for_all
+          (fun len ->
+            let s = String.sub s 0 len in
+            let want = crc32_reference s in
+            Crc32.string s = want
+            && Crc32.bytes (Bytes.of_string s) = want
+            && Crc32.bigchar (bigchar_of_string s) = want
+            && Crc32.bigchar (Bigarray.Array1.sub padded off len) = want)
+          (List.init 71 Fun.id));
+  ]
+
 let () =
   Alcotest.run "entropydb-util"
     [
@@ -473,6 +544,10 @@ let () =
           Alcotest.test_case "concurrent 4-domain stress" `Quick
             test_stopwatch_concurrent;
         ] );
+      ( "crc32",
+        Alcotest.test_case "known answers, no allocation" `Quick
+          test_crc32_known_answers
+        :: crc32_props );
       ( "mpsc",
         [
           Alcotest.test_case "single-threaded FIFO" `Quick test_mpsc_fifo;
