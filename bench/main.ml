@@ -1710,9 +1710,9 @@ let ingest config =
 (* Thousand-summary catalog residency                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The v3 format's contract is that [Mapped.open_file] costs
+(* The summary file's contract is that [Serialize.load] costs
    O(header + manifest), independent of the body.  Prove it with a
-   thousand small v3 files plus one deliberately fat one: open-latency
+   thousand small files plus one deliberately fat one: open-latency
    p50/p99 over the small fleet, and a fail-loud guard that the fat
    file (several times the body bytes) does not open proportionally
    slower.  Then run a byte-budgeted catalog over the whole fleet at a
@@ -1793,17 +1793,15 @@ let catalog config =
         (Sys.readdir dir);
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
   @@ fun () ->
-  Printf.printf "catalog: writing %d v3 files...\n%!" n_files;
+  Printf.printf "catalog: writing %d summary files...\n%!" n_files;
   let paths =
     Array.init n_files (fun i ->
         let path = Filename.concat dir (Printf.sprintf "sum-%04d.summary" i) in
-        Serialize.save_v3
-          small_summaries.(i mod Array.length small_summaries)
-          path;
+        Serialize.save small_summaries.(i mod Array.length small_summaries) path;
         path)
   in
   let fat_path = Filename.concat dir "fat.summary" in
-  Serialize.save_v3 fat_summary fat_path;
+  Serialize.save fat_summary fat_path;
   let small_bytes = (Unix.stat paths.(0)).Unix.st_size in
   let fat_bytes = (Unix.stat fat_path).Unix.st_size in
   Printf.printf "catalog: small file %d B, fat file %d B (%.1fx)\n%!"
@@ -1813,7 +1811,7 @@ let catalog config =
      file repeatedly. *)
   let time_open path =
     let t0 = Timing.now_s () in
-    let m = Mapped.open_file path in
+    let m = Serialize.load path in
     let dt = Timing.now_s () -. t0 in
     ignore (Sys.opaque_identity (Summary.cardinality m));
     dt *. 1e6
@@ -1830,12 +1828,11 @@ let catalog config =
   in
   let open_p50 = pct 0.50 small_opens and open_p99 = pct 0.99 small_opens in
   (* The reopen split: what a transparent reopen pays between a catalog
-     miss and its first answer (sniff, open, section-checksum pass, the
-     first COUNT), and what eviction pays, one step at a time over the
-     small fleet.  Nanosecond clock: several steps take a microsecond or
-     two. *)
+     miss and its first answer (open, checksum-and-range pass, the first
+     COUNT), and what eviction pays, one step at a time over the small
+     fleet.  Nanosecond clock: several steps take a microsecond or two. *)
   let split_q = St.Predicate.of_alist ~arity:3 [ (0, Ranges.interval 1 3) ] in
-  let split = Array.make_matrix 5 n_files 0. in
+  let split = Array.make_matrix 4 n_files 0. in
   Array.iteri
     (fun i path ->
       let step k f =
@@ -1845,32 +1842,21 @@ let catalog config =
           Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e3;
         r
       in
-      ignore (Sys.opaque_identity (step 0 (fun () -> Serialize.detect path)));
-      let m = step 1 (fun () -> Mapped.open_file path) in
-      step 2 (fun () -> Summary.verify m);
-      ignore (Sys.opaque_identity (step 3 (fun () -> Summary.count m split_q)));
-      step 4 (fun () -> Summary.release_pages m))
+      let m = step 0 (fun () -> Serialize.load path) in
+      step 1 (fun () -> Summary.verify m);
+      ignore (Sys.opaque_identity (step 2 (fun () -> Summary.count m split_q)));
+      step 3 (fun () -> Summary.release_pages m))
     paths;
   let split_p50 = Array.map (fun xs -> pct 0.50 (Array.to_list xs)) split in
   let split_names =
     [|
-      ("Serialize.detect", "detect");
-      ("Mapped.open_file", "open_file");
+      ("Serialize.load", "open_file");
       ("Summary.verify", "verify");
       ("first Summary.count", "first_count");
       ("Summary.release_pages", "release_pages");
     |]
   in
   let fat_p50 = pct 0.50 fat_opens in
-  (* Heap-load p50 of the same fat file, for scale: open must be far
-     below it, but only the O(1) guard below is load-bearing. *)
-  let load_p50 =
-    pct 0.50
-      (List.init 20 (fun _ ->
-           let t0 = Timing.now_s () in
-           ignore (Sys.opaque_identity (Serialize.load fat_path));
-           (Timing.now_s () -. t0) *. 1e6))
-  in
   (* Byte-budgeted catalog over the fleet: keep ~24 small summaries
      resident out of n_files, query random names, verify bitwise. *)
   let budget = 24 * small_bytes in
@@ -1919,7 +1905,7 @@ let catalog config =
     Table.create
       ~title:
         (Printf.sprintf
-           "Catalog residency (%d v3 files, budget %d B = %d summaries)"
+           "Catalog residency (%d summary files, budget %d B = %d summaries)"
            n_files budget (budget / small_bytes))
       ~headers:[ "metric"; "value" ]
       ~aligns:[ Table.Left; Table.Right ] ()
@@ -1936,7 +1922,6 @@ let catalog config =
       add ("reopen p50: " ^ label) (Printf.sprintf "%.1f us" split_p50.(k)))
     split_names;
   add "fat open p50" (Printf.sprintf "%.1f us" fat_p50);
-  add "fat heap-load p50" (Printf.sprintf "%.1f us" load_p50);
   add "accesses" (string_of_int accesses);
   add "wrong answers" (string_of_int !wrong);
   add "access p50" (Printf.sprintf "%.1f us" q_p50);
@@ -1961,7 +1946,6 @@ let catalog config =
              ("reopen_" ^ key ^ "_p50_us", Json.Float split_p50.(k)))
            split_names)
     @ [
-      ("fat_heap_load_p50_us", Json.Float load_p50);
       ("budget_bytes", Json.Int budget);
       ("accesses", Json.Int accesses);
       ("wrong_answers", Json.Int !wrong);

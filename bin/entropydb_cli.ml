@@ -9,6 +9,8 @@
      info        inspect a saved summary
      ingest      append a batch CSV to a saved summary (incremental
                  statistics + warm-started solve, no full rebuild)
+     upgrade     rewrite a summary file of a replaced format in the
+                 current one (offline)
      serve       run the resident summary server (lib/server)
      client      talk to a running server
      check       run the correctness oracle battery over random cases
@@ -162,14 +164,10 @@ let heuristic_conv =
 
 let build_cmd_named cmd_name ~doc =
   let run verbose dataset input rows seed output pairs buckets heuristic
-      sweeps shards shard_by format trace_out =
+      sweeps shards shard_by trace_out =
     setup_logs verbose;
     if shards < 1 then begin
       Fmt.epr "%s: --shards must be at least 1@." cmd_name;
-      exit 2
-    end;
-    if format = "v3" && shards > 1 then begin
-      Fmt.epr "%s: --format v3 is for flat (unsharded) summaries@." cmd_name;
       exit 2
     end;
     with_trace trace_out @@ fun () ->
@@ -197,8 +195,6 @@ let build_cmd_named cmd_name ~doc =
       { Entropydb_core.Solver.default_config with max_sweeps = sweeps }
     in
     if shards = 1 then begin
-      (* A single shard is just the flat summary; save the flat format so
-         older readers keep working. *)
       (* Verbose builds print the solver's convergence table live, one
          row per sweep, off the telemetry callback. *)
       let header_printed = ref false in
@@ -218,14 +214,8 @@ let build_cmd_named cmd_name ~doc =
       let report = Entropydb_core.Summary.solver_report summary in
       Printf.printf "solved in %d sweeps, %.1fs (max rel err %.2e)\n"
         report.sweeps report.seconds report.max_rel_error;
-      if format = "v3" then begin
-        Entropydb_core.Serialize.save_v3 summary output;
-        Printf.printf "mmap-able v3 summary written to %s\n" output
-      end
-      else begin
-        Entropydb_core.Serialize.save summary output;
-        Printf.printf "summary written to %s\n" output
-      end
+      Entropydb_core.Serialize.save summary output;
+      Printf.printf "summary written to %s\n" output
     end
     else begin
       let strategy =
@@ -256,7 +246,7 @@ let build_cmd_named cmd_name ~doc =
         (Entropydb_core.Summary.parts summary);
       Printf.printf "built %d shards in %.1fs (%d domains)\n" shards build_s
         (Edb_util.Parallel.default_domains ());
-      Entropydb_core.Serialize.save_sharded summary output;
+      Entropydb_core.Serialize.save summary output;
       Printf.printf "sharded summary (%s) written to %s\n"
         (Entropydb_core.Summary.strategy summary)
         output
@@ -311,7 +301,7 @@ let build_cmd_named cmd_name ~doc =
           ~doc:
             "Partition the relation into $(docv) shards and build one \
              summary per shard, in parallel over OCaml domains \
-             ($(b,EDB_DOMAINS)).  1 (the default) writes the flat format.")
+             ($(b,EDB_DOMAINS)).  Every part goes in the one output file.")
   in
   let shard_by_t =
     Arg.(
@@ -321,21 +311,11 @@ let build_cmd_named cmd_name ~doc =
             "Partitioning key: $(b,rows) (contiguous row ranges) or an \
              attribute name (hash of that attribute's value).")
   in
-  let format_t =
-    Arg.(
-      value
-      & opt (enum [ ("v2", "v2"); ("v3", "v3") ]) "v2"
-      & info [ "format" ] ~docv:"v2|v3"
-          ~doc:
-            "On-disk format for flat summaries: $(b,v2) (the default, \
-             portable) or $(b,v3) (page-aligned, mmap-able; the server \
-             opens it zero-copy in O(1)).")
-  in
   Cmd.v (Cmd.info cmd_name ~doc)
     Term.(
       const run $ verbose_t $ dataset_t $ input_t $ rows_t $ seed_t $ output_t
       $ pairs_t $ buckets_t $ heuristic_t $ sweeps_t $ shards_t $ shard_by_t
-      $ format_t $ trace_out_t)
+      $ trace_out_t)
 
 let build_cmd =
   build_cmd_named "build" ~doc:"Compute and save a MaxEnt summary."
@@ -358,8 +338,6 @@ let query_cmd =
        file, an unreadable --exact-csv): turn any of it into a one-line
        diagnostic and a non-zero exit instead of an uncaught exception. *)
     try
-    (* Serialize.load sniffs the magic, so this accepts flat summaries,
-       v3 files and sharded manifests alike. *)
     let summary = Entropydb_core.Serialize.load summary_path in
     let schema = Entropydb_core.Summary.schema summary in
     match Edb_query.Translate.compile_string schema sql with
@@ -631,26 +609,24 @@ let info_cmd =
       let schema = Entropydb_core.Summary.schema summary in
       let parts = Entropydb_core.Summary.parts summary in
       let k = Array.length parts in
-      let format = Entropydb_core.Serialize.detect summary_path in
-      Printf.printf "format: %s\n"
-        (match format with
-        | Entropydb_core.Serialize.Flat -> "flat"
-        | Entropydb_core.Serialize.Sharded -> "sharded manifest"
-        | Entropydb_core.Serialize.MappedV3 -> "mmap v3");
-      (* v3 files carry a section table the server maps zero-copy; list
-         it so operators can see the layout the checksums cover. *)
-      if format = Entropydb_core.Serialize.MappedV3 then begin
-        let m = Entropydb_core.Serialize.v3_manifest_of summary_path in
-        Printf.printf "sections: %d\n"
-          (List.length m.Entropydb_core.Serialize.v3_sections);
-        List.iter
-          (fun (s : Entropydb_core.Serialize.v3_section) ->
-            Printf.printf
-              "  %-14s %-7s offset %8d  elems %8d  crc32 %08x\n" s.sec_name
-              (if s.sec_float then "float64" else "int")
-              s.sec_off s.sec_len s.sec_crc)
-          m.Entropydb_core.Serialize.v3_sections
-      end;
+      let manifest = Entropydb_core.Serialize.manifest summary_path in
+      Printf.printf "format: version %d, %d bytes\n"
+        Entropydb_core.Serialize.version
+        (Entropydb_core.Summary.footprint_bytes summary);
+      (* Each part's section table: the layout the checksums cover. *)
+      Array.iteri
+        (fun i (p : Entropydb_core.Serialize.part_meta) ->
+          Printf.printf "sections%s: %d\n"
+            (if k = 1 then "" else Printf.sprintf " (shard %d)" i)
+            (List.length p.pm_sections);
+          List.iter
+            (fun (s : Entropydb_core.Serialize.section) ->
+              Printf.printf
+                "  %-14s %-7s offset %8d  elems %8d  crc32 %08x\n" s.sec_name
+                (if s.sec_float then "float64" else "int")
+                s.sec_off s.sec_len s.sec_crc)
+            p.pm_sections)
+        manifest.m_parts;
       Printf.printf "shards: %d (%s)\n" k
         (Entropydb_core.Summary.strategy summary);
       Printf.printf "cardinality: %d%s\n"
@@ -705,16 +681,13 @@ let ingest_cmd =
   let run verbose summary_path batch_csv output sweeps =
     setup_logs verbose;
     try
-      (match Entropydb_core.Serialize.detect summary_path with
-      | Entropydb_core.Serialize.Flat | Entropydb_core.Serialize.MappedV3 -> ()
-      | Entropydb_core.Serialize.Sharded ->
-          Fmt.epr
-            "ingest error: %s is a sharded manifest; ingest supports flat \
-             summaries@."
-            summary_path;
-          exit 2);
       let summary = Entropydb_core.Serialize.load summary_path in
       let schema = Entropydb_core.Summary.schema summary in
+      let k = Entropydb_core.Summary.num_parts summary in
+      if k <> 1 then
+        failwith
+          (Printf.sprintf "ingest supports unsharded summaries; %s has %d shards"
+             summary_path k);
       match Csv_io.load_indices schema batch_csv with
       | Error e ->
           Fmt.epr "ingest error: %s: %a@." batch_csv Csv_io.pp_error e;
@@ -741,9 +714,7 @@ let ingest_cmd =
               ~source:(Filename.basename batch_csv) ?on_sweep summary batch
           in
           let out = Option.value output ~default:summary_path in
-          (* The output keeps the input file's format, so `-o NEW` from
-             a v3 file writes v3 like an in-place ingest does. *)
-          Edb_ingest.Ingest.save_atomic ~like:summary_path summary' out;
+          Edb_ingest.Ingest.save_atomic summary' out;
           Printf.printf
             "ingested %d rows in %.2fs (%d warm sweep%s, converged=%b)\n"
             stats.Edb_ingest.Ingest.batch_rows stats.Edb_ingest.Ingest.seconds
@@ -768,7 +739,7 @@ let ingest_cmd =
       required
       & opt (some string) None
       & info [ "s"; "summary" ] ~docv:"FILE"
-          ~doc:"Saved (flat) summary to append to.")
+          ~doc:"Saved (unsharded) summary to append to.")
   in
   let batch_t =
     Arg.(
@@ -798,6 +769,48 @@ let ingest_cmd =
          "Append a batch of rows to a saved summary without a full rebuild \
           (incremental statistics + warm-started solve).")
     Term.(const run $ verbose_t $ summary_t $ batch_t $ output_t $ sweeps_t)
+
+(* ------------------------------------------------------------------ *)
+(* upgrade                                                             *)
+(* ------------------------------------------------------------------ *)
+
+let upgrade_cmd =
+  let run verbose src dst =
+    setup_logs verbose;
+    match Edb_ingest.Ingest.upgrade src dst with
+    | () ->
+        Printf.printf "%s written in format version %d\n" dst
+          Entropydb_core.Serialize.version;
+        0
+    | exception Entropydb_core.Serialize.Format_error m ->
+        Fmt.epr "upgrade error: %s: %s@." src m;
+        1
+    | exception (Sys_error m | Failure m | Invalid_argument m) ->
+        Fmt.epr "upgrade error: %s@." m;
+        1
+  in
+  let src_t =
+    Arg.(
+      required
+      & pos 0 (some string) None
+      & info [] ~docv:"OLD" ~doc:"Summary file to convert.")
+  in
+  let dst_t =
+    Arg.(
+      required
+      & pos 1 (some string) None
+      & info [] ~docv:"NEW" ~doc:"Output path; may be $(i,OLD).")
+  in
+  Cmd.v
+    (Cmd.info "upgrade"
+       ~doc:
+         "Rewrite a summary file in the current format, atomically.  Reads \
+          v1 and v2 files, sharded manifests (with their part files) and \
+          version-3 files, which $(b,serve) and every other verb refuse; \
+          the output answers every query bitwise as the input did.  \
+          Decoding a v1/v2 payload trusts it, so a corrupt legacy file can \
+          crash this command: run it offline, on files you trust.")
+    Term.(const run $ verbose_t $ src_t $ dst_t)
 
 (* ------------------------------------------------------------------ *)
 (* evaluate                                                            *)
@@ -930,9 +943,8 @@ let tcp_port_t =
     & info [ "tcp-port" ] ~docv:"PORT" ~doc:"TCP port to listen/connect on.")
 
 let serve_cmd =
-  let run verbose socket tcp_host tcp_port max_conns domains batch_window
-      max_inflight deadline idle catalog_capacity catalog_bytes cache_capacity
-      preload =
+  let run verbose socket tcp_host tcp_port max_conns domains max_inflight
+      deadline idle catalog_capacity catalog_bytes cache_capacity preload =
     setup_logs verbose;
     let tcp = Option.map (fun p -> (tcp_host, p)) tcp_port in
     if socket = None && tcp = None then begin
@@ -946,7 +958,6 @@ let serve_cmd =
           tcp;
           max_conns;
           domains;
-          batch_window;
           max_inflight;
           max_line_bytes = Edb_server.Server.default_config.max_line_bytes;
           request_deadline = deadline;
@@ -999,14 +1010,6 @@ let serve_cmd =
             "Executor domains (event loops); 0 = auto (EDB_DOMAINS, else \
              core count).")
   in
-  let batch_window_t =
-    Arg.(
-      value & opt float Edb_server.Server.default_config.batch_window
-      & info [ "batch-window" ] ~docv:"SECONDS"
-          ~doc:
-            "Linger this long topping up a request batch before executing \
-             (coalescing window); 0 batches per readiness sweep.")
-  in
   let max_inflight_t =
     Arg.(
       value & opt int Edb_server.Server.default_config.max_inflight
@@ -1037,9 +1040,9 @@ let serve_cmd =
       & opt (some int) Edb_server.Server.default_config.catalog_bytes
       & info [ "catalog-bytes" ] ~docv:"BYTES"
           ~doc:
-            "Byte budget over resident summaries' footprints (weighted LRU \
-             beyond it; evicted names transparently reopen on use — O(1) for \
-             mmap v3 files).  Unlimited by default.")
+            "Byte budget over resident summaries' file sizes (weighted LRU \
+             beyond it; evicted names transparently reopen on use, in \
+             O(header + manifest)).  Unlimited by default.")
   in
   let cache_t =
     Arg.(
@@ -1060,7 +1063,7 @@ let serve_cmd =
           drain).")
     Term.(
       const run $ verbose_t $ socket_t $ tcp_host_t $ tcp_port_t $ max_conns_t
-      $ domains_t $ batch_window_t $ max_inflight_t $ deadline_t
+      $ domains_t $ max_inflight_t $ deadline_t
       $ idle_t $ catalog_t $ catalog_bytes_t $ cache_t $ preload_t)
 
 let client_cmd =
@@ -1322,7 +1325,7 @@ let () =
        (Cmd.group info
           [
             generate_cmd; build_cmd; summarize_cmd; query_cmd; explain_cmd;
-            info_cmd; ingest_cmd;
+            info_cmd; ingest_cmd; upgrade_cmd;
             serve_cmd; client_cmd; stats_cmd; evaluate_cmd; check_cmd;
             experiment_cmd;
           ]))

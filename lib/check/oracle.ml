@@ -360,48 +360,43 @@ let rec rm_rf path =
   | _ -> Sys.remove path
   | exception Unix.Unix_error _ -> ()
 
+(* One writer and one reader for every summary: the flat and the
+   partitioned case round-trip through a file and answer (est, var)
+   bitwise as the summaries that wrote them. *)
 let c_serialize_roundtrip ctx =
-  let s = ctx.case.Case.summary in
   let dir = temp_dir () in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      let flat_path = Filename.concat dir "flat.summary" in
-      Serialize.save s flat_path;
-      let s' = Serialize.load flat_path in
-      let sh_path = Filename.concat dir "sharded.summary" in
-      Serialize.save_sharded ctx.case.Case.sharded sh_path;
-      let sh' = Serialize.load sh_path in
       List.iter
-        (fun q ->
-          tally ctx;
-          let a = Summary.estimate s q and b = Summary.estimate s' q in
-          if a <> b then
-            fail ctx ~check:"serialize-roundtrip" ~tier:Differential
-              "flat reload not bitwise: %.17g vs %.17g on %a" a b Predicate.pp
-              q;
-          tally ctx;
-          let a = Summary.estimate ctx.case.Case.sharded q in
-          let b = Summary.estimate sh' q in
-          if a <> b then
-            fail ctx ~check:"serialize-roundtrip" ~tier:Differential
-              "sharded reload not bitwise: %.17g vs %.17g on %a" a b
-              Predicate.pp q)
-        ctx.case.Case.queries)
+        (fun (what, s) ->
+          let path = Filename.concat dir (what ^ ".summary") in
+          Serialize.save s path;
+          let s' = Serialize.load path in
+          List.iter
+            (fun q ->
+              tally ctx;
+              let a = Summary.count s q and b = Summary.count s' q in
+              if a <> b then
+                fail ctx ~check:"serialize-roundtrip" ~tier:Differential
+                  "%s reload not bitwise: (%.17g, %.17g) vs (%.17g, %.17g) \
+                   on %a"
+                  what b.est b.var a.est a.var Predicate.pp q)
+            ctx.case.Case.queries)
+        [ ("flat", ctx.case.Case.summary); ("sharded", ctx.case.Case.sharded) ])
 
-(* A mapped v3 file is answered by the same evaluator as the heap
-   summary that wrote it, so every answer must be bitwise the heap's:
-   what this checks is the writer (the tables it stores) and the
-   mapping (the views the reader carves).  Exercise every estimator
-   surface against the heap answers, check the v3 round-trip heap-loads
-   to the same summary as the v2 round-trip, and that a close/reopen of
-   the mapping changes nothing.  Residency and lifetime: released pages
+(* A mapped file is answered by the same evaluator as the summary that
+   wrote it, so every answer must be bitwise the in-memory summary's:
+   what this checks is the writer (the tables it stores) and the reader
+   (the views it carves).  Exercise every estimator surface on the flat
+   case, the partitioned case's counts, and that a close/reopen of the
+   mapping changes nothing.  Residency and lifetime: released pages
    fault back in with the same bytes, and finalizing one mapping of a
    file leaves another mapping of it answering. *)
 let c_mmap_v3 ctx =
   let s = ctx.case.Case.summary in
   let dir = temp_dir () in
-  let counts_match ~tier what m =
+  let counts_match ~tier what s m =
     List.iter
       (fun q ->
         tally ctx;
@@ -416,39 +411,24 @@ let c_mmap_v3 ctx =
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      let v3_path = Filename.concat dir "v3.summary" in
-      Serialize.save_v3 s v3_path;
-      let m = Mapped.open_file v3_path in
+      let path = Filename.concat dir "flat.summary" in
+      Serialize.save s path;
+      let m = Serialize.load path in
       tally ctx;
       if Summary.cardinality m <> Summary.cardinality s then
         fail ctx ~check:"mmap-v3" ~tier:Differential
           "mapped cardinality %d vs heap %d" (Summary.cardinality m)
           (Summary.cardinality s);
+      counts_match ~tier:Differential "flat" s m;
       List.iter
         (fun q ->
           tally ctx;
-          let h = Summary.estimate s q and mm = Summary.estimate m q in
-          if h <> mm then
-            fail ctx ~check:"mmap-v3" ~tier:Differential
-              "mapped estimate not bitwise: %.17g vs heap %.17g on %a" mm h
-              Predicate.pp q;
-          tally ctx;
-          let h = Summary.count s q and mm = Summary.count m q in
-          if h <> mm then
-            fail ctx ~check:"mmap-v3" ~tier:Differential
-              "mapped (est, var) not bitwise: (%.17g, %.17g) vs (%.17g, \
-               %.17g) on %a"
-              mm.est mm.var h.est h.var Predicate.pp q;
-          tally ctx;
           let hs = Summary.sum s ~attr:0 q and ms = Summary.sum m ~attr:0 q in
-          if hs.est <> ms.est then
+          if hs <> ms then
             fail ctx ~check:"mmap-v3" ~tier:Differential
-              "mapped SUM not bitwise: %.17g vs heap %.17g on %a" ms.est hs.est
-              Predicate.pp q;
-          tally ctx;
-          if hs.var <> ms.var then
-            fail ctx ~check:"mmap-v3" ~tier:Differential
-              "mapped SUM variance differs from heap on %a" Predicate.pp q)
+              "mapped SUM not bitwise: (%.17g, %.17g) vs heap (%.17g, %.17g) \
+               on %a"
+              ms.est ms.var hs.est hs.var Predicate.pp q)
         ctx.case.Case.queries;
       let attrs =
         List.hd (Gen.group_attr_sets ctx.case.Case.spec (schema ctx))
@@ -469,25 +449,22 @@ let c_mmap_v3 ctx =
                (%.17g, %.17g)"
               mm.est mm.var h.est h.var)
         (Gen.disjunctions ctx.case.Case.spec (schema ctx));
-      (* v3 heap-load round-trips to the same summary as the v2 path. *)
-      let flat_path = Filename.concat dir "flat.summary" in
-      Serialize.save s flat_path;
-      let via_v2 = Serialize.load flat_path in
-      let via_v3 = Serialize.load v3_path in
-      List.iter
-        (fun q ->
-          tally ctx;
-          let a = Summary.estimate via_v2 q and b = Summary.estimate via_v3 q in
-          if a <> b then
-            fail ctx ~check:"mmap-v3" ~tier:Differential
-              "v3 heap-load differs from v2 round-trip: %.17g vs %.17g on %a"
-              b a Predicate.pp q)
-        ctx.case.Case.queries;
+      (* The partitioned case: k parts in one file, one mapping. *)
+      let sh = ctx.case.Case.sharded in
+      let sh_path = Filename.concat dir "sharded.summary" in
+      Serialize.save sh sh_path;
+      let msh = Serialize.load sh_path in
+      tally ctx;
+      if Summary.num_parts msh <> Summary.num_parts sh then
+        fail ctx ~check:"mmap-v3" ~tier:Differential
+          "mapped part count %d vs %d" (Summary.num_parts msh)
+          (Summary.num_parts sh);
+      counts_match ~tier:Differential "partitioned" sh msh;
       Summary.release_pages m;
-      counts_match ~tier:Metamorphic "after release_pages" m;
+      counts_match ~tier:Metamorphic "after release_pages" s m;
       (* Close/reopen idempotence: a second mapping of the same file
          answers identically to the first (and to the heap). *)
-      let m2 = Mapped.open_file v3_path in
+      let m2 = Serialize.load path in
       Summary.verify m2;
       List.iter
         (fun q ->
@@ -499,7 +476,8 @@ let c_mmap_v3 ctx =
       (* [m] is dead from here on: a full major collection finalizes it
          and unmaps its region, which must not touch [m2]'s. *)
       Gc.full_major ();
-      counts_match ~tier:Metamorphic "after the first mapping is collected" m2)
+      counts_match ~tier:Metamorphic "after the first mapping is collected" s
+        m2)
 
 let c_cache_vs_uncached ctx =
   let s = ctx.case.Case.summary in

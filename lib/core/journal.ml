@@ -3,7 +3,7 @@
    A freshly built summary starts a journal with one base record; every
    ingested batch appends an entry (row count, source tag, solver sweeps
    the warm-started re-solve took).  The journal travels inside the
-   serialized summary (format v2, see Serialize), so after a restart a
+   summary file's manifest (see Serialize), so after a restart a
    summary still knows how it was assembled and the maintenance history
    is replayable/auditable: [total_rows] must always equal the summary's
    cardinality, which the ingest path and the check harness both verify.

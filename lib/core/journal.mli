@@ -1,6 +1,6 @@
 (** Ingest journal: the lineage of a summary — its base build plus every
-    appended batch.  Persisted inside the summary file (Serialize format
-    v2), so lineage survives restarts and {!total_rows} can always be
+    appended batch.  Persisted inside the summary file's manifest
+    ({!Serialize}), so lineage survives restarts and {!total_rows} can always be
     audited against the summary's cardinality. *)
 
 val version : int

@@ -1,9 +1,10 @@
 /* One mapping per summary file, and residency control for it.
 
-   A v3 file is read through three Bigarray views — bytes for the
-   checksums, float64 and native ints for the kernel tables.  Mapping it
-   once and sharing one proxy among the views keeps one VMA per open
-   file instead of three, and lets one madvise release every view. */
+   A summary file is read through three Bigarray views — bytes for the
+   checksums, float64 and native ints for the kernel tables of every
+   part.  Mapping it once and sharing one proxy among the views keeps one
+   VMA per open file, whatever its part count, and lets one madvise
+   release every view. */
 
 #define CAML_NAME_SPACE
 #include <stdlib.h>

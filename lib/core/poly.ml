@@ -51,8 +51,9 @@
    Every table the evaluators read — alpha, the attribute sums, the prefix
    sums, and per group fa_off/fa_attr/factors/iv_*/t_mask/dprod/mask_bits
    — is a float64 or int Bigarray, so the same evaluator answers a summary
-   built here and one opened over a format-v3 file mapping, where
-   [Mapped] carves these very tables out of the file ([of_tables]).  The
+   built here and one opened over a summary file's mapping, where
+   [Serialize.load] carves these very tables out of the file
+   ([of_tables]).  The
    solver's update tables (the ts, bys and byv families, fprod, value and
    the per-mask caches) stay OCaml arrays; a polynomial over borrowed
    tables has none and is read-only.
@@ -161,12 +162,10 @@ type t = {
   scratch_busy : bool Atomic.t; (* claimed by an in-flight evaluation *)
   solver : solver option; (* None: read-only tables lent by storage *)
   phi_of : unit -> Phi.t;
-  footprint : int;
   (* Integrity latch over lent tables: [verify] runs once, before the
      first answer or table read. *)
   verified : bool Atomic.t;
   verify : unit -> unit;
-  release : unit -> unit; (* lent tables: give their resident pages back *)
 }
 
 exception Too_many_terms of { cap : int; group_attrs : int list }
@@ -648,38 +647,6 @@ let prefix_offsets schema =
   done;
   off
 
-(* Resident size estimate in bytes: one word per array element plus the
-   prefix tables — the weighted catalog charges heap entries with this. *)
-let heap_footprint ~alpha ~m ~prefix groups upd =
-  let word = 8 in
-  let acc = ref (word * (alpha + m + prefix)) in
-  Array.iteri
-    (fun gi g ->
-      let u = upd.(gi) in
-      let ints =
-        Array.length u.ts_off + Array.length u.ts_stat + A1.dim g.fa_off
-        + A1.dim g.fa_attr + A1.dim g.iv_off + A1.dim g.iv_lo
-        + A1.dim g.iv_hi + A1.dim g.t_mask + A1.dim g.mask_bits
-        + Array.length u.bys_off + Array.length u.bys_term
-      in
-      let ints =
-        Array.fold_left (fun a o -> a + Array.length o) ints u.byv_off
-      in
-      let ints =
-        Array.fold_left (fun a o -> a + Array.length o) ints u.byv_term
-      in
-      let ints =
-        Array.fold_left (fun a o -> a + Array.length o) ints u.byv_slot
-      in
-      let floats =
-        A1.dim g.factors + Array.length u.fprod + A1.dim g.dprod
-        + Array.length u.value + Array.length u.mask_sum
-        + Array.length u.mask_outer
-      in
-      acc := !acc + (word * (ints + floats)))
-    groups;
-  !acc
-
 let create ?(term_cap = 2_000_000) phi =
   let schema = Phi.schema phi in
   let m = Schema.arity schema in
@@ -800,19 +767,15 @@ let create ?(term_cap = 2_000_000) phi =
       scratch_busy = Atomic.make false;
       solver = Some { phi; group_of_stat; upd };
       phi_of = (fun () -> phi);
-      footprint =
-        heap_footprint ~alpha:(A1.dim alpha) ~m ~prefix:(A1.dim prefix)
-          groups upd;
       verified = Atomic.make true;
       verify = ignore;
-      release = ignore;
     }
   in
   refresh t;
   t
 
 (* ------------------------------------------------------------------ *)
-(* Table export and import (summary format v3)                         *)
+(* Table export and import (summary files)                             *)
 (* ------------------------------------------------------------------ *)
 
 type tables = {
@@ -838,9 +801,7 @@ let tables t =
     tb_groups = t.groups;
   }
 
-let updates t = (solver_of t "Poly.updates").upd
-
-let of_tables schema ~n tb ~phi ~verify ~release ~footprint_bytes =
+let of_tables schema ~n tb ~phi ~verify =
   {
     schema;
     m = Schema.arity schema;
@@ -859,10 +820,8 @@ let of_tables schema ~n tb ~phi ~verify ~release ~footprint_bytes =
     scratch_busy = Atomic.make false;
     solver = None;
     phi_of = phi;
-    footprint = footprint_bytes;
     verified = Atomic.make false;
     verify;
-    release;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -895,8 +854,6 @@ let num_marginals t =
 let num_terms t = Array.fold_left (fun acc g -> acc + g.n_terms) 0 t.groups
 let num_groups t = Array.length t.groups
 let uncompressed_monomials t = Schema.tuple_space_size t.schema
-let footprint_bytes t = t.footprint
-let release_pages t = t.release ()
 
 (* ------------------------------------------------------------------ *)
 (* Incremental variable update                                         *)

@@ -147,12 +147,12 @@ val num_marginals : t -> int
 val uncompressed_monomials : t -> float
 (** |Tup| — the size the naive sum-of-products form would have. *)
 
-(** {2 Tables (summary format v3)}
+(** {2 Tables (summary files)}
 
-    Every table the evaluators read is a Bigarray.  The zero-copy
-    serializer writes these tables to disk verbatim, and {!Mapped} opens
-    a v3 file by carving the same tables out of its mapping and handing
-    them to {!of_tables}, so one evaluator answers both. *)
+    Every table the evaluators read is a Bigarray.  {!Serialize.save}
+    writes these tables to disk verbatim, and {!Serialize.load} opens a
+    file by carving the same tables out of its mapping and handing them
+    to {!of_tables}, so one evaluator answers both. *)
 
 type fbuf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type ibuf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -172,25 +172,6 @@ type group = {
 }
 (** One statistic group's evaluator tables. *)
 
-type updates = private {
-  g_stats : int array;
-  ts_off : int array;
-  ts_stat : int array;
-  fprod : float array;
-  value : float array;
-  mask_sum : float array;
-  mask_outer : float array;
-  mutable q : float;
-  bys_row : (int, int) Hashtbl.t;
-  bys_off : int array;
-  bys_term : int array;
-  byv_off : int array array;
-  byv_term : int array array;
-  byv_slot : int array array;
-}
-(** One group's solver-side tables: inverted indexes and cached
-    per-term/per-mask state that single-variable updates maintain. *)
-
 type tables = {
   tb_alpha : fbuf;
   tb_attr_sums : fbuf;
@@ -206,12 +187,8 @@ type tables = {
 val tables : t -> tables
 (** The current evaluator tables (prefix sums finalized first), shared
     with the polynomial, not copied.  Call {!refresh} beforehand when a
-    canonical (rebuild-from-α) state is required, as the v3 writer
+    canonical (rebuild-from-α) state is required, as the writer
     does. *)
-
-val updates : t -> updates array
-(** The solver-side tables, parallel to [(tables t).tb_groups].  Raises
-    [Invalid_argument] on a read-only polynomial. *)
 
 val of_tables :
   Edb_storage.Schema.t ->
@@ -219,18 +196,15 @@ val of_tables :
   tables ->
   phi:(unit -> Phi.t) ->
   verify:(unit -> unit) ->
-  release:(unit -> unit) ->
-  footprint_bytes:int ->
   t
 (** A read-only polynomial over tables lent by storage — no term is
     enumerated and nothing is copied.  The tables must have the geometry
-    {!tables} exports for this schema.  [verify] checks their integrity;
-    it runs once, before the first answer or table read ({!p},
-    {!alpha}, {!alphas}, the evaluators), and its exception propagates
-    to every caller until it succeeds.  [phi] rebuilds the statistic set
-    on demand ({!phi}); [release] is what {!release_pages} runs;
-    [footprint_bytes] is what {!footprint_bytes} reports.  The solver, {!refresh} and every other update raise
-    [Invalid_argument]. *)
+    {!tables} exports for this schema.  [verify] checks their integrity
+    and index ranges; it runs once, before the first answer or table
+    read ({!p}, {!alpha}, {!alphas}, the evaluators), and its exception
+    propagates to every caller until it succeeds.  [phi] rebuilds the
+    statistic set on demand ({!phi}).  The solver, {!refresh} and every
+    other update raise [Invalid_argument]. *)
 
 val read_only : t -> bool
 (** Whether the tables are lent by storage ({!of_tables}). *)
@@ -238,13 +212,3 @@ val read_only : t -> bool
 val verify : t -> unit
 (** Force the integrity check of lent tables now (idempotent; a no-op for
     a polynomial built by {!create}). *)
-
-val release_pages : t -> unit
-(** Give the resident pages of lent tables back to the operating system
-    without invalidating them: a later read faults them in again from
-    storage.  A no-op for a polynomial built by {!create}. *)
-
-val footprint_bytes : t -> int
-(** Bytes this polynomial charges a byte-budgeted catalog: the estimated
-    heap size of the tables (one word per array element) for a built
-    polynomial, the [footprint_bytes] given to {!of_tables} otherwise. *)

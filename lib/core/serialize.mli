@@ -1,122 +1,89 @@
-(** Summary persistence: one versioned binary file per one-part summary,
-    sized O(#statistics), plus a versioned manifest format for
-    partitioned summaries (one manifest referencing k flat per-part
-    files).  The compressed polynomial is rebuilt on load. *)
+(** Summary persistence: one file per summary, flat or partitioned.
+
+    A file holds, per part, the statistic set (schema, n, every target),
+    the solver report and ingest journal, and the tables the evaluator
+    reads, stored verbatim as packed sections after a 128-byte header and
+    followed by a checksummed manifest.  {!load} maps the file once and
+    answers from those tables directly, so opening costs O(header +
+    manifest) whatever the body size or part count.
+
+    The element encoding is the host's Bigarray representation (IEEE-754
+    doubles, untagged native ints, little-endian); files from hosts with
+    a different int size or byte order are rejected with
+    {!Format_error}. *)
 
 exception Format_error of string
 
 val version : int
-(** Current flat-file format version (2: v1 payload + the ingest
-    {!Journal}).  {!load} accepts every version up to this one — v1 files
-    load with a fresh base journal — and rejects unknown future versions
-    with {!Format_error}. *)
+(** The file format version (4).  Version 3 (page-aligned, one part per
+    file), the v1/v2 Marshal files and the [ENTROPYDB\x02] manifest of
+    per-part files are the formats it replaced; {!Legacy} reads them for
+    [entropydb upgrade]. *)
 
 val save : Summary.t -> string -> unit
-(** Always writes the current {!version}.  Raises [Invalid_argument] on
-    a summary of more than one part (see {!save_sharded}). *)
+(** Write any summary, of any part count.  A built polynomial's cached
+    tables are refreshed first (semantically the identity), so the stored
+    tables are bitwise what a rebuild from the variable vector gives; a
+    read-only summary ({!load}) is written with its tables as they are. *)
 
-val load : ?term_cap:int -> string -> Summary.t
-(** Load any summary file, sniffed by magic ({!detect}) — v1, v2, v3
-    (heap rebuild; see {!v3_load}) or a manifest ({!load_sharded}).
-    Raises {!Format_error} on bad magic, an unsupported (future)
-    version, or a corrupt payload, and like {!Poly.create} if a rebuilt
-    polynomial exceeds [term_cap]. *)
+val save_v3 : Summary.t -> string -> unit
+(** Alias of {!save}, kept for the serving benchmark's workload writer. *)
 
-(** {2 Sharded manifests}
+val load : string -> Summary.t
+(** Map a summary file: validate the header and manifest, map the file
+    once, and carve every part's tables out of the mapping.  The result
+    is {!Summary.read_only}, its {!Summary.footprint_bytes} is the file
+    size, and its {!Summary.release_pages} is one [madvise] of the
+    mapping.
 
-    A partitioned summary persists as one manifest file (magic, version,
-    partitioning-strategy tag, part count, per-part file names) next to
-    one flat summary file per part, named [<base>.shard<i>].  Part
-    files are referenced relative to the manifest's directory, so the
-    whole group moves together. *)
+    Integrity: body sections are not read here.  Each part checksums its
+    sections, and range-checks its index tables, once, before its first
+    answer or table read ({!Summary.verify} forces it eagerly); a
+    failure raises {!Format_error} naming the section.
 
-type format = Flat | Sharded | MappedV3
+    Raises {!Format_error} on bad magic, an unsupported version, a
+    header or manifest checksum failure, truncation, or an inconsistent
+    manifest.  A file in a replaced format is refused with a message
+    naming the format and [entropydb upgrade], decided from its header
+    bytes: nothing of it is unmarshaled.  I/O failures raise [Sys_error]
+    naming [path]. *)
 
-val detect : string -> format
-(** Classify a summary file by magic; {!Format_error} when it is none of
-    the known formats.  Reads only the 10-byte magic, through a file
-    descriptor (no channel buffer). *)
+(** {2 The manifest}
 
-val save_sharded : Summary.t -> string -> unit
-(** Write one flat file per part and then the manifest at [path], at
-    any part count.  The summary's {!Summary.strategy} tag (e.g.
-    ["rows"] or ["attr:origin"]) is stored for provenance. *)
+    Exposed for [entropydb info] and for tests that craft files. *)
 
-val load_sharded : ?term_cap:int -> string -> Summary.t
-(** Load a manifest and all its parts, in manifest order and with the
-    stored strategy tag.  Raises {!Format_error} on bad magic,
-    unsupported version, truncated fields, a part count that disagrees
-    with the name list or the files on disk, per-part corruption, or a
-    schema mismatch between parts — never a crash. *)
-
-(** {2 Summary format v3 — page-aligned, mmap-able}
-
-    v3 stores the polynomial's flat SoA kernel tables verbatim as
-    page-aligned body sections, preceded by a fixed header and followed
-    by a marshaled manifest (small metadata + per-section checksums), so
-    a summary can be opened in O(header + manifest) and queried directly
-    off a file mapping ({!Mapped}).  The element encoding is the host's
-    Bigarray representation (IEEE-754 doubles, untagged native ints,
-    little-endian); files from hosts with a different int size or byte
-    order are rejected with {!Format_error}. *)
-
-val v3_page : int
-(** Section alignment (4096 bytes). *)
-
-type v3_section = {
-  sec_name : string;  (** e.g. ["alpha"], ["g0.ts_off"] *)
+type section = {
+  sec_name : string;  (** e.g. ["alpha"], ["g0.fa_off"] *)
   sec_float : bool;  (** float64 elements; untagged ints otherwise *)
-  sec_off : int;  (** byte offset, page-aligned *)
+  sec_off : int;  (** byte offset, 64-byte aligned *)
   sec_len : int;  (** element count (8 bytes each) *)
   sec_crc : int;  (** CRC-32 of the raw section bytes *)
 }
 
-type v3_group_meta = {
-  v3g_attrs : int array;
-  v3g_stats : int array;
-  v3g_n_terms : int;
-  v3g_q : float;
+type group_meta = {
+  gm_attrs : int array;  (** the group's attributes, ascending *)
+  gm_terms : int;
 }
 
-type v3_manifest = {
-  v3_schema : Edb_storage.Schema.t;
-  v3_n : int;
-  v3_p : float;
-  v3_marginal_targets : float array array;
-  v3_joints : (Edb_storage.Predicate.t * float) list;
-  v3_report : Solver.report;
-  v3_journal : Journal.t;
-  v3_free_attrs : int array;
-  v3_group_of_attr : int array;
-  v3_groups : v3_group_meta array;
-  v3_sections : v3_section list;
+type part_meta = {
+  pm_n : int;
+  pm_p : float;
+  pm_marginal_targets : float array array;
+  pm_joints : (Edb_storage.Predicate.t * float) list;
+  pm_report : Solver.report;
+  pm_journal : Journal.t;
+  pm_free_attrs : int array;
+  pm_group_of_attr : int array;
+  pm_groups : group_meta array;
+  pm_sections : section list;
 }
 
-val save_v3 : Summary.t -> string -> unit
-(** Write the summary in format v3.  Refreshes the polynomial's cached
-    tables first (semantically the identity), so the stored tables are
-    bitwise what any loader rebuilds from the variable vector. *)
+type manifest = {
+  m_schema : Edb_storage.Schema.t;
+  m_strategy : string;
+  m_parts : part_meta array;
+}
 
-val v3_manifest_of : string -> v3_manifest
-(** Validated header + manifest read in O(header + manifest) I/O.
-    Raises {!Format_error} on bad magic, version/geometry mismatches, a
-    header or manifest checksum failure, truncation, or an inconsistent
-    section table.  Body sections are {e not} read or verified here. *)
-
-val with_v3_file :
-  string -> (Unix.file_descr -> size:int -> v3_manifest -> 'a) -> 'a
-(** [with_v3_file path f] opens [path] once, validates its header and
-    manifest exactly as {!v3_manifest_of} does, and calls [f] with the
-    open descriptor, the file size and the manifest; the descriptor is
-    closed when [f] returns or raises.  The low-level entry
-    {!v3_manifest_of}, {!v3_load} and {!Mapped.open_file} share. *)
-
-val v3_sections : string -> v3_section list
-(** The section table of a v3 file (used by corruption tests and
-    [entropydb info]). *)
-
-val v3_load : ?term_cap:int -> string -> Summary.t
-(** Heap-load a v3 file: verify {e every} section checksum, then rebuild
-    the polynomial from the stored targets and alpha vector exactly like
-    a v2 load.  Raises {!Format_error} as {!v3_manifest_of}, plus on any
-    body-section checksum mismatch. *)
+val manifest : string -> manifest
+(** The validated manifest of a file, read in O(header + manifest) I/O;
+    raises like {!load}.  Body sections are not read. *)

@@ -30,9 +30,12 @@ type t = {
   parts : part array;
   schema : Schema.t;
   strategy : string; (* provenance: "flat", "rows", "attr:<name>" *)
+  bytes : int; (* size of the file the parts' tables are mapped from *)
+  release : unit -> unit; (* gives that mapping's pages back *)
 }
 
-let flat schema part = { parts = [| part |]; schema; strategy = "flat" }
+let flat schema part =
+  { parts = [| part |]; schema; strategy = "flat"; bytes = 0; release = ignore }
 
 let build ?(solver_config = Solver.default_config) ?term_cap ?on_sweep rel
     ~joints =
@@ -66,7 +69,9 @@ let of_parts ?(strategy = "rows") summaries =
         invalid_arg "Summary.of_parts: part schema mismatch")
     summaries;
   let parts = Array.to_list (Array.map (fun s -> s.parts) summaries) in
-  { parts = Array.concat parts; schema; strategy }
+  { parts = Array.concat parts; schema; strategy; bytes = 0; release = ignore }
+
+let of_file ~bytes ~release t = { t with bytes; release }
 
 let parts t = Array.map (flat t.schema) t.parts
 let num_parts t = Array.length t.parts
@@ -93,7 +98,8 @@ let with_journal t journal =
 
 let read_only t = Array.for_all (fun p -> Poly.read_only p.poly) t.parts
 let verify t = Array.iter (fun p -> Poly.verify p.poly) t.parts
-let release_pages t = Array.iter (fun p -> Poly.release_pages p.poly) t.parts
+let release_pages t = t.release ()
+let footprint_bytes t = t.bytes
 
 (* ------------------------------------------------------------------ *)
 (* One part                                                            *)
@@ -349,9 +355,6 @@ let size_report t =
       uncompressed_monomials = 0.;
     }
     t.parts
-
-let footprint_bytes t =
-  Array.fold_left (fun acc p -> acc + Poly.footprint_bytes p.poly) 0 t.parts
 
 let pp_size_report ppf r =
   Fmt.pf ppf

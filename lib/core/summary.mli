@@ -52,8 +52,15 @@ val of_solved_poly :
 val of_parts : ?strategy:string -> t array -> t
 (** The summary of a disjoint union: the given summaries' parts, in
     order (part order is significant: it is the summation order).
-    [strategy] is a provenance tag, default ["rows"].  Raises
-    [Invalid_argument] on an empty array or a schema mismatch. *)
+    [strategy] is a provenance tag, default ["rows"].  The result is
+    an in-memory summary: mark it {!of_file} if its parts answer from
+    one mapped file.  Raises [Invalid_argument] on an empty array or a
+    schema mismatch. *)
+
+val of_file : bytes:int -> release:(unit -> unit) -> t -> t
+(** [t], whose parts all answer from one mapped file of [bytes] bytes:
+    {!footprint_bytes} reports [bytes] once, whatever the part count, and
+    {!release_pages} runs [release] once ({!Serialize.load}). *)
 
 val parts : t -> t array
 (** One one-part summary per part, in part order. *)
@@ -85,21 +92,21 @@ val with_journal : t -> Journal.t -> t
     the summary has more parts. *)
 
 val read_only : t -> bool
-(** Whether every part answers from tables lent by storage — a format-v3
-    file opened with {!Mapped.open_file}.  Such a summary answers every
+(** Whether every part answers from tables lent by storage — a summary
+    file opened with {!Serialize.load}.  Such a summary answers every
     query exactly like the summary that wrote it, but cannot be
     re-solved in place. *)
 
 val verify : t -> unit
-(** Check the integrity of lent tables now (a v3 file's section
-    checksums) instead of before the first answer; a no-op for a summary
-    built or heap-loaded in memory.  Raises {!Serialize.Format_error}
-    naming the first corrupt section. *)
+(** Check the integrity of lent tables now (a file's section checksums
+    and index ranges) instead of before the first answer; a no-op for a
+    summary built in memory.  Raises {!Serialize.Format_error} naming
+    the first bad section. *)
 
 val release_pages : t -> unit
-(** Give the pages a {!read_only} summary holds resident back to the
-    operating system; it keeps answering, faulting pages in again from
-    its file as it reads them.  A no-op for other summaries.  The
+(** Give the pages a mapped summary ({!of_file}) holds resident back to
+    the operating system; it keeps answering, faulting pages in again
+    from its file as it reads them.  A no-op for other summaries.  The
     catalog calls it on eviction, so an evicted mapped summary holds no
     memory while the GC has yet to collect it. *)
 
@@ -168,7 +175,6 @@ val size_report : t -> size_report
 val pp_size_report : Format.formatter -> size_report -> unit
 
 val footprint_bytes : t -> int
-(** What the summary charges a byte-budgeted catalog
-    ({!Poly.footprint_bytes}, summed over parts): the estimated heap
-    size of its kernel tables, or the mapped file's size for a
-    {!read_only} summary. *)
+(** What the summary charges a byte-budgeted catalog: the size of the
+    file it is mapped from ({!of_file}), counted once; 0 for a summary
+    built in memory. *)

@@ -17,7 +17,7 @@
       measures exactly this, via the solver's on_sweep telemetry).
 
    The summary's Journal records the lineage (base build + every batch),
-   is persisted in the summary file (Serialize v2), and is audited here:
+   is persisted in the summary file's manifest, and is audited here:
    after every append, Journal.total_rows must equal the summary's
    cardinality. *)
 
@@ -102,32 +102,21 @@ let replay ?solver_config ?term_cap ~joints base batches =
 
 (* Atomic on-disk refresh: write next to the target, fsync-free rename
    over it (atomic on POSIX), so a concurrent reader sees either the old
-   file or the new one, never a torn write.
-
-   The write format follows the file named by [like] — by default the
-   file being replaced — so a v3 (mmap-able) file stays v3 and a mapped
-   catalog entry survives REFRESH without a silent downgrade to heap
-   loading; `entropydb ingest -o NEW` passes its input file, so a copy
-   keeps the source's format too.  A missing or unreadable [like] file
-   gets the default flat format. *)
-let save_atomic ?like summary path =
-  let write =
-    match Serialize.detect (Option.value like ~default:path) with
-    | Serialize.MappedV3 -> Serialize.save_v3 summary
-    | Serialize.Flat | Serialize.Sharded -> Serialize.save summary
-    | exception (Serialize.Format_error _ | Sys_error _) ->
-        Serialize.save summary
-  in
+   file or the new one, never a torn write — and a reader that mapped
+   the old file keeps its inode. *)
+let save_atomic summary path =
   let tmp =
     Filename.temp_file
       ~temp_dir:(Filename.dirname path)
       (Filename.basename path) ".ingest-tmp"
   in
-  match write tmp with
+  match Serialize.save summary tmp with
   | () -> Sys.rename tmp path
   | exception e ->
       (try Sys.remove tmp with Sys_error _ -> ());
       raise e
+
+let upgrade src dst = save_atomic (Legacy.load src) dst
 
 (* A crash between the temp write and the rename strands a temp file.
    They are harmless (never read by any loader) but accumulate; these

@@ -8,7 +8,7 @@
     start's tens.  The base data is never touched and need not exist.
 
     Every append extends the summary's {!Journal} (persisted in the
-    summary file, Serialize v2) and bumps the [ingest_*] metrics in
+    summary file's manifest) and bumps the [ingest_*] metrics in
     {!Edb_obs.Registry}. *)
 
 open Edb_storage
@@ -58,13 +58,18 @@ val replay :
     batches (as [(source, batch)] pairs) in order.  Within solver
     tolerance of the summary the original ingest sequence produced. *)
 
-val save_atomic : ?like:string -> Summary.t -> string -> unit
+val save_atomic : Summary.t -> string -> unit
 (** Persist via write-to-temp + [rename] in the target's directory, so a
     concurrent reader of [path] sees the old or the new summary, never a
-    torn file.  The write format is that of the file [like] (default:
-    [path] itself, the file being replaced): a v3 file gives v3;
-    anything else — including a missing file — gives the flat format.
-    Raises like {!Serialize.save} / {!Serialize.save_v3}. *)
+    torn file.  Raises like {!Serialize.save}. *)
+
+val upgrade : string -> string -> unit
+(** [upgrade old new_] rewrites the summary file [old] — in any format
+    this library has written ({!Legacy.load}) — in the current format at
+    [new_], atomically ({!save_atomic}); [new_] may be [old].  The result
+    answers bitwise as [old] did.  Decoding a legacy file unmarshals it,
+    so a corrupt one can crash the process: an offline tool, never run
+    by the server. *)
 
 val orphan_temps : dir:string -> string list
 (** Temp files ([*.ingest-tmp]) stranded in [dir] by a crash between the

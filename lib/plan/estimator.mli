@@ -32,9 +32,8 @@ val of_summary : ?name:string -> Entropydb_core.Summary.t -> t
 (** Closed-form binomial variance (Var = n·p·(1−p)); zero model cost is
     {e not} assumed — the variance is the summary's own uncertainty,
     which is honest exactly when the MaxEnt family contains the data's
-    distribution.  Serves every summary the catalog holds: partitioned
-    ones (variances add over parts) and zero-copy mapped v3 files
-    included. *)
+    distribution.  Serves every summary the catalog holds, partitioned
+    ones (variances add over parts) included. *)
 
 val of_sample : ?name:string -> Edb_sampling.Sample.t -> t
 (** Horvitz–Thompson estimates with design-based, finite-population-

@@ -1,16 +1,13 @@
 (* The server's directory of resident summaries, under a byte budget.
 
    Summaries are built offline (`entropydb build`/`summarize`) and loaded
-   by name from disk — flat files, sharded manifests, and mmap-able v3
-   files alike, sniffed by magic.  v3 files become zero-copy *mapped*
-   entries (Mapped.open_file): O(header + manifest) to open, body pages
-   file-backed and clean.  Everything else heap-loads (Serialize.load).
-   Either way an entry holds one [Summary.t], answered by the same
-   estimators.
+   by name from disk.  Every entry is a *mapped* summary file
+   (Serialize.load): O(header + manifest) to open whatever its size or
+   part count, body pages file-backed and clean, checksums and index
+   ranges verified once before its first answer.
 
-   Residency is *weighted*: every entry is charged its byte footprint
-   (mapped file size, or estimated kernel-table heap size) against a
-   configurable budget, and eviction is weighted LRU — drop the
+   Residency is *weighted*: every entry is charged its file size, once,
+   against a configurable budget, and eviction is weighted LRU — drop the
    least-recently-used unpinned entries until both the byte budget and
    the entry-count capacity hold.  A deployment can therefore serve a
    thousand small summaries under a budget far below their total
@@ -18,13 +15,19 @@
 
    Eviction keeps the name→path *slot* (the persistent directory): a
    later request for an evicted name transparently reopens it from disk
-   — O(1) for v3 files — so budget-driven eviction is invisible to
+   in O(header + manifest), so budget-driven eviction is invisible to
    clients, it only shows up as latency and in the reopen counter.
    Explicit [evict] removes the slot too (the name is gone).
 
-   Eviction also hands a mapped entry's pages back to the kernel
+   Eviction also hands an entry's pages back to the kernel
    ([Summary.release_pages]): the GC would otherwise keep a dead
    mapping resident until it finalizes the Bigarray.
+
+   Verification: [acquire] forces the entry's verify latch after pinning
+   it, outside the lock, so no request answers from unverified bytes.
+   A file that fails it is an ERR load for that request, and the entry
+   leaves residency (its slot stays): the next request reopens the file
+   and verifies it again, so a repaired file serves again.
 
    Pinning: a request resolves its entry once ([with_entry]) and holds a
    pin for its whole execution; pinned entries are never chosen for
@@ -36,16 +39,15 @@
    books honest and the residency stats meaningful.)
 
    Thread-safety: slots, the LRU clock, byte accounting, and counters
-   are mutex-guarded.  Opening (the expensive part for heap formats)
-   runs outside the lock, so a slow LOAD never blocks queries against
-   resident summaries; if two threads race to open the same name, both
-   open and the later insert wins, which is safe because summaries are
-   immutable. *)
+   are mutex-guarded.  Opening and verifying run outside the lock, so a
+   slow LOAD never blocks queries against resident summaries; if two
+   threads race to open the same name, both open and the later insert
+   wins, which is safe because summaries are immutable. *)
 
 open Entropydb_core
 
-(* Open latency, O(header + manifest) for v3 files regardless of body
-   size — `bench catalog` gates on this histogram's shape.  Values are
+(* Open latency, O(header + manifest) regardless of body size — `bench
+   catalog` gates on this histogram's shape.  Values are
    *nanoseconds* (the name carries the unit, like kernel_eval_ns):
    mapped opens sit around the microsecond scale where the histogram's
    native microsecond resolution would flatten them. *)
@@ -139,10 +141,8 @@ let with_lock t f =
 (* Entry accessors                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* A v3 file opens as one read-only part over its mapping; nothing else
-   is read-only. *)
-let mapped entry = Summary.read_only entry.summary
-let kind_name entry = if mapped entry then "mapped" else "heap"
+(* Every entry is a mapped file. *)
+let kind_name _ = "mapped"
 let schema entry = Summary.schema entry.summary
 let cardinality entry = Summary.cardinality entry.summary
 let num_shards entry = Summary.num_parts entry.summary
@@ -158,9 +158,9 @@ let resident_entries_locked t =
     t.resident []
 
 (* Drop residency, keep the slot.  The entry object stays valid for any
-   request still holding it; a mapped summary's pages go back to the
-   kernel now rather than when the GC finalizes its mapping, and fault
-   in again if a straggler reads them. *)
+   request still holding it; its pages go back to the kernel now rather
+   than when the GC finalizes its mapping, and fault in again if a
+   straggler reads them. *)
 let unmap_locked t slot entry =
   Summary.release_pages entry.summary;
   slot.s_resident <- None;
@@ -201,26 +201,20 @@ let rebalance_locked t =
 (* Opening                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Open a summary file the cheapest way its format allows — a v3 file
-   maps zero-copy in O(header + manifest), everything else heap-loads —
-   and package it as an entry.  Runs outside the lock. *)
+let bad_file path m = Printf.sprintf "%s: bad summary file: %s" path m
+
+(* Map a summary file and package it as an entry.  Runs outside the
+   lock.  Every failure names the path. *)
 let open_entry t ~name ~path =
   match
     let t0 = Edb_util.Timing.now_s () in
-    let summary =
-      match Serialize.detect path with
-      | Serialize.MappedV3 -> Mapped.open_file path
-      | Serialize.Flat | Serialize.Sharded -> Serialize.load path
-    in
+    let summary = Serialize.load path in
     Edb_obs.Registry.Hist.observe_us open_ns_hist
       ((Edb_util.Timing.now_s () -. t0) *. 1e9);
     summary
   with
-  | exception Serialize.Format_error m ->
-      Error (Printf.sprintf "%s: bad summary file: %s" path m)
+  | exception Serialize.Format_error m -> Error (bad_file path m)
   | exception Sys_error m -> Error m
-  | exception Unix.Unix_error (e, _, _) ->
-      Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
   | summary ->
       Ok
         {
@@ -281,10 +275,10 @@ let find t name =
           None)
 
 (* Resolve a name to a pinned entry: resident hit, or transparent
-   reopen from the slot's path (O(1) for v3 files).  The double-checked
-   reopen keeps the open outside the lock; if another thread installed
-   the name meanwhile, its entry wins and our open is dropped. *)
-let acquire t name =
+   reopen from the slot's path.  The double-checked reopen keeps the open
+   outside the lock; if another thread installed the name meanwhile, its
+   entry wins and our open is dropped. *)
+let pin t name =
   let resolved =
     with_lock t (fun () ->
         t.tick <- t.tick + 1;
@@ -322,6 +316,24 @@ let acquire t name =
                      entry.pins <- 1;
                      install_locked t entry;
                      entry)))
+
+(* Pin, then force the verify latch outside the lock (a no-op once it
+   has passed).  A file that fails it is unpinned and leaves residency,
+   keeping its slot, so the next request reopens and re-verifies it. *)
+let acquire t name =
+  match pin t name with
+  | Error _ as e -> e
+  | Ok entry -> (
+      match Summary.verify entry.summary with
+      | () -> Ok entry
+      | exception Serialize.Format_error m ->
+          with_lock t (fun () ->
+              entry.pins <- entry.pins - 1;
+              match Hashtbl.find_opt t.table entry.name with
+              | Some ({ s_resident = Some e; _ } as slot) when e == entry ->
+                  unmap_locked t slot entry
+              | _ -> ());
+          Error (bad_file entry.path m))
 
 let release t entry =
   with_lock t (fun () ->
@@ -387,11 +399,10 @@ type refresh_info = {
    invalidated by construction.  Any ATTACHed base table describes the
    pre-batch relation and is dropped — re-ATTACH after REFRESH.
 
-   Mapped entries refresh like any other: the append reads the mapped
-   summary's statistic set and variables (verifying the file first), the
-   result is written back atomically in v3
-   ([Edb_ingest.Ingest.save_atomic] preserves the on-disk format), and
-   the entry reopens zero-copy. *)
+   The append reads the mapped summary's statistic set and variables,
+   the re-solved summary is written back atomically
+   ([Edb_ingest.Ingest.save_atomic]), and the entry reopens from the new
+   file. *)
 let refresh t ~name ~path:csv_path =
   match acquire t name with
   | Error m -> Error m
@@ -418,14 +429,13 @@ let refresh t ~name ~path:csv_path =
                 with
                 | exception Invalid_argument m -> Error m
                 | exception Serialize.Format_error m ->
-                    Error
-                      (Printf.sprintf "%s: bad summary file: %s" entry.path m)
+                    Error (bad_file entry.path m)
                 | summary', stats -> (
                     match Edb_ingest.Ingest.save_atomic summary' entry.path with
                     | exception Sys_error m -> Error m
                     | () -> (
                         (* Reopen from disk so the resident entry and the
-                           file agree (and a v3 file stays zero-copy). *)
+                           file agree. *)
                         match open_entry t ~name ~path:entry.path with
                         | Error m -> Error m
                         | Ok entry' ->
@@ -467,18 +477,14 @@ let cache_stats t =
 let stats t =
   with_lock t (fun () ->
       let res = resident_entries_locked t in
-      let res_mapped = List.filter mapped res in
-      let mapped_bytes =
-        List.fold_left (fun acc e -> acc + e.bytes) 0 res_mapped
-      in
       {
         resident = List.length res;
-        resident_mapped = List.length res_mapped;
+        resident_mapped = List.length res;
         capacity = t.capacity;
         budget_bytes = t.budget;
         resident_bytes = t.resident_bytes;
-        mapped_bytes;
-        heap_bytes = t.resident_bytes - mapped_bytes;
+        mapped_bytes = t.resident_bytes;
+        heap_bytes = 0;
         pinned = List.length (List.filter (fun e -> e.pins > 0) res);
         slots = Hashtbl.length t.table;
         shards = List.fold_left (fun acc e -> acc + num_shards e) 0 res;

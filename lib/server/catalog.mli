@@ -1,19 +1,18 @@
 (** Weighted directory of resident summaries, keyed by name.
 
-    Every resident summary is charged its byte footprint — the mapped
-    file size for zero-copy v3 entries, the estimated kernel-table heap
-    size otherwise — against an optional byte budget, alongside an
-    entry-count capacity.  Eviction is weighted LRU over whole
-    summaries, and it keeps the name→path directory: an evicted name
-    transparently reopens from disk on its next use (O(1) for v3
-    files), so a catalog can serve a thousand summaries under a budget
+    Every resident summary is a mapped summary file, charged its file
+    size once against an optional byte budget, alongside an entry-count
+    capacity.  Eviction is weighted LRU over whole summaries, and it
+    keeps the name→path directory: an evicted name transparently reopens
+    from disk on its next use, in O(header + manifest), so a catalog can
+    serve a thousand summaries under a budget
     far below their total footprint without clients ever seeing an
     error.  In-flight requests pin their entry; pinned entries are
     never evicted, so the budget may transiently overshoot by the bytes
     of active requests.
 
     All operations are safe to call from concurrent server workers;
-    opening and deserialization happen outside the lock. *)
+    opening and verifying happen outside the lock. *)
 
 open Entropydb_core
 
@@ -28,10 +27,8 @@ type aux = {
 type entry = {
   name : string;
   path : string;
-  summary : Summary.t;
-      (** v3 files open zero-copy as one read-only part; flat files and
-          sharded manifests are fully deserialized *)
-  bytes : int;  (** footprint charged against the byte budget *)
+  summary : Summary.t;  (** mapped by {!Entropydb_core.Serialize.load} *)
+  bytes : int;  (** the file size, charged against the byte budget *)
   cache : Cache.t;
   mutable last_used : int;  (** LRU clock value; managed by the catalog *)
   mutable pins : int;  (** in-flight requests; eviction skips > 0 *)
@@ -40,12 +37,12 @@ type entry = {
 
 type stats = {
   resident : int;
-  resident_mapped : int;  (** of which zero-copy mapped *)
+  resident_mapped : int;  (** of which mapped: all of them *)
   capacity : int;
   budget_bytes : int option;
   resident_bytes : int;  (** total charged bytes *)
   mapped_bytes : int;
-  heap_bytes : int;
+  heap_bytes : int;  (** 0: no entry lives on the heap *)
   pinned : int;  (** entries with in-flight requests *)
   slots : int;  (** known names (resident or evicted-but-reopenable) *)
   shards : int;  (** total resident shards across all entries *)
@@ -65,23 +62,29 @@ val create : ?capacity:int -> ?budget_bytes:int -> ?cache_capacity:int -> unit -
     (default 4096).  Raises on non-positive values. *)
 
 val load : t -> name:string -> path:string -> (entry, string) result
-(** Open [path] (flat summary, sharded manifest, or mmap-able v3 file,
-    sniffed by magic) and make it resident under [name], evicting
-    least-recently-used unpinned entries beyond capacity or budget.
-    Replaces any previous summary of the same name. *)
+(** Map the summary file at [path] and make it resident under [name],
+    evicting least-recently-used unpinned entries beyond capacity or
+    budget.  Replaces any previous summary of the same name.  The body
+    is verified by the first {!acquire}, not here.  Errors name [path];
+    a file in a replaced format is refused with the [entropydb upgrade]
+    hint. *)
 
 val acquire : t -> string -> (entry, string) result
-(** Resolve [name] as {!with_entry} does and return the entry pinned;
-    the caller must {!release} it. *)
+(** Resolve [name] as {!with_entry} does, verify the entry's file
+    ({!Entropydb_core.Summary.verify}, once per open) and return the
+    entry pinned; the caller must {!release} it.  A file that fails
+    verification is an [Error "<path>: bad summary file: ..."], and its
+    entry leaves residency while its slot stays, so a later request
+    reopens the file. *)
 
 val release : t -> entry -> unit
 (** Drop one pin taken by {!acquire}; the last pin lets the entry be
     evicted again, and the catalog rebalances. *)
 
 val with_entry : t -> string -> (entry -> 'a) -> ('a, string) result
-(** Resolve [name] — resident hit, or transparent reopen from the
-    name's recorded path — pin the entry for the duration of [f], and
-    run [f] outside the lock.  The pin guarantees the entry is not
+(** Resolve and verify [name] as {!acquire} does — resident hit, or
+    transparent reopen from the name's recorded path — pin the entry for
+    the duration of [f], and run [f] outside the lock.  The pin guarantees the entry is not
     chosen for eviction while the request runs.  Errors if the name was
     never loaded (or was explicitly evicted) or the reopen fails. *)
 
@@ -100,11 +103,10 @@ type refresh_info = {
 
 val refresh : t -> name:string -> path:string -> (entry * refresh_info, string) result
 (** Ingest the batch CSV at [path] into the (unsharded) summary [name]:
-    incremental Φ update + warm-started re-solve + atomic
-    format-preserving rewrite of the summary file, all outside the
-    lock, then an atomic swap of the catalog entry with a fresh (empty)
-    query cache.  Mapped entries stay v3 and reopen zero-copy
-    afterwards.  Concurrent queries answer from the
+    incremental Φ update + warm-started re-solve + atomic rewrite of the
+    summary file, all outside the lock, then an atomic swap of the
+    catalog entry, reopened from the new file, with a fresh (empty)
+    query cache.  Concurrent queries answer from the
     old summary until the swap and never observe a partial one.  Any
     ATTACHed planner routes are dropped (they describe the pre-batch
     table).  Errors if the name is unknown, the summary is sharded, or
@@ -135,7 +137,7 @@ val stats : t -> stats
 (** {2 Entry accessors} *)
 
 val kind_name : entry -> string
-(** ["mapped"] for a v3 file opened zero-copy, ["heap"] otherwise. *)
+(** ["mapped"], the kind of every entry (LIST and LOAD print it). *)
 
 val schema : entry -> Edb_storage.Schema.t
 val cardinality : entry -> int

@@ -16,8 +16,7 @@
 
    Pipelining and batching: the v2 protocol lets a client keep many
    tagged requests in flight on one connection.  All requests readable
-   in one loop iteration (optionally topped up for [batch_window]
-   seconds) form a batch; identical QUERYs inside a batch — same summary
+   in one loop iteration form a batch; identical QUERYs inside a batch — same summary
    name, same SQL — are *coalesced*: one evaluation through the shared
    shape-keyed cache, its response fanned back out to every waiter.
    QUERY is read-only and deterministic, so a coalesced answer is
@@ -47,9 +46,6 @@ type config = {
   tcp : (string * int) option;  (** bind host, port *)
   max_conns : int;  (** live connections admitted before ERR busy *)
   domains : int;  (** executor domains; 0 = auto (EDB_DOMAINS, else cores) *)
-  batch_window : float;
-      (** seconds to linger collecting a batch after the first request of
-          an iteration; 0 disables (batch = one readiness sweep) *)
   max_inflight : int;  (** per-connection pipeline window *)
   max_line_bytes : int;  (** oversized-frame guard *)
   request_deadline : float;  (** seconds; <= 0 disables *)
@@ -65,7 +61,6 @@ let default_config =
     tcp = None;
     max_conns = 24;
     domains = 0;
-    batch_window = 0.;
     max_inflight = 64;
     max_line_bytes = 1 lsl 20;
     request_deadline = 10.;
@@ -517,26 +512,9 @@ let executor_loop t ex =
       in
       read_ready timeout;
       adopt ();
-      let batch = List.fold_left (fun acc c -> collect_conn t c acc) [] !conns in
-      (* Linger up to batch_window for stragglers joining this batch. *)
       let batch =
-        if t.config.batch_window <= 0. || batch = [] then batch
-        else begin
-          let deadline = Unix.gettimeofday () +. t.config.batch_window in
-          let b = ref batch in
-          let continue = ref true in
-          while !continue do
-            let left = deadline -. Unix.gettimeofday () in
-            if left <= 0. || Atomic.get t.stopping then continue := false
-            else begin
-              read_ready left;
-              b := List.fold_left (fun acc c -> collect_conn t c acc) !b !conns
-            end
-          done;
-          !b
-        end
+        List.rev (List.fold_left (fun acc c -> collect_conn t c acc) [] !conns)
       in
-      let batch = List.rev batch in
       (match batch with
       | [] -> ()
       | _ ->

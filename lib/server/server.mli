@@ -24,10 +24,6 @@ type config = {
           machine's core count, clamped to \[1, 8\].  Unlike compute
           fan-out, executor domains mostly block in [select], so the
           env value is honoured even beyond the core count. *)
-  batch_window : float;
-      (** seconds an executor lingers topping up a batch after its first
-          request; 0 (default) executes whatever one readiness sweep
-          yields — coalescing still applies within the sweep *)
   max_inflight : int;
       (** per-connection pipeline window: once this many requests from
           one connection are unanswered, its socket is not read until

@@ -11,7 +11,7 @@ type strategy =
           value land in the same shard *)
 
 val strategy_tag : Schema.t -> strategy -> string
-(** Human-readable tag stored in sharded manifests: ["rows"] or
+(** Human-readable tag stored in a partitioned summary's file: ["rows"] or
     ["attr:<name>"]. *)
 
 val shard_of_value : shards:int -> int -> int

@@ -1,8 +1,8 @@
 (** CRC-32 (IEEE 802.3, reflected polynomial [0xEDB88320]) over strings,
     bytes, and bigarray byte views.
 
-    Used by the mmap summary format (v3) to checksum its header, manifest,
-    and every body section, so any flipped or truncated byte surfaces as a
+    Used by the summary file format to checksum its header, manifest, and
+    every body section, so any flipped or truncated byte surfaces as a
     detectable [Format_error] instead of a silently wrong answer.  Digests
     are returned as non-negative ints in [\[0, 2^32)]. *)
 

@@ -1099,11 +1099,10 @@ let test_serialize_roundtrip () =
           (Summary.estimate summary' q)
       done)
 
-(* Fuzz: truncations and corruptions of a valid summary file must raise
-   Format_error (or load to an equivalent summary when the corruption is
-   past the payload), never crash.  Runs over every writable flat
-   format — v2 (Marshal) and v3 (page-aligned/mmap-able) take entirely
-   different load paths and must fail identically. *)
+(* Fuzz: truncations and header corruptions of a summary file must raise
+   Format_error, never crash or load.  Runs over the current format and
+   over a v2 file, which the reader refuses and `upgrade` decodes: both
+   must fail cleanly on every cut and every flipped header byte. *)
 let test_serialize_fuzz () =
   let case = random_case 124 in
   let phi = Phi.of_relation case.rel ~joints:case.joints in
@@ -1111,29 +1110,42 @@ let test_serialize_fuzz () =
     Summary.of_phi ~solver_config:{ Solver.default_config with log_every = 0 }
       phi
   in
+  let out = Filename.temp_file "entropydb" ".upgraded" in
+  let loaders =
+    [
+      ("load", fun path -> ignore (Serialize.load path));
+      ("upgrade", fun path -> Edb_ingest.Ingest.upgrade path out);
+    ]
+  in
   List.iter
     (fun (what, save) ->
       let path = Filename.temp_file "entropydb" ".summary" in
       Fun.protect
-        ~finally:(fun () -> Sys.remove path)
+        ~finally:(fun () ->
+          Sys.remove path;
+          try Sys.remove out with Sys_error _ -> ())
         (fun () ->
           save summary path;
           let original = In_channel.with_open_bin path In_channel.input_all in
           let len = String.length original in
           let rng = Prng.create ~seed:125 () in
+          let rejects label =
+            List.iter
+              (fun (how, f) ->
+                match f path with
+                | exception Serialize.Format_error _ -> ()
+                | exception e ->
+                    Alcotest.failf "%s %s: %s raised %s" what label how
+                      (Printexc.to_string e)
+                | () -> Alcotest.failf "%s %s: %s succeeded" what label how)
+              loaders
+          in
           (* Truncations at random prefixes. *)
           for _ = 1 to 20 do
             let cut = Prng.int rng len in
             Out_channel.with_open_bin path (fun oc ->
                 Out_channel.output_string oc (String.sub original 0 cut));
-            match Serialize.load path with
-            | exception Serialize.Format_error _ -> ()
-            | exception e ->
-                Alcotest.failf "%s truncation at %d raised %s" what cut
-                  (Printexc.to_string e)
-            | _ ->
-                Alcotest.failf "%s truncation at %d loaded successfully" what
-                  cut
+            rejects (Printf.sprintf "truncation at %d" cut)
           done;
           (* Header byte flips. *)
           for pos = 0 to min 8 (len - 1) do
@@ -1142,14 +1154,9 @@ let test_serialize_fuzz () =
               (Char.chr ((Char.code (Bytes.get corrupted pos) + 1) land 0xff));
             Out_channel.with_open_bin path (fun oc ->
                 Out_channel.output_bytes oc corrupted);
-            match Serialize.load path with
-            | exception Serialize.Format_error _ -> ()
-            | exception e ->
-                Alcotest.failf "%s flip at %d raised %s" what pos
-                  (Printexc.to_string e)
-            | _ -> Alcotest.failf "%s flip at %d loaded successfully" what pos
+            rejects (Printf.sprintf "flip at %d" pos)
           done))
-    [ ("v2", Serialize.save); ("v3", Serialize.save_v3) ]
+    [ ("current", Serialize.save); ("v2", Summary_files.write_v2) ]
 
 let test_serialize_bad_magic () =
   let path = Filename.temp_file "entropydb" ".summary" in
@@ -1165,7 +1172,7 @@ let test_serialize_bad_magic () =
       with Serialize.Format_error _ -> ())
 
 (* ------------------------------------------------------------------ *)
-(* v3 storage fuzz battery                                             *)
+(* Storage fuzz battery                                                *)
 (* ------------------------------------------------------------------ *)
 
 let str_contains hay needle =
@@ -1173,7 +1180,7 @@ let str_contains hay needle =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
-(* One summary + its v3 file + pristine bytes, shared by the corruption
+(* One summary + its file + pristine bytes, shared by the corruption
    tests below (the solver build dominates their cost). *)
 let v3_fixture =
   lazy
@@ -1184,9 +1191,9 @@ let v3_fixture =
          ~solver_config:{ Solver.default_config with log_every = 0 }
          phi
      in
-     let path = Filename.temp_file "entropydb" ".v3" in
+     let path = Filename.temp_file "entropydb" ".summary" in
      at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
-     Serialize.save_v3 summary path;
+     Serialize.save summary path;
      let original = In_channel.with_open_bin path In_channel.input_all in
      (summary, path, original))
 
@@ -1194,26 +1201,25 @@ let v3_restore path original =
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc original)
 
-(* Every body section, corrupted in isolation: the zero-copy open stays
-   body-blind (it must succeed), lazy verification must raise a
-   Format_error *naming the section*, and the heap loader must refuse
-   the same file.  A flipped byte can never survive to a silently wrong
-   answer because no estimator runs before verification. *)
+(* Every body section, corrupted in isolation: the open stays body-blind
+   (it must succeed), and lazy verification must raise a Format_error
+   *naming the section*.  A flipped byte can never survive to a silently
+   wrong answer because no estimator runs before verification. *)
 let test_v3_section_corruption () =
   let summary, path, original = Lazy.force v3_fixture in
-  let manifest = Serialize.v3_manifest_of path in
+  let manifest = Serialize.manifest path in
   let rng = Prng.create ~seed:322 () in
   Fun.protect
     ~finally:(fun () -> v3_restore path original)
     (fun () ->
       List.iter
-        (fun (sec : Serialize.v3_section) ->
+        (fun (sec : Serialize.section) ->
           let pos = sec.sec_off + Prng.int rng (8 * sec.sec_len) in
           let b = Bytes.of_string original in
           Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x5b));
           Out_channel.with_open_bin path (fun oc ->
               Out_channel.output_bytes oc b);
-          (match Mapped.open_file path with
+          match Serialize.load path with
           | exception e ->
               Alcotest.failf "flip in %s broke the O(1) open: %s" sec.sec_name
                 (Printexc.to_string e)
@@ -1226,19 +1232,12 @@ let test_v3_section_corruption () =
                   Alcotest.failf "flip in %s raised %s" sec.sec_name
                     (Printexc.to_string e)
               | () ->
-                  Alcotest.failf "flip in %s passed verification" sec.sec_name));
-          match Serialize.load path with
-          | exception Serialize.Format_error _ -> ()
-          | exception e ->
-              Alcotest.failf "flip in %s: heap load raised %s" sec.sec_name
-                (Printexc.to_string e)
-          | _ ->
-              Alcotest.failf "flip in %s: heap load succeeded" sec.sec_name)
-        manifest.Serialize.v3_sections;
-      (* Restored intact, both paths serve the file again, bitwise. *)
+                  Alcotest.failf "flip in %s passed verification" sec.sec_name))
+        manifest.m_parts.(0).pm_sections;
+      (* Restored intact, the file serves again, bitwise. *)
       v3_restore path original;
       let q = random_query (Prng.create ~seed:323 ()) (Summary.schema summary) in
-      let m = Mapped.open_file path in
+      let m = Serialize.load path in
       Summary.verify m;
       Alcotest.(check (float 0.))
         "mapped answer after restore" (Summary.estimate summary q)
@@ -1256,18 +1255,12 @@ let test_v3_torn_header () =
         Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x11));
         Out_channel.with_open_bin path (fun oc ->
             Out_channel.output_bytes oc b);
-        (match Mapped.open_file path with
+        match Serialize.load path with
         | exception Serialize.Format_error _ -> ()
         | exception e ->
             Alcotest.failf "header flip at %d raised %s" pos
               (Printexc.to_string e)
-        | _ -> Alcotest.failf "header flip at %d opened" pos);
-        match Serialize.load path with
-        | exception Serialize.Format_error _ -> ()
-        | exception e ->
-            Alcotest.failf "header flip at %d: heap load raised %s" pos
-              (Printexc.to_string e)
-        | _ -> Alcotest.failf "header flip at %d: heap load succeeded" pos
+        | _ -> Alcotest.failf "header flip at %d opened" pos
       done)
 
 (* qcheck: random truncations never crash or load; random single-byte
@@ -1287,23 +1280,14 @@ let v3_fuzz_truncation =
            (fun () ->
              Out_channel.with_open_bin path (fun oc ->
                  Out_channel.output_string oc (String.sub original 0 cut));
-             let mapped_rejects =
-               match Mapped.open_file path with
-               | exception Serialize.Format_error _ -> true
-               | exception _ -> false
-               | m -> (
-                   match Summary.verify m with
-                   | exception Serialize.Format_error _ -> true
-                   | exception _ -> false
-                   | () -> false)
-             in
-             let heap_rejects =
-               match Serialize.load path with
-               | exception Serialize.Format_error _ -> true
-               | exception _ -> false
-               | _ -> false
-             in
-             mapped_rejects && heap_rejects)))
+             match Serialize.load path with
+             | exception Serialize.Format_error _ -> true
+             | exception _ -> false
+             | m -> (
+                 match Summary.verify m with
+                 | exception Serialize.Format_error _ -> true
+                 | exception _ -> false
+                 | () -> false))))
 
 let v3_fuzz_flip =
   QCheck_alcotest.to_alcotest
@@ -1325,7 +1309,7 @@ let v3_fuzz_flip =
                (Char.chr (Char.code (Bytes.get b pos) lxor delta));
              Out_channel.with_open_bin path (fun oc ->
                  Out_channel.output_bytes oc b);
-             match Mapped.open_file path with
+             match Serialize.load path with
              | exception Serialize.Format_error _ -> true
              | exception _ -> false
              | m -> (
@@ -1342,7 +1326,7 @@ let v3_fuzz_flip =
                        (Int64.bits_of_float expected)))))
 
 (* ------------------------------------------------------------------ *)
-(* Sharded manifests                                                   *)
+(* Replaced formats: refused by the reader, converted by upgrade       *)
 (* ------------------------------------------------------------------ *)
 
 let quiet_config = { Solver.default_config with log_every = 0 }
@@ -1381,6 +1365,44 @@ let manifest_summaries seed k =
         in
         Summary.build ~solver_config:quiet_config part ~joints) )
 
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* What a replaced format's loader answered: the polynomial rebuilt from
+   the stored variable vector, which is what [Poly.refresh] computes. *)
+let as_reloaded s =
+  Array.iter (fun p -> Poly.refresh (Summary.poly p)) (Summary.parts s);
+  s
+
+(* [b] answers every probe's COUNT (est, var), SUM and one GROUP BY
+   bitwise as [a]. *)
+let answers_bitwise what a b queries =
+  List.iter
+    (fun q ->
+      let x = Summary.count a q and y = Summary.count b q in
+      if not (same_bits x.est y.est && same_bits x.var y.var) then
+        Alcotest.failf "%s: COUNT %h vs %h" what y.est x.est;
+      let x = Summary.sum a ~attr:0 q and y = Summary.sum b ~attr:0 q in
+      if not (same_bits x.est y.est && same_bits x.var y.var) then
+        Alcotest.failf "%s: SUM %h vs %h" what y.est x.est;
+      List.iter2
+        (fun (_, (x : Summary.answer)) (_, (y : Summary.answer)) ->
+          if not (same_bits x.est y.est && same_bits x.var y.var) then
+            Alcotest.failf "%s: GROUP BY cell %h vs %h" what y.est x.est)
+        (Summary.groups a ~attrs:[ 1 ] q)
+        (Summary.groups b ~attrs:[ 1 ] q))
+    queries
+
+(* The reader refuses [path] with the upgrade hint. *)
+let refused_with_hint what path =
+  match Serialize.load path with
+  | exception Serialize.Format_error m when str_contains m "entropydb upgrade"
+    ->
+      ()
+  | exception e -> Alcotest.failf "%s: load raised %s" what (Printexc.to_string e)
+  | _ -> Alcotest.failf "%s: a replaced format loaded" what
+
+(* A k-part manifest written the old way converts through upgrade into
+   one file whose parts answer bitwise as the manifest's parts did. *)
 let sharded_manifest_roundtrip =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:8 ~name:"sharded manifest round-trip"
@@ -1392,31 +1414,20 @@ let sharded_manifest_roundtrip =
            ~finally:(fun () -> manifest_rm_rf dir)
            (fun () ->
              let path = Filename.concat dir "s.edb" in
-             Serialize.save_sharded
-               (Summary.of_parts ~strategy:"rows" summaries)
-               path;
-             if Serialize.detect path <> Serialize.Sharded then false
-             else begin
-               (* The format-dispatching load reads manifests too. *)
-               let whole = Serialize.load path in
-               let loaded = Summary.parts whole in
-               Summary.strategy whole = "rows"
-               && Array.length loaded = k
-               && begin
-                    let rng = Prng.create ~seed:(seed + 1) () in
-                    let ok = ref true in
-                    for _ = 1 to 10 do
-                      let q = random_query rng schema in
-                      Array.iteri
-                        (fun i s ->
-                          let a = Summary.estimate s q
-                          and b = Summary.estimate loaded.(i) q in
-                          if Float.abs (a -. b) > 1e-6 then ok := false)
-                        summaries
-                    done;
-                    !ok
-                  end
-             end)))
+             let whole = Summary.of_parts ~strategy:"rows" summaries in
+             Summary_files.write_manifest whole path;
+             refused_with_hint "manifest" path;
+             let out = Filename.concat dir "s.upgraded" in
+             Edb_ingest.Ingest.upgrade path out;
+             let loaded = Serialize.load out in
+             let rng = Prng.create ~seed:(seed + 1) () in
+             answers_bitwise "upgraded manifest" (as_reloaded whole) loaded
+               (List.init 10 (fun _ -> random_query rng schema));
+             Summary.strategy loaded = "rows"
+             && Summary.num_parts loaded = k
+             && Array.for_all2
+                  (fun a b -> Summary.cardinality a = Summary.cardinality b)
+                  summaries (Summary.parts loaded))))
 
 let manifest_summary_other_schema () =
   let rng = Prng.create ~seed:654 () in
@@ -1424,10 +1435,9 @@ let manifest_summary_other_schema () =
   let rel = random_relation rng schema 50 in
   Summary.build ~solver_config:quiet_config rel ~joints:[]
 
-(* Every corruption mode of the manifest itself must surface as
-   Format_error — never an unhandled exception and never a bogus load.
-   The manifest is plain length-prefixed binary, so each field can be
-   attacked precisely. *)
+(* Every corruption mode of an old manifest must surface as Format_error
+   in upgrade — never an unhandled exception and never a bogus file —
+   and the reader refuses the manifest itself whatever its bytes. *)
 let test_sharded_manifest_corruption () =
   let _, summaries = manifest_summaries 987 2 in
   let dir = manifest_temp_dir () in
@@ -1435,7 +1445,10 @@ let test_sharded_manifest_corruption () =
     ~finally:(fun () -> manifest_rm_rf dir)
     (fun () ->
       let path = Filename.concat dir "s.edb" in
-      Serialize.save_sharded (Summary.of_parts ~strategy:"rows" summaries) path;
+      let out = Filename.concat dir "out.edb" in
+      Summary_files.write_manifest
+        (Summary.of_parts ~strategy:"rows" summaries)
+        path;
       let original = In_channel.with_open_bin path In_channel.input_all in
       let len = String.length original in
       let write bytes =
@@ -1443,19 +1456,21 @@ let test_sharded_manifest_corruption () =
             Out_channel.output_string oc bytes)
       in
       let expect_format_error what =
-        match Serialize.load_sharded path with
+        (match Serialize.load path with
+        | exception Serialize.Format_error _ -> ()
+        | exception e ->
+            Alcotest.failf "%s: load raised %s" what (Printexc.to_string e)
+        | _ -> Alcotest.failf "%s: load succeeded" what);
+        match Edb_ingest.Ingest.upgrade path out with
         | exception Serialize.Format_error _ -> ()
         | exception e ->
             Alcotest.failf "%s raised %s" what (Printexc.to_string e)
-        | _ -> Alcotest.failf "%s loaded successfully" what
+        | () -> Alcotest.failf "%s upgraded successfully" what
       in
-      (* Bad magic: flip the version tag byte so it is neither format. *)
+      (* Bad magic: flip the version tag byte so it is no format. *)
       let bad = Bytes.of_string original in
       Bytes.set bad 9 '\x07';
       write (Bytes.to_string bad);
-      (match Serialize.detect path with
-      | exception Serialize.Format_error _ -> ()
-      | _ -> Alcotest.fail "detect accepted bad magic");
       expect_format_error "bad magic";
       (* Truncation at every prefix. *)
       for cut = 0 to len - 1 do
@@ -1469,10 +1484,7 @@ let test_sharded_manifest_corruption () =
       let count_off = 10 + 4 + 4 + String.length "rows" in
       let patch_count v =
         let b = Bytes.of_string original in
-        Bytes.set b count_off (Char.chr ((v lsr 24) land 0xff));
-        Bytes.set b (count_off + 1) (Char.chr ((v lsr 16) land 0xff));
-        Bytes.set b (count_off + 2) (Char.chr ((v lsr 8) land 0xff));
-        Bytes.set b (count_off + 3) (Char.chr (v land 0xff));
+        Bytes.set_int32_be b count_off (Int32.of_int v);
         write (Bytes.to_string b)
       in
       patch_count 3;
@@ -1490,14 +1502,59 @@ let test_sharded_manifest_corruption () =
       Sys.remove shard1;
       expect_format_error "missing shard file";
       (* A shard whose schema disagrees with shard 0. *)
-      Serialize.save (manifest_summary_other_schema ()) shard1;
+      Summary_files.write_v2 (manifest_summary_other_schema ()) shard1;
       expect_format_error "shard schema mismatch";
-      (* Restored intact, it loads again. *)
+      (* Restored intact, it upgrades again. *)
       Out_channel.with_open_bin shard1 (fun oc ->
           Out_channel.output_string oc shard1_bytes);
-      let loaded = Serialize.load_sharded path in
+      Edb_ingest.Ingest.upgrade path out;
+      let loaded = Serialize.load out in
       Alcotest.(check string) "strategy back" "rows" (Summary.strategy loaded);
       Alcotest.(check int) "both shards back" 2 (Summary.num_parts loaded))
+
+(* v1, v2, a k = 2 manifest and a version-3 file: each is refused by the
+   reader with the upgrade hint, and upgrades — to a new path and in
+   place — to a file answering bitwise as the original did. *)
+let test_upgrade_answers_bitwise () =
+  let case = random_case 331 in
+  let schema = Relation.schema case.rel in
+  let build () =
+    Summary.of_phi ~solver_config:quiet_config
+      (Phi.of_relation case.rel ~joints:case.joints)
+  in
+  let rng = Prng.create ~seed:332 () in
+  let queries = List.init 30 (fun _ -> random_query rng schema) in
+  let dir = manifest_temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> manifest_rm_rf dir)
+    (fun () ->
+      List.iter
+        (fun (what, write, original) ->
+          let path = Filename.concat dir what in
+          write original path;
+          refused_with_hint what path;
+          let out = Filename.concat dir (what ^ ".upgraded") in
+          Edb_ingest.Ingest.upgrade path out;
+          answers_bitwise what (as_reloaded original) (Serialize.load out)
+            queries;
+          (* In place: NEW may be OLD. *)
+          Edb_ingest.Ingest.upgrade path path;
+          answers_bitwise (what ^ " in place") original (Serialize.load path)
+            queries;
+          (* A current-format file upgrades to itself. *)
+          Edb_ingest.Ingest.upgrade out out;
+          answers_bitwise (what ^ " twice") original (Serialize.load out)
+            queries)
+        [
+          ("v1", Summary_files.write_v1, build ());
+          ("v2", Summary_files.write_v2, build ());
+          ( "manifest",
+            Summary_files.write_manifest,
+            Edb_shard.Builder.build ~solver_config:quiet_config case.rel
+              ~shards:2 ~strategy:Edb_shard.Partition.Rows
+              ~joints:case.joints );
+          ("version3", Summary_files.write_v3, build ());
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Possible-world sampling                                             *)
@@ -1990,7 +2047,7 @@ let test_kernel_allocation () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* One evaluator: a v3 file answers as the summary that wrote it       *)
+(* One evaluator: a file answers as the summary that wrote it          *)
 (* ------------------------------------------------------------------ *)
 
 (* The bench-kernel summary shape, scaled down: flights-fine with
@@ -2008,12 +2065,105 @@ let one_evaluator_fixture =
      let summary =
        Summary.of_phi ~solver_config:quiet (Phi.of_relation rel ~joints)
      in
-     let path = Filename.temp_file "entropydb" ".v3" in
+     let path = Filename.temp_file "entropydb" ".summary" in
      at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
-     Serialize.save_v3 summary path;
+     Serialize.save summary path;
      (summary, path))
 
-let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+(* The same relation partitioned three ways by rows. *)
+let k3_fixture =
+  lazy
+    (let module F = Edb_datagen.Flights in
+     let rel = (F.generate ~rows:2000 ~seed:1 ()).F.fine in
+     let joints =
+       Edb_select.Heuristic.select Edb_select.Heuristic.Composite rel
+         ~attr1:F.origin ~attr2:F.distance ~budget:60
+     in
+     Edb_shard.Builder.build ~solver_config:quiet rel ~shards:3
+       ~strategy:Edb_shard.Partition.Rows ~joints)
+
+(* Every estimator surface of [m], each forced to run on its own. *)
+let estimator_surfaces m q q' =
+  let schema = Summary.schema m in
+  [
+    ("count", fun () -> ignore (Summary.count m q));
+    ("sum", fun () -> ignore (Summary.sum m ~attr:0 q));
+    ( "groups",
+      fun () ->
+        ignore (Summary.groups m ~attrs:[ Schema.arity schema - 1 ] q) );
+    ("count_disjuncts", fun () -> ignore (Summary.count_disjuncts m [ q; q' ]));
+    ("estimate_avg", fun () -> ignore (Summary.estimate_avg m ~attr:0 q));
+  ]
+
+(* Crafted files: one element of one index table of group 0 overwritten
+   with an out-of-range value, and every checksum recomputed, so only
+   the reader's range checks stand between the edit and the evaluator.
+   Every estimator must raise a Format_error naming the section, and
+   none may crash. *)
+let range_checked_tables =
+  [ "fa_off"; "fa_attr"; "iv_off"; "iv_lo"; "iv_hi"; "t_mask"; "mask_bits" ]
+
+(* An out-of-range value for element [i] of [table], [r] >= 0 steps past
+   the bound the reader enforces. *)
+let out_of_range (m : Serialize.manifest) table ~r =
+  let p = m.m_parts.(0) in
+  let len name =
+    (List.find
+       (fun (s : Serialize.section) -> s.sec_name = "g0." ^ name)
+       p.pm_sections)
+      .sec_len
+  in
+  match table with
+  | "fa_off" -> len "fa_attr" + 1 + r
+  | "fa_attr" -> Schema.arity m.m_schema + r
+  | "iv_off" -> len "iv_lo" + 1 + r
+  | "iv_lo" -> -1 - r
+  | "iv_hi" -> 1_000_000 + r
+  | "t_mask" -> len "mask_bits" + r
+  | _ -> (1 lsl Array.length p.pm_groups.(0).gm_attrs) + r
+
+let crafted_index_tables =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:40 ~name:"out-of-range index tables"
+       QCheck.(
+         triple
+           (int_range 0 (List.length range_checked_tables - 1))
+           (int_range 0 1_000_000) (int_range 0 1000))
+       (fun (ti, x, r) ->
+         let summary, pristine = Lazy.force one_evaluator_fixture in
+         let table = List.nth range_checked_tables ti in
+         let path = Filename.temp_file "entropydb-crafted" ".summary" in
+         Fun.protect
+           ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+           (fun () ->
+             Out_channel.with_open_bin path (fun oc ->
+                 Out_channel.output_string oc
+                   (In_channel.with_open_bin pristine In_channel.input_all));
+             let m = Serialize.manifest path in
+             let name = "g0." ^ table in
+             let sec =
+               List.find
+                 (fun (s : Serialize.section) -> s.sec_name = name)
+                 m.m_parts.(0).pm_sections
+             in
+             Summary_files.poke path ~name ~index:(x mod sec.sec_len)
+               (out_of_range m table ~r);
+             let rng = Prng.create ~seed:x () in
+             let q = random_query rng (Summary.schema summary) in
+             let q' = random_query rng (Summary.schema summary) in
+             List.for_all
+               (fun (what, f) ->
+                 match f () with
+                 | exception Serialize.Format_error msg when str_contains msg name
+                   ->
+                     true
+                 | exception e ->
+                     QCheck.Test.fail_reportf "%s over a bad %s raised %s" what
+                       name (Printexc.to_string e)
+                 | () ->
+                     QCheck.Test.fail_reportf "%s answered over a bad %s" what
+                       name)
+               (estimator_surfaces (Serialize.load path) q q'))))
 
 (* Heap and mapped summaries share one evaluator, parallel path included,
    so they agree bit for bit at any parallelism. *)
@@ -2026,7 +2176,7 @@ let test_heap_mapped_one_answer () =
     List.init 40 (fun _ -> [ random_query rng schema; random_query rng schema ])
   in
   let check_at label =
-    let mapped = Mapped.open_file path in
+    let mapped = Serialize.load path in
     let differ = ref [] in
     let same what a b = if not (same_bits a b) then differ := what :: !differ in
     List.iter
@@ -2079,7 +2229,7 @@ let test_heap_mapped_one_answer () =
 let test_mapped_is_read_only () =
   let heap, path = Lazy.force one_evaluator_fixture in
   let before = In_channel.with_open_bin path In_channel.input_all in
-  let mapped = Mapped.open_file path in
+  let mapped = Serialize.load path in
   let poly = Summary.poly mapped in
   Alcotest.(check bool) "mapped is read-only" true (Summary.read_only mapped);
   Alcotest.(check bool) "heap is not" false (Summary.read_only heap);
@@ -2118,35 +2268,126 @@ let test_mapped_is_read_only () =
     (same_bits (Summary.estimate heap q) (Summary.estimate mapped q))
 
 (* A mapped summary is one mapping of its file, whatever number of views
-   the evaluator carves from it. *)
+   the evaluator carves from it and whatever its part count. *)
 let test_mapped_one_mapping () =
   if not (Sys.file_exists "/proc/self/maps") then
     Alcotest.skip ();
   let _, fixture = Lazy.force one_evaluator_fixture in
-  let path = Filename.temp_file "entropydb-one-map" ".v3" in
+  let k3 = Filename.temp_file "entropydb-one-map" ".k3" in
+  let path = Filename.temp_file "entropydb-one-map" ".flat" in
   Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ path; k3 ])
     (fun () ->
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc
             (In_channel.with_open_bin fixture In_channel.input_all));
-      let mapped = Mapped.open_file path in
-      Summary.verify mapped;
-      let suffix = "/" ^ Filename.basename path in
-      let maps =
-        In_channel.with_open_bin "/proc/self/maps" In_channel.input_all
-        |> String.split_on_char '\n'
-        |> List.filter (String.ends_with ~suffix)
-      in
-      Alcotest.(check int) "mappings of the file" 1 (List.length maps);
-      ignore (Sys.opaque_identity (Summary.cardinality mapped)))
+      Serialize.save (Lazy.force k3_fixture) k3;
+      List.iter
+        (fun (what, file, k) ->
+          let mapped = Serialize.load file in
+          Summary.verify mapped;
+          Alcotest.(check int) (what ^ " parts") k (Summary.num_parts mapped);
+          let suffix = "/" ^ Filename.basename file in
+          let maps =
+            In_channel.with_open_bin "/proc/self/maps" In_channel.input_all
+            |> String.split_on_char '\n'
+            |> List.filter (String.ends_with ~suffix)
+          in
+          Alcotest.(check int) (what ^ ": mappings of the file") 1
+            (List.length maps);
+          ignore (Sys.opaque_identity (Summary.cardinality mapped)))
+        [ ("k = 1", path, 1); ("k = 3", k3, 3) ])
+
+(* A k = 3 file answers every estimator bitwise as the partitioned
+   summary that wrote it, and charges its file size once. *)
+let test_k3_file_bitwise () =
+  let sh = Lazy.force k3_fixture in
+  let path = Filename.temp_file "entropydb-k3" ".summary" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Serialize.save sh path;
+      let m = Serialize.load path in
+      Alcotest.(check int) "parts" 3 (Summary.num_parts m);
+      Alcotest.(check string) "strategy" (Summary.strategy sh)
+        (Summary.strategy m);
+      Alcotest.(check bool) "read-only" true (Summary.read_only m);
+      Alcotest.(check int) "footprint is the file size, once"
+        (Unix.stat path).Unix.st_size (Summary.footprint_bytes m);
+      let rng = Prng.create ~seed:813 () in
+      answers_bitwise "k = 3" sh m
+        (List.init 60 (fun _ -> random_query rng (Summary.schema sh)));
+      List.iter
+        (fun d ->
+          let a = Summary.count_disjuncts sh d
+          and b = Summary.count_disjuncts m d in
+          if not (same_bits a.est b.est && same_bits a.var b.var) then
+            Alcotest.failf "k = 3 OR: %h vs %h" b.est a.est)
+        (List.init 10 (fun _ ->
+             [ random_query rng (Summary.schema sh);
+               random_query rng (Summary.schema sh) ])))
+
+(* Every section a written file lists is one the reader carves: the
+   flat and k = 3 files list exactly alpha, attr_sums, prefix and the
+   nine evaluator tables per group, and a file listing any other
+   section, checksums recomputed, is refused at open. *)
+let test_sections_all_carved () =
+  let heap, _ = Lazy.force one_evaluator_fixture in
+  let dir = manifest_temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> manifest_rm_rf dir)
+    (fun () ->
+      List.iter
+        (fun (what, s) ->
+          let path = Filename.concat dir what in
+          Serialize.save s path;
+          let m = Serialize.manifest path in
+          Array.iteri
+            (fun i (p : Serialize.part_meta) ->
+              let expected =
+                [ "alpha"; "attr_sums"; "prefix" ]
+                @ List.concat
+                    (List.init (Array.length p.pm_groups) (fun gi ->
+                         List.map
+                           (Printf.sprintf "g%d.%s" gi)
+                           [
+                             "fa_off"; "fa_attr"; "factors"; "iv_off"; "iv_lo";
+                             "iv_hi"; "t_mask"; "dprod"; "mask_bits";
+                           ]))
+              in
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s part %d sections" what i)
+                (List.sort compare expected)
+                (List.sort compare
+                   (List.map
+                      (fun (s : Serialize.section) -> s.sec_name)
+                      p.pm_sections)))
+            m.m_parts;
+          (* An extra, unread section: refused before anything is
+             mapped. *)
+          Summary_files.reseal path ~edit:(fun _ m ->
+              let p = m.m_parts.(0) in
+              let extra = { (List.hd p.pm_sections) with sec_name = "g0.bys_term" } in
+              let parts = Array.copy m.m_parts in
+              parts.(0) <- { p with pm_sections = p.pm_sections @ [ extra ] };
+              { m with m_parts = parts });
+          match Serialize.load path with
+          | exception Serialize.Format_error msg
+            when str_contains msg "g0.bys_term" ->
+              ()
+          | exception e ->
+              Alcotest.failf "%s: extra section raised %s" what
+                (Printexc.to_string e)
+          | _ -> Alcotest.failf "%s: a file with an unread section loaded" what)
+        [ ("flat", heap); ("k3", Lazy.force k3_fixture) ])
 
 (* A table view outlives the summary it came from: the mapping is
    unmapped only when the last view of it is finalized. *)
 let test_mapped_view_outlives_summary () =
   let heap, path = Lazy.force one_evaluator_fixture in
   let views () =
-    let tb = Poly.tables (Summary.poly (Mapped.open_file path)) in
+    let tb = Poly.tables (Summary.poly (Serialize.load path)) in
     (tb.Poly.tb_alpha, tb.Poly.tb_groups.(0).Poly.factors)
   in
   let alpha, factors = views () in
@@ -2247,6 +2488,8 @@ let () =
           sharded_manifest_roundtrip;
           Alcotest.test_case "sharded manifest corruption" `Quick
             test_sharded_manifest_corruption;
+          Alcotest.test_case "upgrade answers bitwise like the original"
+            `Quick test_upgrade_answers_bitwise;
           Alcotest.test_case "fuzz truncation/corruption" `Quick
             test_serialize_fuzz;
           Alcotest.test_case "v3 per-section corruption names the section"
@@ -2254,12 +2497,17 @@ let () =
           Alcotest.test_case "v3 torn header" `Quick test_v3_torn_header;
           v3_fuzz_truncation;
           v3_fuzz_flip;
+          crafted_index_tables;
           Alcotest.test_case "heap and mapped give one answer at any parallelism"
             `Quick test_heap_mapped_one_answer;
           Alcotest.test_case "nothing writes through a mapping" `Quick
             test_mapped_is_read_only;
           Alcotest.test_case "one mapping per mapped file" `Quick
             test_mapped_one_mapping;
+          Alcotest.test_case "a k = 3 file answers bitwise" `Quick
+            test_k3_file_bitwise;
+          Alcotest.test_case "every listed section is carved" `Quick
+            test_sections_all_carved;
           Alcotest.test_case "a table view outlives its summary" `Quick
             test_mapped_view_outlives_summary;
         ] );

@@ -1,8 +1,8 @@
 (* Tests for the streaming-ingest subsystem (lib/ingest) and its
    foundations: delta-Φ maintenance (Phi.append), warm-started solves
    (Solver.solve ~init), the ingest journal, atomic persistence, and the
-   versioned summary format — v1 files still load, future versions are a
-   Format_error, v2 round-trips the journal. *)
+   versioned summary format — the journal round-trips, v1 and v2 files
+   still load after `upgrade`, future versions are a Format_error. *)
 
 open Edb_util
 open Edb_storage
@@ -312,9 +312,34 @@ let test_journal_validation () =
   with Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Serialization: v2 round-trip, v1 compat, future versions             *)
+(* Serialization: journal round-trip, v1/v2 upgrade, future versions   *)
 (* ------------------------------------------------------------------ *)
 
+(* What a replaced format's loader answered for [s]: the polynomial
+   rebuilt from its variable vector, which is what [Poly.refresh]
+   computes. *)
+let same_answers what a b =
+  List.iteri
+    (fun i q ->
+      let x = Summary.count a q and y = Summary.count b q in
+      if
+        not
+          (Int64.equal (Int64.bits_of_float x.est) (Int64.bits_of_float y.est)
+          && Int64.equal (Int64.bits_of_float x.var) (Int64.bits_of_float y.var))
+      then Alcotest.failf "%s: probe %d: %h vs %h" what i y.est x.est)
+    probes
+
+let refused_with_hint path =
+  match Serialize.load path with
+  | exception Serialize.Format_error m ->
+      Alcotest.(check bool)
+        ("names entropydb upgrade: " ^ m)
+        true
+        (contains m "entropydb upgrade")
+  | _ -> Alcotest.fail "a replaced format loaded"
+
+(* The journal round-trips through the current format, and through a v2
+   file converted by upgrade. *)
 let test_serialize_v2_roundtrip () =
   let dir = temp_dir () in
   let s =
@@ -322,84 +347,45 @@ let test_serialize_v2_roundtrip () =
       (build_summary (random_relation ~seed:41 300))
       (random_relation ~seed:42 40)
   in
+  let v2 = Filename.concat dir "s.v2" in
+  Summary_files.write_v2 s v2;
+  refused_with_hint v2;
+  let upgraded = Filename.concat dir "s.upgraded" in
+  Ingest.upgrade v2 upgraded;
   let path = Filename.concat dir "s.summary" in
   Serialize.save s path;
-  let s' = Serialize.load path in
-  Alcotest.(check int) "cardinality" (Summary.cardinality s)
-    (Summary.cardinality s');
-  List.iteri
-    (fun i q ->
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "probe %d" i)
-        (Summary.estimate s q) (Summary.estimate s' q))
-    probes;
-  let j = Summary.journal s' in
-  Alcotest.(check int) "journal base" 300 (Journal.base_rows j);
-  Alcotest.(check int) "journal batches" 1 (Journal.batches j);
-  match Journal.entries j with
-  | [ e ] ->
-      Alcotest.(check string) "journal source survives" "delta.csv"
-        e.Journal.source;
-      Alcotest.(check int) "journal rows survive" 40 e.Journal.rows
-  | es -> Alcotest.failf "expected 1 entry, got %d" (List.length es)
+  List.iter
+    (fun (what, file) ->
+      let s' = Serialize.load file in
+      Alcotest.(check int) (what ^ " cardinality") (Summary.cardinality s)
+        (Summary.cardinality s');
+      same_answers what s s';
+      let j = Summary.journal s' in
+      Alcotest.(check int) (what ^ " journal base") 300 (Journal.base_rows j);
+      Alcotest.(check int) (what ^ " journal batches") 1 (Journal.batches j);
+      match Journal.entries j with
+      | [ e ] ->
+          Alcotest.(check string) "journal source survives" "delta.csv"
+            e.Journal.source;
+          Alcotest.(check int) "journal rows survive" 40 e.Journal.rows
+      | es -> Alcotest.failf "expected 1 entry, got %d" (List.length es))
+    [ ("current", path); ("upgraded v2", upgraded) ]
 
-(* The exact record layout version-1 writers marshaled; structural
-   equality is all Marshal cares about, so this local copy produces
-   byte-identical payloads to a real v1 file. *)
-type payload_v1 = {
-  v1_schema : Schema.t;
-  v1_n : int;
-  v1_marginal_targets : float array array;
-  v1_joints : (Predicate.t * float) list;
-  v1_alpha : float array;
-  v1_report : Solver.report;
-}
-
-let write_v1_file summary path =
-  let poly = Summary.poly summary in
-  let phi = Poly.phi poly in
-  let schema = Phi.schema phi in
-  let m = Schema.arity schema in
-  let payload =
-    {
-      v1_schema = schema;
-      v1_n = Phi.n phi;
-      v1_marginal_targets =
-        Array.init m (fun i ->
-            Array.init (Schema.domain_size schema i) (fun v ->
-                Phi.target phi (Phi.marginal_id phi ~attr:i ~value:v)));
-      v1_joints =
-        List.map
-          (fun j ->
-            let s = Phi.stat phi j in
-            (Statistic.pred s, Statistic.target s))
-          (Phi.joint_ids phi);
-      v1_alpha = Array.init (Phi.num_stats phi) (fun j -> Poly.alpha poly j);
-      v1_report = Summary.solver_report summary;
-    }
-  in
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "ENTROPYDB\x01";
-      output_binary_int oc 1;
-      Marshal.to_channel oc payload [])
-
+(* A v1 file (no journal) is refused by the reader with the upgrade
+   hint, and upgrades to a file answering bitwise as the v1 loader did,
+   with a fresh base journal tagged as legacy. *)
 let test_serialize_v1_compat () =
   let dir = temp_dir () in
   let s = build_summary (random_relation ~seed:43 300) in
   let path = Filename.concat dir "legacy.summary" in
-  write_v1_file s path;
+  Summary_files.write_v1 s path;
+  refused_with_hint path;
+  Ingest.upgrade path path;
   let s' = Serialize.load path in
   Alcotest.(check int) "cardinality" (Summary.cardinality s)
     (Summary.cardinality s');
-  List.iteri
-    (fun i q ->
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "probe %d" i)
-        (Summary.estimate s q) (Summary.estimate s' q))
-    probes;
+  Poly.refresh (Summary.poly s);
+  same_answers "upgraded v1" s s';
   let j = Summary.journal s' in
   Alcotest.(check int) "fresh base journal" 0 (Journal.batches j);
   Alcotest.(check int) "base rows = n" (Summary.cardinality s)
@@ -442,9 +428,10 @@ let test_save_atomic () =
   in
   Alcotest.(check (list string)) "no temp files" [] leftovers
 
-(* save_atomic preserves the on-disk format across a refresh: a summary
-   stored mmap-able (v3) must still be mmap-able after the rewrite, or a
-   budget-evicted catalog entry would silently downgrade to heap loads. *)
+(* save_atomic keeps a summary mappable across a refresh: the rewrite
+   of a mapped file is a mapped file again, at the same path or a new
+   one, and a read-only (mapped) summary is written with its tables as
+   they are, answering bitwise. *)
 let test_save_atomic_v3 () =
   let dir = temp_dir () in
   let s1 = build_summary (random_relation ~seed:46 300) in
@@ -452,32 +439,21 @@ let test_save_atomic_v3 () =
     Ingest.append ~solver_config:quiet s1 (random_relation ~seed:47 30)
   in
   let path = Filename.concat dir "s.v3" in
-  Serialize.save_v3 s1 path;
+  Serialize.save s1 path;
   Ingest.save_atomic s2 path;
-  Alcotest.(check bool) "still v3" true
-    (Serialize.detect path = Serialize.MappedV3);
   let s' = Serialize.load path in
+  Alcotest.(check bool) "still mapped" true (Summary.read_only s');
   Alcotest.(check int) "new version on disk" (Summary.cardinality s2)
     (Summary.cardinality s');
   Alcotest.(check int) "journal survived" 1
     (Journal.batches (Summary.journal s'));
-  (* Writing to a new path keeps the source file's format ([~like], as
-     `entropydb ingest -o NEW` passes it), in both directions. *)
+  same_answers "refreshed file" s2 s';
   let copy = Filename.concat dir "copy.v3" in
-  Ingest.save_atomic ~like:path s2 copy;
-  Alcotest.(check bool) "v3 source, new path: v3" true
-    (Serialize.detect copy = Serialize.MappedV3);
-  let flat_src = Filename.concat dir "s.flat" in
-  Serialize.save s1 flat_src;
-  let flat_copy = Filename.concat dir "copy.flat" in
-  Ingest.save_atomic ~like:flat_src s2 flat_copy;
-  Alcotest.(check bool) "flat source, new path: flat" true
-    (Serialize.detect flat_copy = Serialize.Flat);
-  (* Without [~like], the target's own format is kept: v3 above, flat
-     here. *)
-  Ingest.save_atomic s2 flat_src;
-  Alcotest.(check bool) "default keeps a flat target flat" true
-    (Serialize.detect flat_src = Serialize.Flat);
+  Ingest.save_atomic s' copy;
+  let c = Serialize.load copy in
+  Alcotest.(check bool) "copy mapped" true (Summary.read_only c);
+  same_answers "copy of a mapped summary" s' c;
+  Alcotest.(check int) "copy journal" 1 (Journal.batches (Summary.journal c));
   Alcotest.(check (list string)) "no temp files" []
     (Ingest.orphan_temps ~dir)
 
@@ -492,13 +468,13 @@ let test_save_atomic_crash () =
     Ingest.append ~solver_config:quiet s1 (random_relation ~seed:49 30)
   in
   let path = Filename.concat dir "s.v3" in
-  Serialize.save_v3 s1 path;
+  Serialize.save s1 path;
   let before = In_channel.with_open_bin path In_channel.input_all in
   (* Crash #1: after the temp write, before the rename. *)
   let tmp =
     Filename.temp_file ~temp_dir:dir (Filename.basename path) ".ingest-tmp"
   in
-  Serialize.save_v3 s2 tmp;
+  Serialize.save s2 tmp;
   (* The target is byte-identical: readers still get the old summary. *)
   Alcotest.(check string) "target untouched" before
     (In_channel.with_open_bin path In_channel.input_all);
@@ -530,14 +506,14 @@ let test_save_atomic_crash () =
   Alcotest.(check int) "summary intact" (Summary.cardinality s1)
     (Summary.cardinality (Serialize.load path))
 
-(* v1 corruption fuzz, completing the battery across all three on-disk
-   versions (v2 and v3 are fuzzed in the core suite, next to their
-   loaders; the v1 writer only exists here). *)
+(* v1 corruption fuzz: every truncation and every flipped header byte of
+   a v1 file is a Format_error for the reader and for upgrade alike. *)
 let test_v1_corruption_fuzz () =
   let dir = temp_dir () in
   let s = build_summary (random_relation ~seed:50 300) in
   let path = Filename.concat dir "legacy.summary" in
-  write_v1_file s path;
+  let out = Filename.concat dir "upgraded.summary" in
+  Summary_files.write_v1 s path;
   let original = In_channel.with_open_bin path In_channel.input_all in
   let len = String.length original in
   let rng = Prng.create ~seed:51 () in
@@ -545,29 +521,32 @@ let test_v1_corruption_fuzz () =
     Out_channel.with_open_bin path (fun oc ->
         Out_channel.output_string oc bytes)
   in
+  let rejects what =
+    (match Serialize.load path with
+    | exception Serialize.Format_error _ -> ()
+    | exception e -> Alcotest.failf "%s: load raised %s" what (Printexc.to_string e)
+    | _ -> Alcotest.failf "%s loaded" what);
+    match Ingest.upgrade path out with
+    | exception Serialize.Format_error _ -> ()
+    | exception e ->
+        Alcotest.failf "%s: upgrade raised %s" what (Printexc.to_string e)
+    | () -> Alcotest.failf "%s upgraded" what
+  in
   for _ = 1 to 20 do
     let cut = Prng.int rng len in
     write (String.sub original 0 cut);
-    match Serialize.load path with
-    | exception Serialize.Format_error _ -> ()
-    | exception e ->
-        Alcotest.failf "v1 truncation at %d raised %s" cut
-          (Printexc.to_string e)
-    | _ -> Alcotest.failf "v1 truncation at %d loaded" cut
+    rejects (Printf.sprintf "v1 truncation at %d" cut)
   done;
   for pos = 0 to min 13 (len - 1) do
     let b = Bytes.of_string original in
     Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x24));
     write (Bytes.to_string b);
-    match Serialize.load path with
-    | exception Serialize.Format_error _ -> ()
-    | exception e ->
-        Alcotest.failf "v1 flip at %d raised %s" pos (Printexc.to_string e)
-    | _ -> Alcotest.failf "v1 flip at %d loaded" pos
+    rejects (Printf.sprintf "v1 flip at %d" pos)
   done;
   write original;
+  Ingest.upgrade path out;
   Alcotest.(check int) "intact again" (Summary.cardinality s)
-    (Summary.cardinality (Serialize.load path))
+    (Summary.cardinality (Serialize.load out))
 
 (* ------------------------------------------------------------------ *)
 

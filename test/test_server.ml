@@ -253,7 +253,7 @@ let test_catalog_lru () =
 
 let saved_summary_v3 dir name summary =
   let path = Filename.concat dir (name ^ ".v3") in
-  Serialize.save_v3 summary path;
+  Serialize.save summary path;
   path
 
 (* One summary saved under several names: identical byte footprints, so a
@@ -327,11 +327,11 @@ let test_catalog_weighted () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "with_entry resurrected an evicted name")
 
-(* A v3 file is verified before its first answer on every surface.
-   One byte is flipped in a section the evaluator reads (g0.factors) and,
-   separately, in one it never reads (g0.bys_term); every estimator, the
-   planner, and the daemon's QUERY and PLAN paths must then fail on a
-   freshly opened summary with the error naming that section. *)
+(* A summary file is verified before its first answer on every surface.
+   One byte is flipped in a float table (g0.factors) and, separately, in
+   an index table (g0.t_mask); every estimator, the planner, and the
+   daemon's QUERY and PLAN paths must then fail on a freshly opened
+   summary with the error naming that section. *)
 let test_no_answer_before_verification () =
   let contains hay needle =
     let hl = String.length hay and nl = String.length needle in
@@ -346,20 +346,20 @@ let test_no_answer_before_verification () =
   let q = Predicate.of_alist ~arity [ (0, Ranges.interval 1 4) ] in
   let q' = Predicate.of_alist ~arity [ (1, Ranges.interval 0 2) ] in
   let sql = "SELECT COUNT(*) FROM f WHERE a0 IN [1,4]" in
-  List.iter
-    (fun section ->
+  List.iteri
+    (fun i section ->
       let sec =
         List.find
-          (fun (x : Serialize.v3_section) -> x.Serialize.sec_name = section)
-          (Serialize.v3_sections pristine)
+          (fun (x : Serialize.section) -> x.sec_name = section)
+          (Serialize.manifest pristine).m_parts.(0).pm_sections
       in
       let b = Bytes.of_string original in
-      let pos = sec.Serialize.sec_off + 3 in
+      let pos = sec.sec_off + 3 in
       Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x5b));
-      let path = Filename.concat dir (section ^ ".v3") in
+      let path = Filename.concat dir (Printf.sprintf "corrupt%d.summary" i) in
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
       let refuses what f =
-        match f (Mapped.open_file path) with
+        match f (Serialize.load path) with
         | exception Serialize.Format_error m when contains m section -> ()
         | exception e ->
             Alcotest.failf "%s over a corrupt %s raised %s" what section
@@ -394,7 +394,7 @@ let test_no_answer_before_verification () =
           ("QUERY", Protocol.Query { name = "c"; sql });
           ("PLAN", Protocol.Plan { name = "c"; ci = "95:50"; sql });
         ])
-    [ "g0.factors"; "g0.bys_term" ]
+    [ "g0.factors"; "g0.t_mask" ]
 
 (* Pinning: an entry held by a request survives budget pressure that
    would otherwise evict it; the budget overshoots instead.  A budget
@@ -765,7 +765,7 @@ let test_handler_sharded () =
       rel ~shards:2 ~strategy:Edb_shard.Partition.Rows ~joints
   in
   let path = Filename.concat dir "sharded.edb" in
-  Serialize.save_sharded sh path;
+  Serialize.save sh path;
   let catalog = Catalog.create () in
   let metrics = Metrics.create () in
   let handle r = fst (Handler.handle ~catalog ~metrics r) in
@@ -857,7 +857,7 @@ let test_handler_one_kernel_pass () =
       ~strategy:Edb_shard.Partition.Rows ~joints
   in
   let manifest = Filename.concat dir "rows3.edb" in
-  Serialize.save_sharded sh manifest;
+  Serialize.save sh manifest;
   let evals = Edb_obs.Registry.counter "poly.evals" in
   let count_sql = "SELECT COUNT(*) FROM f WHERE a0 IN [1,3] AND a2 IN [0,2]" in
   let group_sql = "SELECT COUNT(*) FROM f WHERE a2 IN [1,3] GROUP BY a1" in
@@ -1166,7 +1166,7 @@ let test_handler_refresh () =
         ]
   in
   let shpath = Filename.concat dir "sh.edb" in
-  Serialize.save_sharded sh shpath;
+  Serialize.save sh shpath;
   (match handle (Protocol.Load { name = "sh"; path = shpath }) with
   | Protocol.Ok _ -> ()
   | Protocol.Err { message; _ } -> Alcotest.fail message);
@@ -1181,7 +1181,7 @@ let test_handler_refresh () =
 (* ------------------------------------------------------------------ *)
 
 let with_server ?(max_conns = 8) ?(request_deadline = 10.)
-    ?(domains = 0) ?(batch_window = 0.) ?(max_inflight = 64) ?catalog dir f =
+    ?(domains = 0) ?(max_inflight = 64) ?catalog dir f =
   let socket = Filename.concat dir "edb.sock" in
   let server =
     Server.create ?catalog
@@ -1190,7 +1190,6 @@ let with_server ?(max_conns = 8) ?(request_deadline = 10.)
         unix_socket = Some socket;
         max_conns;
         domains;
-        batch_window;
         max_inflight;
         request_deadline;
         idle_timeout = 10.;
@@ -1886,6 +1885,215 @@ let test_pipeline_busy_race () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Bytes from disk never take the daemon down                          *)
+(* ------------------------------------------------------------------ *)
+
+let has s needle =
+  let hl = String.length s and nl = String.length needle in
+  let rec go i = i + nl <= hl && (String.sub s i nl = needle || go (i + 1)) in
+  go 0
+
+let stats_value c key =
+  match Client.stats c with
+  | Ok lines ->
+      List.find_map
+        (fun l ->
+          match String.split_on_char ' ' l with
+          | [ k; v ] when k = key -> int_of_string_opt v
+          | _ -> None)
+        lines
+  | Error m -> Alcotest.fail m
+
+(* A body that fails verification at the first answer: every request
+   that needs the summary replies ERR load naming the path and the
+   section, the entry leaves residency (its slot stays), and once the
+   file is repaired the next request answers. *)
+let test_e2e_verify_failure () =
+  let dir = temp_dir () in
+  let s = small_summary ~seed:72 () in
+  let path = saved_summary dir "s" s in
+  let original = In_channel.with_open_bin path In_channel.input_all in
+  let sec =
+    List.find
+      (fun (x : Serialize.section) -> x.sec_name = "g0.factors")
+      (Serialize.manifest path).m_parts.(0).pm_sections
+  in
+  let b = Bytes.of_string original in
+  Bytes.set b (sec.sec_off + 5)
+    (Char.chr (Char.code (Bytes.get b (sec.sec_off + 5)) lxor 0x21));
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+  let sql = "SELECT COUNT(*) FROM f WHERE a0 IN [1,4]" in
+  with_server dir (fun _ socket ->
+      let c = connect_exn socket in
+      (match Client.load c ~name:"s" ~path with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "LOAD (body unread): %s" m);
+      let refused what = function
+        | Error m ->
+            let want = Printf.sprintf "load: %s: bad summary file: " path in
+            if
+              not
+                (String.length m >= String.length want
+                && String.sub m 0 (String.length want) = want
+                && has m "g0.factors")
+            then Alcotest.failf "%s replied %S" what m
+        | Ok _ -> Alcotest.failf "%s answered from a corrupt file" what
+      in
+      refused "QUERY" (Client.query c ~name:"s" ~sql);
+      refused "QUERY again" (Client.query c ~name:"s" ~sql);
+      refused "PLAN" (Client.plan c ~name:"s" ~ci:"95:50" ~sql);
+      Alcotest.(check (option int)) "not resident" (Some 0)
+        (stats_value c "catalog_resident");
+      Alcotest.(check (option int)) "slot kept" (Some 1)
+        (stats_value c "catalog_slots");
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc original);
+      match Client.query c ~name:"s" ~sql with
+      | Ok payload ->
+          let arity = Schema.arity (Summary.schema s) in
+          Alcotest.(check (float 0.))
+            "answers once repaired"
+            (Summary.estimate s
+               (Predicate.of_alist ~arity [ (0, Ranges.interval 1 4) ]))
+            (Option.get (Client.estimate_of_payload payload))
+      | Error m -> Alcotest.failf "QUERY after repair: %s" m)
+
+(* LOAD of a directory names the path, like every other LOAD error. *)
+let test_load_directory () =
+  let dir = temp_dir () in
+  let catalog = Catalog.create () in
+  match
+    fst
+      (Handler.handle ~catalog ~metrics:(Metrics.create ())
+         (Protocol.Load { name = "d"; path = dir }))
+  with
+  | Protocol.Err { code; message } ->
+      Alcotest.(check string) "code" Protocol.err_load code;
+      Alcotest.(check bool) ("names the path: " ^ message) true
+        (has message dir)
+  | Protocol.Ok _ -> Alcotest.fail "a directory loaded"
+
+(* Every replaced format, and 600 one-byte flips of a v2 file, sent to a
+   running daemon: each LOAD is an ERR load naming the path (the intact
+   legacy files also name `entropydb upgrade`), nothing is unmarshaled,
+   and the daemon keeps serving the summary it already had. *)
+let test_e2e_legacy_loads () =
+  let dir = temp_dir () in
+  let s = small_summary ~seed:73 () in
+  let good = saved_summary dir "good" s in
+  let sh =
+    Edb_shard.Builder.build
+      ~solver_config:{ Solver.default_config with log_every = 0 }
+      (small_relation ~seed:74 [ 6; 5; 4 ] 400)
+      ~shards:2 ~strategy:Edb_shard.Partition.Rows ~joints:[]
+  in
+  let legacy =
+    [
+      ("v1", Summary_files.write_v1 s);
+      ("v2", Summary_files.write_v2 s);
+      ("manifest", Summary_files.write_manifest sh);
+      ("version3", Summary_files.write_v3 (small_summary ~seed:75 ()));
+    ]
+  in
+  let sql = "SELECT COUNT(*) FROM f WHERE a0 IN [1,4]" in
+  with_server dir (fun _ socket ->
+      let c = connect_exn socket in
+      (match Client.load c ~name:"good" ~path:good with
+      | Ok _ -> ()
+      | Error m -> Alcotest.fail m);
+      let expected = Client.query c ~name:"good" ~sql in
+      let refused ?hint path =
+        match Client.load c ~name:"bad" ~path with
+        | Ok _ -> Alcotest.failf "%s loaded" path
+        | Error m ->
+            if not (has m ("load: " ^ path)) then
+              Alcotest.failf "LOAD %s replied %S" path m;
+            Option.iter
+              (fun h ->
+                if not (has m h) then Alcotest.failf "LOAD %s replied %S" path m)
+              hint
+      in
+      List.iter
+        (fun (what, write) ->
+          let path = Filename.concat dir what in
+          write path;
+          refused ~hint:"entropydb upgrade" path)
+        legacy;
+      let v2 = Filename.concat dir "v2" in
+      let original = In_channel.with_open_bin v2 In_channel.input_all in
+      let len = String.length original in
+      let flipped = Filename.concat dir "flipped" in
+      for i = 0 to 599 do
+        let b = Bytes.of_string original in
+        let pos = i * len / 600 in
+        Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x10));
+        Out_channel.with_open_bin flipped (fun oc ->
+            Out_channel.output_bytes oc b);
+        refused flipped
+      done;
+      (match Client.ping c with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "daemon down after the LOADs: %s" m);
+      Alcotest.(check bool)
+        "the resident summary still answers" true
+        (Client.query c ~name:"good" ~sql = expected))
+
+(* Crafted files — one out-of-range element in an index table, every
+   checksum recomputed — open (the body is not read at LOAD) and then
+   refuse every QUERY with ERR load naming the section; the daemon stays
+   up. *)
+let test_e2e_crafted_ranges () =
+  let dir = temp_dir () in
+  let s = small_summary ~seed:76 () in
+  let pristine = saved_summary dir "pristine" s in
+  let m = Serialize.manifest pristine in
+  let len name =
+    (List.find
+       (fun (x : Serialize.section) -> x.sec_name = name)
+       m.m_parts.(0).pm_sections)
+      .sec_len
+  in
+  let crafted =
+    [
+      ("g0.fa_off", 1, len "g0.fa_attr" + 7);
+      ("g0.fa_attr", 0, 3);
+      ("g0.iv_off", 1, len "g0.iv_lo" + 1);
+      ("g0.iv_lo", 0, -1);
+      ("g0.iv_hi", 0, 1_000);
+      ("g0.t_mask", 1, len "g0.mask_bits");
+      ("g0.mask_bits", 0, 1 lsl 10);
+    ]
+  in
+  with_server dir (fun _ socket ->
+      let c = connect_exn socket in
+      List.iteri
+        (fun i (name, index, v) ->
+          let path = Filename.concat dir (Printf.sprintf "crafted%d" i) in
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc
+                (In_channel.with_open_bin pristine In_channel.input_all));
+          Summary_files.poke path ~name ~index v;
+          let key = Printf.sprintf "c%d" i in
+          (match Client.load c ~name:key ~path with
+          | Ok _ -> ()
+          | Error m -> Alcotest.failf "LOAD of crafted %s: %s" name m);
+          List.iter
+            (fun sql ->
+              match Client.query c ~name:key ~sql with
+              | Ok _ -> Alcotest.failf "%s answered over a bad %s" sql name
+              | Error m ->
+                  if not (has m ("load: " ^ path) && has m name) then
+                    Alcotest.failf "%s over a bad %s replied %S" sql name m)
+            [
+              "SELECT COUNT(*) FROM f WHERE a0 IN [1,4]";
+              "SELECT COUNT(*) FROM f WHERE a1 IN [0,2] GROUP BY a0";
+            ])
+        crafted;
+      match Client.ping c with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "daemon down: %s" m)
+
 let () =
   (* Writes to sockets the peer already closed (drain test, busy test) must
      surface as EPIPE errors, not kill the test process. *)
@@ -1907,6 +2115,8 @@ let () =
             test_catalog_weighted;
           Alcotest.test_case "no answer before verification" `Quick
             test_no_answer_before_verification;
+          Alcotest.test_case "LOAD of a directory names the path" `Quick
+            test_load_directory;
           Alcotest.test_case "pinning under budget pressure" `Quick
             test_catalog_pinning;
           catalog_matches_model;
@@ -1939,6 +2149,12 @@ let () =
           Alcotest.test_case "graceful drain" `Quick test_e2e_drain;
           Alcotest.test_case "catalog churn under byte budget" `Quick
             test_e2e_catalog_churn;
+          Alcotest.test_case "verify failure at the first answer" `Quick
+            test_e2e_verify_failure;
+          Alcotest.test_case "replaced formats and v2 flips: ERR load" `Quick
+            test_e2e_legacy_loads;
+          Alcotest.test_case "out-of-range index tables: ERR load" `Quick
+            test_e2e_crafted_ranges;
         ] );
       ( "pipeline",
         [
