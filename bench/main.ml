@@ -890,10 +890,11 @@ let groupby config =
 (* ------------------------------------------------------------------ *)
 
 (* Measures the raw polynomial kernels underneath every answer path:
-   ns/term for [Poly.eval_restricted] and the batched GROUP BY kernel
-   [Poly.eval_restricted_by_value], seconds per solver sweep, and
-   minor-heap allocation words per call (steady state, via
-   [Gc.minor_words]).
+   ns/term for [Poly.eval_restricted], the batched GROUP BY kernel
+   [Poly.eval_restricted_by_value] and the weighted pass
+   [Poly.eval_weighted] (SUM's w pass; informational, no gate), seconds
+   per solver sweep, and minor-heap allocation words per call (steady
+   state, via [Gc.minor_words]).
 
    The numbers land in BENCH_kernel.json.  When the committed
    BENCH_kernel_baseline.json exists the experiment is a gate, not just a
@@ -959,6 +960,20 @@ let kernel config =
   in
   let groups () = Core.Summary.groups flat ~attrs:[ F.origin ] query in
   let n_cells = Edb_storage.Schema.domain_size schema F.origin in
+  (* SUM(distance)'s w pass, with bin-midpoint weights as [Summary.sum]
+     uses: once under [query], which restricts distance, and once with
+     no WHERE clause, where the pass restricts distance to its whole
+     domain itself. *)
+  let midpoints =
+    let d = Edb_storage.Schema.domain schema F.distance in
+    Array.init
+      (Edb_storage.Schema.domain_size schema F.distance)
+      (Edb_storage.Domain.bin_midpoint d)
+  in
+  let weights = [ (F.distance, fun v -> midpoints.(v)) ] in
+  let no_where = Edb_storage.Predicate.tautology arity in
+  let weighted () = Core.Poly.eval_weighted poly query ~weights in
+  let weighted_free () = Core.Poly.eval_weighted poly no_where ~weights in
   Printf.printf "kernel: %d rows, %d terms, layout %s\n%!" rows terms
     Core.Poly.layout;
   (* Timings: per-call seconds averaged over a fixed iteration count,
@@ -983,9 +998,13 @@ let kernel config =
   let eval_s = time_per_call eval_iters eval in
   let byvalue_s = time_per_call eval_iters byvalue in
   let groups_s = time_per_call (max 1 (eval_iters / 4)) groups in
+  let weighted_s = time_per_call eval_iters weighted in
+  let weighted_free_s = time_per_call eval_iters weighted_free in
   let ns_per_term s = s *. 1e9 /. float_of_int (max 1 terms) in
   let eval_ns = ns_per_term eval_s in
   let byvalue_ns = ns_per_term byvalue_s in
+  let weighted_ns = ns_per_term weighted_s in
+  let weighted_free_ns = ns_per_term weighted_free_s in
   (* Solver sweep time: a cold re-solve of the same Φ, capped sweeps. *)
   let sweep_config =
     {
@@ -1015,6 +1034,8 @@ let kernel config =
   let eval_words = words_per_call eval in
   let byvalue_words = words_per_call byvalue in
   let groups_words = words_per_call groups in
+  let weighted_words = words_per_call weighted in
+  let weighted_free_words = words_per_call weighted_free in
   (* Gates against the committed baseline. *)
   let baseline_path = "BENCH_kernel_baseline.json" in
   let baseline =
@@ -1094,10 +1115,17 @@ let kernel config =
     (Printf.sprintf "%.1f us (%.2f ns/term, %d cells)" (byvalue_s *. 1e6)
        byvalue_ns n_cells);
   add "Summary.groups" (Printf.sprintf "%.1f us" (groups_s *. 1e6));
+  add "eval_weighted, summed attr restricted"
+    (Printf.sprintf "%.1f us (%.2f ns/term)" (weighted_s *. 1e6) weighted_ns);
+  add "eval_weighted, summed attr free"
+    (Printf.sprintf "%.1f us (%.2f ns/term)" (weighted_free_s *. 1e6)
+       weighted_free_ns);
   add "solver sweep" (Printf.sprintf "%.3f ms" (sweep_s *. 1e3));
   add "eval minor words/call" (Printf.sprintf "%.1f" eval_words);
   add "by_value minor words/call" (Printf.sprintf "%.1f" byvalue_words);
   add "groups minor words/call" (Printf.sprintf "%.1f" groups_words);
+  add "weighted minor words/call (restricted, free)"
+    (Printf.sprintf "%.1f, %.1f" weighted_words weighted_free_words);
   (match !speedup_vs_baseline with
   | Some s -> add "batched speedup vs baseline" (Printf.sprintf "%.1fx" s)
   | None -> ());
@@ -1118,6 +1146,12 @@ let kernel config =
       ("eval_words_per_call", Json.Float eval_words);
       ("byvalue_words_per_call", Json.Float byvalue_words);
       ("groups_words_per_call", Json.Float groups_words);
+      ("weighted_us", Json.Float (weighted_s *. 1e6));
+      ("weighted_ns_per_term", Json.Float weighted_ns);
+      ("weighted_words_per_call", Json.Float weighted_words);
+      ("weighted_free_us", Json.Float (weighted_free_s *. 1e6));
+      ("weighted_free_ns_per_term", Json.Float weighted_free_ns);
+      ("weighted_free_words_per_call", Json.Float weighted_free_words);
       ( "speedup_vs_baseline",
         match !speedup_vs_baseline with
         | Some s -> Json.Float s

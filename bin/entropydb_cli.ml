@@ -466,24 +466,12 @@ let explain_cmd =
           1
       | Ok c -> (
           let shape =
-            match Edb_query.Translate.conjunctive c with
-            | None ->
+            match Edb_server.Handler.shape_of_compiled c with
+            | Some shape -> shape
+            | None when Option.is_none (Edb_query.Translate.conjunctive c) ->
                 failwith "the planner supports conjunctive predicates only"
-            | Some pred -> (
-                match c with
-                | { aggregate = Edb_query.Translate.Count; group_attrs = []; _ }
-                  ->
-                    P.Count pred
-                | { aggregate = Edb_query.Translate.Sum attr;
-                    group_attrs = [];
-                    _;
-                  } ->
-                    P.Sum { attr; pred }
-                | { aggregate = Edb_query.Translate.Count; group_attrs; _ } ->
-                    P.Groups { attrs = group_attrs; pred }
-                | _ ->
-                    failwith
-                      "the planner supports COUNT, SUM, and COUNT GROUP BY")
+            | None ->
+                failwith "the planner supports COUNT, SUM, and COUNT GROUP BY"
           in
           (* The summary route is always available; --exact-csv adds an
              exact scan plus a deterministic uniform sample of the base
@@ -505,16 +493,7 @@ let explain_cmd =
                 failwith "--exact-csv requires --dataset to supply the schema"
           in
           let d = P.choose_all ~target estimators shape in
-          let truth =
-            List.find_map
-              (fun (cand : P.candidate) ->
-                match (E.kind cand.P.estimator, cand.P.evaluation) with
-                | E.Exact, Some ev when ev.P.groups = None ->
-                    Some ev.P.answer.E.est
-                | _ -> None)
-              d.P.candidates
-          in
-          Edb_util.Table.print (Edb_plan.Explain.table ?truth d);
+          Edb_util.Table.print (Edb_plan.Explain.table d);
           let a = P.chosen_answer d in
           Printf.printf "route: %s (%s, %s)\n"
             (E.name d.P.chosen.P.estimator)

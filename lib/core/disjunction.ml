@@ -53,9 +53,9 @@ let fold_intersections preds ~f ~init =
 let sign size = if size mod 2 = 1 then 1. else -1.
 
 (* One walk, two accumulators: the expected count sums each
-   intersection's [Poly.estimate] (n·r/P, in its operation order), and
-   the probability sums the same restricted masses r before one division
-   by P. *)
+   intersection's n·r/P (Sec. 4.2's formula, in [Summary.binomial]'s
+   operation order), and the probability sums the same restricted masses
+   r before one division by P. *)
 let count poly preds =
   check_disjuncts preds;
   let p_total = Poly.p poly in

@@ -242,9 +242,9 @@ let ensure_prefix t =
     t.prefix_valid <- true
   end
 
-(* Sum of alpha over a value set, via prefix sums: O(#intervals). *)
-let[@inline] range_sum t ~attr r =
-  let pre = t.prefix and base = t.prefix_off.(attr) in
+(* Sum over a value set of the variables whose prefix sums start at
+   [pre].{base}: O(#intervals). *)
+let[@inline] range_sum (pre : fbuf) base r =
   let acc = ref 0. in
   for k = 0 to Ranges.num_intervals r - 1 do
     acc :=
@@ -840,10 +840,6 @@ let alpha t j =
   verify t;
   t.alpha.{j}
 
-let attr_sum t i =
-  verify t;
-  t.attr_sums.{i}
-
 let num_stats t = A1.dim t.alpha
 let num_marginals t =
   let k = ref 0 in
@@ -1071,23 +1067,29 @@ let set_parallelism ?threshold n =
 let cancellation_floor = ref 0.
 let set_cancellation_floor f = cancellation_floor := f
 
+(* The restricted kernels below read the variables through a prefix
+   table [pre] laid out like [t.prefix]: [t.prefix] itself for COUNT and
+   GROUP BY, a weighted copy for SUM ([weighted_pass]).  An attribute
+   the query leaves free is read from its cached full sum and slot
+   factors instead, which hold the live variables, so a pass over a
+   weighted table must restrict every weighted attribute. *)
+
 (* A_i restricted to the query's value set (the full sum when the query
    leaves attribute [i] free). *)
-let[@inline] restricted_attr_sum t query i =
+let[@inline] restricted_attr_sum t pre query i =
   match Predicate.restriction query i with
   | None -> t.attr_sums.{i}
-  | Some r -> range_sum t ~attr:i r
+  | Some r -> range_sum pre t.prefix_off.(i) r
 
 (* Restricted masses of terms [lo, hi) accumulated into [msum] by mask:
    the inner loop of both restricted kernels.  A top-level function, not
    a closure, so the single-domain path allocates nothing. *)
-let accumulate_masses t query g msum ~lo ~hi =
+let accumulate_masses t pre query g msum ~lo ~hi =
   let fa_off = g.fa_off
   and fa_attr = g.fa_attr
   and factors = g.factors
   and dprod = g.dprod
   and t_mask = g.t_mask
-  and prefix = t.prefix
   and prefix_off = t.prefix_off in
   let f = ref 0. in
   for ti = lo to hi - 1 do
@@ -1098,7 +1100,7 @@ let accumulate_masses t query g msum ~lo ~hi =
          let factor =
            match Predicate.restriction query i with
            | None -> A1.unsafe_get factors s
-           | Some qr -> inter_sum prefix (Array.unsafe_get prefix_off i) g s qr
+           | Some qr -> inter_sum pre (Array.unsafe_get prefix_off i) g s qr
          in
          if factor = 0. then raise Exit;
          f := !f *. factor
@@ -1109,14 +1111,21 @@ let accumulate_masses t query g msum ~lo ~hi =
   done
 
 (* Q_g under the query's restrictions: the per-group part of restricted
-   evaluation, shared by [eval_restricted] and the batched GROUP BY
-   kernel below.  Groups below the parallel threshold accumulate into
-   the scratch block; large groups keep the chunked Parallel.fold (whose
-   per-chunk arrays are the price of running on several domains). *)
-let restricted_group_q t query g sc =
+   evaluation, shared by [restricted_p] and the batched GROUP BY kernel
+   below.  Groups below the parallel threshold accumulate into the
+   scratch block; large groups keep the chunked Parallel.fold (whose
+   per-chunk arrays are the price of running on several domains).
+
+   Q_g is then clamped at [floor].  When every monomial is non-negative
+   (COUNT, GROUP BY, SUM with non-negative weights), the clamp removes
+   the tiny negative values floating-point cancellation can produce:
+   [floor] is [!cancellation_floor], 0 in production, which
+   [set_cancellation_floor] raises for fault injection.  Signed weights
+   pass [neg_infinity], which keeps the sign. *)
+let restricted_group_q t pre ~floor query g sc =
   let n_local = Array.length g.g_attrs in
   for li = 0 to n_local - 1 do
-    sc.ra.(li) <- restricted_attr_sum t query g.g_attrs.(li)
+    sc.ra.(li) <- restricted_attr_sum t pre query g.g_attrs.(li)
   done;
   let num_masks = A1.dim g.mask_bits in
   let msum =
@@ -1124,7 +1133,7 @@ let restricted_group_q t query g sc =
       Parallel.fold ~domains:!parallelism ~n:g.n_terms
         ~chunk:(fun ~lo ~hi ->
           let local = Array.make num_masks 0. in
-          accumulate_masses t query g local ~lo ~hi;
+          accumulate_masses t pre query g local ~lo ~hi;
           local)
         ~combine:(fun a b ->
           Array.iteri (fun k v -> a.(k) <- a.(k) +. v) b;
@@ -1132,7 +1141,7 @@ let restricted_group_q t query g sc =
         ~init:(Array.make num_masks 0.)
     else begin
       Array.fill sc.msum 0 num_masks 0.;
-      accumulate_masses t query g sc.msum ~lo:0 ~hi:g.n_terms;
+      accumulate_masses t pre query g sc.msum ~lo:0 ~hi:g.n_terms;
       sc.msum
     end
   in
@@ -1147,24 +1156,26 @@ let restricted_group_q t query g sc =
       q := !q +. (msum.(k) *. !outer)
     end
   done;
-  (* Q_g is a sum of non-negative monomials; clamp the tiny negative
-     values floating-point cancellation can produce.  The floor is 0 in
-     production; [set_cancellation_floor] raises it for fault injection. *)
-  Float.max !cancellation_floor !q
+  Float.max floor !q
 
 (* P with every 1D variable outside the query's per-attribute restrictions
    set to 0.  Nothing is rebuilt: restricted attribute sums and term
-   factors are recomputed from prefix sums over the current alpha. *)
-let eval_restricted_sc t query sc =
-  ensure_prefix t;
+   factors are recomputed from the prefix table [pre]. *)
+let restricted_p t pre ~floor query sc =
   let acc = ref 1. in
   for k = 0 to Array.length t.free_attrs - 1 do
-    acc := !acc *. restricted_attr_sum t query t.free_attrs.(k)
+    acc := !acc *. restricted_attr_sum t pre query t.free_attrs.(k)
   done;
   for gi = 0 to Array.length t.groups - 1 do
-    acc := !acc *. restricted_group_q t query t.groups.(gi) sc
+    acc := !acc *. restricted_group_q t pre ~floor query t.groups.(gi) sc
   done;
   !acc
+
+(* The COUNT pass (Sec. 4.2's P[zeroed]), in the argument shape of
+   [run] below. *)
+let count_pass t query () () sc =
+  ensure_prefix t;
+  restricted_p t t.prefix ~floor:!cancellation_floor query sc
 
 let[@inline] alpha_of t ~attr v = t.alpha.{t.marg_off.(attr) + v}
 
@@ -1269,8 +1280,9 @@ let accumulate_by_value t query g ~attr ~q_attr coef msum scatter ~lo ~hi =
    outside the query's restriction on [attr] are 0.  Each cell's Q_g
    gets the same cancellation clamp as [eval_restricted], so cell values
    match the per-cell path up to float reassociation. *)
-let eval_by_value_sc t query ~attr out sc =
+let by_value_pass t query attr out sc =
   ensure_prefix t;
+  let floor = !cancellation_floor in
   let size = Schema.domain_size t.schema attr in
   Array.fill out 0 size 0.;
   let q_attr = Predicate.restriction query attr in
@@ -1279,10 +1291,12 @@ let eval_by_value_sc t query ~attr out sc =
   let base = ref 1. in
   for k = 0 to Array.length t.free_attrs - 1 do
     let i = t.free_attrs.(k) in
-    if i <> attr then base := !base *. restricted_attr_sum t query i
+    if i <> attr then base := !base *. restricted_attr_sum t t.prefix query i
   done;
   for gj = 0 to Array.length t.groups - 1 do
-    if gj <> gi then base := !base *. restricted_group_q t query t.groups.(gj) sc
+    if gj <> gi then
+      base :=
+        !base *. restricted_group_q t t.prefix ~floor query t.groups.(gj) sc
   done;
   let base = !base in
   if gi < 0 then begin
@@ -1311,7 +1325,8 @@ let eval_by_value_sc t query ~attr out sc =
       let outer = ref 1. in
       for li' = 0 to n_local - 1 do
         if li' <> li && bits land (1 lsl li') = 0 then
-          outer := !outer *. restricted_attr_sum t query g.g_attrs.(li')
+          outer :=
+            !outer *. restricted_attr_sum t t.prefix query g.g_attrs.(li')
       done;
       coef.(k) <- !outer
     done;
@@ -1350,16 +1365,14 @@ let eval_by_value_sc t query ~attr out sc =
         for v = 0 to size - 1 do
           out.(v) <-
             base
-            *. Float.max !cancellation_floor
-                 (alpha_of t ~attr v *. (scalar +. scatter.(v)))
+            *. Float.max floor (alpha_of t ~attr v *. (scalar +. scatter.(v)))
         done
     | Some r ->
         for k = 0 to Ranges.num_intervals r - 1 do
           for v = Ranges.interval_lo r k to Ranges.interval_hi r k do
             out.(v) <-
               base
-              *. Float.max !cancellation_floor
-                   (alpha_of t ~attr v *. (scalar +. scatter.(v)))
+              *. Float.max floor (alpha_of t ~attr v *. (scalar +. scatter.(v)))
           done
         done
   end
@@ -1370,114 +1383,70 @@ let eval_by_value_sc t query ~attr out sc =
    alpha_{i,v} -> alpha_{i,v} * w_i(v) computes exactly this sum; that is
    what lets the same factorized representation answer SUM and AVG
    queries (a strictly larger class of the paper's linear queries than
-   counting). *)
-let eval_weighted_impl t query ~weights =
+   counting).
+
+   The pass is the COUNT kernel over a per-call copy of the prefix table
+   whose weighted attributes hold running sums of alpha * w, each
+   restricted to its whole domain when the query leaves it free (see
+   [restricted_attr_sum]): [range_sum] over [0, N-1] is the full sum,
+   and [inter_sum] over it walks the same intervals as [slot_sum], so
+   the factors are bitwise those a refresh from the weighted variables
+   would cache.  When every weighted variable is >= 0 every monomial is
+   non-negative and the group clamp applies as in COUNT, so
+   floating-point cancellation cannot flip a SUM estimate's sign;
+   genuinely signed weights keep their sign. *)
+let weighted_pass t query weights () sc =
   ensure_prefix t;
-  (* Prefix sums of weighted alphas, in a per-call copy of the prefix
-     table: [weights] gives a weight function for the attributes it
-     covers, whose sums are recomputed; all others weigh 1 and keep the
-     cached sums.  [all_nonneg] records whether every
-     weighted alpha stayed >= 0 (unweighted alphas always are): exactly
-     then every monomial of the weighted sum is non-negative and each
-     group value may be clamped at 0 like [eval_restricted]'s, so
-     floating-point cancellation cannot flip a SUM estimate's sign. *)
-  let all_nonneg = ref true in
   let pre = A1.create Bigarray.float64 Bigarray.c_layout (A1.dim t.prefix) in
   A1.blit t.prefix pre;
+  let nonneg = ref true and query = ref query in
   List.iter
     (fun (attr, w) ->
-      let base = t.prefix_off.(attr) in
+      let base = t.prefix_off.(attr)
+      and size = Schema.domain_size t.schema attr in
       pre.{base} <- 0.;
-      for v = 0 to Schema.domain_size t.schema attr - 1 do
+      for v = 0 to size - 1 do
         let wa = alpha_of t ~attr v *. w v in
-        if wa < 0. then all_nonneg := false;
+        if wa < 0. then nonneg := false;
         pre.{base + v + 1} <- pre.{base + v} +. wa
-      done)
+      done;
+      if Predicate.restriction !query attr = None then
+        query := Predicate.restrict !query attr (Ranges.interval 0 (size - 1)))
     weights;
-  let range_sum_pre base r =
-    let acc = ref 0. in
-    for k = 0 to Ranges.num_intervals r - 1 do
-      acc :=
-        !acc
-        +. pre.{base + Ranges.interval_hi r k + 1}
-        -. pre.{base + Ranges.interval_lo r k}
-    done;
-    !acc
-  in
-  let attr_total i =
-    let base = t.prefix_off.(i) in
-    match Predicate.restriction query i with
-    | None -> pre.{base + Schema.domain_size t.schema i}
-    | Some r -> range_sum_pre base r
-  in
-  let acc = ref 1. in
-  Array.iter (fun i -> acc := !acc *. attr_total i) t.free_attrs;
-  Array.iter
-    (fun g ->
-      let totals = Array.map attr_total g.g_attrs in
-      let num_masks = A1.dim g.mask_bits in
-      let msum = Array.make num_masks 0. in
-      for ti = 0 to g.n_terms - 1 do
-        let f = ref g.dprod.{ti} in
-        (try
-           for s = g.fa_off.{ti} to g.fa_off.{ti + 1} - 1 do
-             let i = g.fa_attr.{s} in
-             let base = t.prefix_off.(i) in
-             let factor =
-               match Predicate.restriction query i with
-               | None -> slot_sum pre base g s
-               | Some qr -> inter_sum pre base g s qr
-             in
-             if factor = 0. then raise Exit;
-             f := !f *. factor
-           done
-         with Exit -> f := 0.);
-        msum.(g.t_mask.{ti}) <- msum.(g.t_mask.{ti}) +. !f
-      done;
-      let q = ref 0. in
-      for k = 0 to num_masks - 1 do
-        if msum.(k) <> 0. then begin
-          let bits = g.mask_bits.{k} in
-          let outer = ref 1. in
-          for li = 0 to Array.length g.g_attrs - 1 do
-            if bits land (1 lsl li) = 0 then outer := !outer *. totals.(li)
-          done;
-          q := !q +. (msum.(k) *. !outer)
-        end
-      done;
-      (* With non-negative weights Q_g is a sum of non-negative monomials
-         exactly as in [eval_restricted]; apply the same cancellation
-         clamp.  Genuinely signed weights keep their sign. *)
-      let q = if !all_nonneg then Float.max 0. !q else !q in
-      acc := !acc *. q)
-    t.groups;
-  !acc
+  let floor = if !nonneg then !cancellation_floor else Float.neg_infinity in
+  restricted_p t pre ~floor !query sc
 
 (* ------------------------------------------------------------------ *)
-(* Public kernel entry points: scratch claim + observability           *)
+(* Public kernel entry points                                          *)
 (* ------------------------------------------------------------------ *)
 
 let observe_eval_ns t0 =
   Edb_obs.Registry.Hist.observe_us eval_ns_hist ((Timing.now_s () -. t0) *. 1e9)
 
-let eval_restricted t query =
+(* The one kernel entry: the verify latch (no answer, not even a trivial
+   one, precedes verification of lent tables), one [poly.evals] tick,
+   the scratch claim and release, and under tracing a [span] and the
+   [kernel_eval_ns] histogram.  [pass] is a closed top-level function of
+   the query and two pass-specific arguments, so the untraced path
+   allocates no closure. *)
+let run t ~span pass query a b =
   verify t;
   Edb_obs.Registry.Counter.incr evals_counter;
   if Obs.enabled () then begin
     let t0 = Timing.now_s () in
     let r =
-      Obs.with_span "poly.eval_restricted" ~cat:"answer" (fun () ->
+      Obs.with_span span ~cat:"answer" (fun () ->
           let sc = acquire_scratch t in
           Fun.protect
             ~finally:(fun () -> release_scratch t sc)
-            (fun () -> eval_restricted_sc t query sc))
+            (fun () -> pass t query a b sc))
     in
     observe_eval_ns t0;
     r
   end
   else begin
     let sc = acquire_scratch t in
-    match eval_restricted_sc t query sc with
+    match pass t query a b sc with
     | r ->
         release_scratch t sc;
         r
@@ -1486,29 +1455,13 @@ let eval_restricted t query =
         raise e
   end
 
+let eval_restricted t query =
+  run t ~span:"poly.eval_restricted" count_pass query () ()
+
 let eval_restricted_by_value_into t query ~attr ~out =
-  let size = Schema.domain_size t.schema attr in
-  if Array.length out < size then
+  if Array.length out < Schema.domain_size t.schema attr then
     invalid_arg "Poly.eval_restricted_by_value_into: out buffer too small";
-  verify t;
-  Edb_obs.Registry.Counter.incr evals_counter;
-  if Obs.enabled () then begin
-    let t0 = Timing.now_s () in
-    Obs.with_span "poly.eval_restricted_by_value" ~cat:"answer" (fun () ->
-        let sc = acquire_scratch t in
-        Fun.protect
-          ~finally:(fun () -> release_scratch t sc)
-          (fun () -> eval_by_value_sc t query ~attr out sc));
-    observe_eval_ns t0
-  end
-  else begin
-    let sc = acquire_scratch t in
-    match eval_by_value_sc t query ~attr out sc with
-    | () -> release_scratch t sc
-    | exception e ->
-        release_scratch t sc;
-        raise e
-  end
+  run t ~span:"poly.eval_restricted_by_value" by_value_pass query attr out
 
 let eval_restricted_by_value t query ~attr =
   let out = Array.make (Schema.domain_size t.schema attr) 0. in
@@ -1516,26 +1469,7 @@ let eval_restricted_by_value t query ~attr =
   out
 
 let eval_weighted t query ~weights =
-  verify t;
-  Edb_obs.Registry.Counter.incr evals_counter;
-  if Obs.enabled () then begin
-    let t0 = Timing.now_s () in
-    let r =
-      Obs.with_span "poly.eval_weighted" ~cat:"answer" (fun () ->
-          eval_weighted_impl t query ~weights)
-    in
-    observe_eval_ns t0;
-    r
-  end
-  else eval_weighted_impl t query ~weights
-
-(* E[<q, I>] = n / P * P[zeroed]  — the final formula of Sec. 4.2.  No
-   answer, not even a trivial one, precedes verification of lent tables. *)
-let estimate t query =
-  verify t;
-  if Predicate.is_unsatisfiable query then 0.
-  else if t.p <= 0. then 0.
-  else float_of_int t.n *. eval_restricted t query /. t.p
+  run t ~span:"poly.eval_weighted" weighted_pass query weights ()
 
 (* The dual objective Psi = sum_j s_j ln alpha_j - n ln P  (Eq. 11).
    Statistics with s_j = 0 contribute lim_{a->0} 0*ln a = 0. *)

@@ -40,9 +40,6 @@ val p : t -> float
 val alpha : t -> int -> float
 (** Value of statistic [j]'s variable. *)
 
-val attr_sum : t -> int -> float
-(** A_i: sum of attribute [i]'s marginal variables. *)
-
 val set_alpha : t -> int -> float -> unit
 (** Incremental single-variable update; maintains all cached sums, group
     values, and P in O(terms containing the variable).  This and every
@@ -78,9 +75,13 @@ val expected : t -> int -> float
 
 val eval_restricted : t -> Predicate.t -> float
 (** P with all 1D variables outside the query's restrictions set to 0 —
-    the optimized query evaluation of Sec. 4.2.  No rebuilding.  Groups
-    above 30k terms are evaluated with {!set_parallelism} domains.  Every
-    evaluator counts one [poly.evals] per call. *)
+    the optimized query evaluation of Sec. 4.2, P\[zeroed\] in the
+    expected count n·P\[zeroed\]/P ({!Summary.count}).  No rebuilding.
+    Groups above 30k terms are evaluated with {!set_parallelism} domains.
+    The three evaluators ({!eval_restricted}, {!eval_restricted_by_value}
+    and {!eval_weighted}) share one entry: each call counts one
+    [poly.evals], reuses the polynomial's scratch block and, when
+    tracing, opens one span named after the evaluator. *)
 
 val eval_restricted_by_value : t -> Predicate.t -> attr:int -> float array
 (** Batched GROUP BY kernel: element [v] of the result equals
@@ -115,19 +116,21 @@ val set_cancellation_floor : float -> unit
     to plant a known estimator bug and assert that the oracle battery
     catches it.  Never set this in production code. *)
 
-val estimate : t -> Predicate.t -> float
-(** E[⟨q, I⟩] = n·P\[zeroed\]/P for a conjunctive counting query. *)
-
 val eval_weighted :
   t -> Predicate.t -> weights:(int * (int -> float)) list -> float
 (** Sum over tuples satisfying the predicate of
     [Π_i w_i(t_i) · monomial(t)], for product-form weights: [weights]
     maps an attribute to a per-value weight, absent attributes weigh 1.
-    Computed by substituting α_{i,v} ↦ α_{i,v}·w_i(v) — no restructuring.
+    Computed by substituting α_{i,v} ↦ α_{i,v}·w_i(v): the pass is
+    {!eval_restricted}'s kernel over a per-call copy of the prefix sums
+    in which the weighted attributes sum α·w, with each weighted
+    attribute the predicate leaves free restricted to its whole domain.
+    It therefore shares that kernel's scratch reuse and parallel gate.
     When every weighted variable is non-negative (the SUM/AVG midpoint
     case), each group value gets the same cancellation clamp as
-    {!eval_restricted}, so tiny negative totals cannot flip an
-    estimate's sign; genuinely signed weights are left unclamped. *)
+    {!eval_restricted} ({!set_cancellation_floor} included), so tiny
+    negative totals cannot flip an estimate's sign; genuinely signed
+    weights are left unclamped. *)
 
 val dual : t -> float
 (** The dual objective Ψ = Σ_j s_j ln α_j − n ln P (Eq. 11); concave in the

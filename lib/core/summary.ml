@@ -93,9 +93,6 @@ let poly t = (only t "poly").poly
 let solver_report t = (only t "solver_report").report
 let journal t = (only t "journal").journal
 
-let with_journal t journal =
-  { t with parts = [| { (only t "with_journal") with journal } |] }
-
 let read_only t = Array.for_all (fun p -> Poly.read_only p.poly) t.parts
 let verify t = Array.iter (fun p -> Poly.verify p.poly) t.parts
 let release_pages t = t.release ()
@@ -113,9 +110,10 @@ let zero = { est = 0.; var = 0. }
    each of the n slots holds tuple u with probability p_u = monomial_u / P
    independently, so a counting query's answer is Binomial(n, p) with
    p = P[zeroed]/P: one restricted mass r = P[zeroed] yields both the
-   expectation n·r/P (Sec. 4.2, with [Poly.estimate]'s operations in its
-   order) and the variance n·p·(1−p).  COUNT and every GROUP BY cell
-   answer through here. *)
+   expectation n·r/P (Sec. 4.2's final formula, multiplied before it
+   divides) and the variance n·p·(1−p).  COUNT and every GROUP BY cell
+   answer through here; [Disjunction.count] applies the same formula per
+   intersection. *)
 let binomial n ~p_total r =
   if p_total <= 0. then zero
   else
@@ -128,8 +126,10 @@ let part_count p query =
   else binomial (float_of_int p.n) ~p_total (Poly.eval_restricted p.poly query)
 
 (* SUM over a weighted linear query: the w pass gives E = n·Σw·m/P, and
-   with the w² pass Var[Σ_t w_t X_t] = n·(E[w²] − E[w]²) per draw.  AVG
-   reads only the estimate, so [~var:false] skips the w² pass. *)
+   with the w² pass Var[Σ_t w_t X_t] = n·(E[w²] − E[w]²) per draw.  Each
+   pass is the COUNT kernel over weighted prefix sums
+   ([Poly.eval_weighted]).  AVG reads only the estimate, so
+   [~var:false] skips the w² pass. *)
 let part_sum ~var p ~attr w query =
   let p_total = Poly.p p.poly in
   if p_total <= 0. then zero

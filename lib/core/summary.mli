@@ -82,14 +82,11 @@ val solver_report : t -> Solver.report
 val journal : t -> Journal.t
 (** The summary's lineage: base build plus every ingested batch.  For a
     summary maintained through {!Edb_ingest.Ingest},
-    [Journal.total_rows (journal t) = cardinality t]. *)
+    [Journal.total_rows (journal t) = cardinality t].
 
-val with_journal : t -> Journal.t -> t
-(** Replace the lineage record (used by the ingest path).
-
-    [poly], [solver_report], [journal] and [with_journal] name the one
-    polynomial of a one-part summary; they raise [Invalid_argument] when
-    the summary has more parts. *)
+    [poly], [solver_report] and [journal] name the one polynomial of a
+    one-part summary; they raise [Invalid_argument] when the summary has
+    more parts. *)
 
 val read_only : t -> bool
 (** Whether every part answers from tables lent by storage — a summary
@@ -136,7 +133,10 @@ val sum : t -> attr:int -> ?weights:(int -> float) -> Predicate.t -> answer
     default to bin midpoints ({!Edb_storage.Domain.bin_midpoint}, raises
     on categorical attributes).  Two weighted evaluations per part, over
     w and w²: the estimate is n·E\[w\] and the variance
-    n·(E\[w²\] − E\[w\]²) over the per-draw weight distribution. *)
+    n·(E\[w²\] − E\[w\]²) over the per-draw weight distribution.  Each
+    is {!count}'s kernel pass over prefix sums of the summed attribute's
+    weighted variables ({!Poly.eval_weighted}), with its scratch reuse,
+    parallel gate and cancellation clamp. *)
 
 val estimate_avg : t -> attr:int -> Predicate.t -> float option
 (** E[SUM]/E[COUNT] from the count and the w evaluation (no w² pass);

@@ -4,7 +4,7 @@
    server's EXPLAIN verb appends them to its payload); [table] renders the
    candidate table for humans (the CLI's `entropydb explain`).  Both show
    every candidate's predicted cost and error, which one was chosen and
-   why, and — when ground truth is supplied — the observed error. *)
+   why, and — when ground truth is known — the observed error. *)
 
 open Edb_util
 
@@ -17,7 +17,23 @@ let status (c : Plan.candidate) =
 let err ~truth (a : Estimator.answer) =
   Option.map (fun t -> Float.abs (a.Estimator.est -. t)) truth
 
+(* The caller's ground truth, else the answer of the decision's
+   evaluated exact, non-grouped candidate: an exact scan has zero
+   variance, so observed errors cost nothing extra. *)
+let truth_of ?truth (d : Plan.decision) =
+  match truth with
+  | Some _ -> truth
+  | None ->
+      List.find_map
+        (fun (c : Plan.candidate) ->
+          match (Estimator.kind c.Plan.estimator, c.Plan.evaluation) with
+          | Estimator.Exact, Some ev when ev.Plan.groups = None ->
+              Some ev.Plan.answer.Estimator.est
+          | _ -> None)
+        d.Plan.candidates
+
 let lines ?truth (d : Plan.decision) =
+  let truth = truth_of ?truth d in
   let b = Buffer.create 256 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   line "plan target %s z %.6g" (Plan.target_to_string d.Plan.target) d.Plan.z;
@@ -56,6 +72,7 @@ let lines ?truth (d : Plan.decision) =
   |> List.filter (fun l -> l <> "")
 
 let table ?truth (d : Plan.decision) =
+  let truth = truth_of ?truth d in
   let title =
     Printf.sprintf "plan: target %s (z %.3g) — route %s (%s)"
       (Plan.target_to_string d.Plan.target)

@@ -77,12 +77,9 @@ type slot = { s_name : string; mutable s_path : string; mutable s_resident : ent
 
 type stats = {
   resident : int;
-  resident_mapped : int;
   capacity : int;
   budget_bytes : int option;
   resident_bytes : int;
-  mapped_bytes : int;
-  heap_bytes : int;
   pinned : int;
   slots : int;
   shards : int;
@@ -141,8 +138,6 @@ let with_lock t f =
 (* Entry accessors                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Every entry is a mapped file. *)
-let kind_name _ = "mapped"
 let schema entry = Summary.schema entry.summary
 let cardinality entry = Summary.cardinality entry.summary
 let num_shards entry = Summary.num_parts entry.summary
@@ -479,12 +474,9 @@ let stats t =
       let res = resident_entries_locked t in
       {
         resident = List.length res;
-        resident_mapped = List.length res;
         capacity = t.capacity;
         budget_bytes = t.budget;
         resident_bytes = t.resident_bytes;
-        mapped_bytes = t.resident_bytes;
-        heap_bytes = 0;
         pinned = List.length (List.filter (fun e -> e.pins > 0) res);
         slots = Hashtbl.length t.table;
         shards = List.fold_left (fun acc e -> acc + num_shards e) 0 res;

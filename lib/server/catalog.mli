@@ -37,12 +37,9 @@ type entry = {
 
 type stats = {
   resident : int;
-  resident_mapped : int;  (** of which mapped: all of them *)
   capacity : int;
   budget_bytes : int option;
   resident_bytes : int;  (** total charged bytes *)
-  mapped_bytes : int;
-  heap_bytes : int;  (** 0: no entry lives on the heap *)
   pinned : int;  (** entries with in-flight requests *)
   slots : int;  (** known names (resident or evicted-but-reopenable) *)
   shards : int;  (** total resident shards across all entries *)
@@ -135,9 +132,6 @@ val cache_stats : t -> int * int * int
 val stats : t -> stats
 
 (** {2 Entry accessors} *)
-
-val kind_name : entry -> string
-(** ["mapped"], the kind of every entry (LIST and LOAD print it). *)
 
 val schema : entry -> Edb_storage.Schema.t
 val cardinality : entry -> int

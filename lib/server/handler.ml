@@ -163,28 +163,15 @@ let plan_sql (entry : Catalog.entry) ~ci sql =
               | Invalid_argument m -> err Protocol.err_unsupported "%s" m
               | e -> err Protocol.err_internal "%s" (Printexc.to_string e))))
 
-(* The eager decision for EXPLAIN: every candidate evaluated.  Ground
-   truth is read off the exact candidate's own answer when one is
-   registered (it has zero variance), so observed errors cost nothing
-   extra. *)
+(* The eager decision for EXPLAIN: every candidate evaluated, observed
+   errors against the exact candidate when one is registered. *)
 let plan_explain_lines (entry : Catalog.entry) (c : T.compiled) =
   match shape_of_compiled c with
   | None -> [ "plan unsupported" ]
   | Some shape -> (
       try
-        let d =
-          P.choose_all ~target:P.default_target (entry_estimators entry) shape
-        in
-        let truth =
-          List.find_map
-            (fun (cand : P.candidate) ->
-              match (E.kind cand.P.estimator, cand.P.evaluation) with
-              | E.Exact, Some ev when ev.P.groups = None ->
-                  Some ev.P.answer.E.est
-              | _ -> None)
-            d.P.candidates
-        in
-        Edb_plan.Explain.lines ?truth d
+        Edb_plan.Explain.lines
+          (P.choose_all ~target:P.default_target (entry_estimators entry) shape)
       with Invalid_argument m -> [ "plan unsupported " ^ m ])
 
 let explain_sql (entry : Catalog.entry) sql =
@@ -245,13 +232,10 @@ let stats_lines catalog metrics =
     Printf.sprintf "timeouts %d" m.Metrics.timeouts;
     Printf.sprintf "rejects %d" m.Metrics.rejects;
     Printf.sprintf "catalog_resident %d" c.Catalog.resident;
-    Printf.sprintf "catalog_resident_mapped %d" c.Catalog.resident_mapped;
     Printf.sprintf "catalog_capacity %d" c.Catalog.capacity;
     Printf.sprintf "catalog_budget_bytes %d"
       (Option.value c.Catalog.budget_bytes ~default:0);
     Printf.sprintf "catalog_resident_bytes %d" c.Catalog.resident_bytes;
-    Printf.sprintf "catalog_mapped_bytes %d" c.Catalog.mapped_bytes;
-    Printf.sprintf "catalog_heap_bytes %d" c.Catalog.heap_bytes;
     Printf.sprintf "catalog_pinned %d" c.Catalog.pinned;
     Printf.sprintf "catalog_slots %d" c.Catalog.slots;
     Printf.sprintf "catalog_shards %d" c.Catalog.shards;
@@ -328,9 +312,9 @@ let handle ~catalog ~metrics (request : Protocol.request) :
       let lines =
         List.map
           (fun (e : Catalog.entry) ->
-            Printf.sprintf "summary %s cardinality %d shards %d kind %s path %s"
+            Printf.sprintf "summary %s cardinality %d shards %d path %s"
               e.Catalog.name (Catalog.cardinality e) (Catalog.num_shards e)
-              (Catalog.kind_name e) e.Catalog.path)
+              e.Catalog.path)
           (Catalog.entries catalog)
       in
       (Protocol.Ok lines, Keep)
@@ -339,9 +323,8 @@ let handle ~catalog ~metrics (request : Protocol.request) :
       | Ok entry ->
           ( Protocol.Ok
               [
-                Printf.sprintf "loaded %s cardinality %d shards %d kind %s" name
-                  (Catalog.cardinality entry) (Catalog.num_shards entry)
-                  (Catalog.kind_name entry);
+                Printf.sprintf "loaded %s cardinality %d shards %d" name
+                  (Catalog.cardinality entry) (Catalog.num_shards entry);
               ],
             Keep )
       | Error m -> (err Protocol.err_load "%s" m, Keep))

@@ -13,6 +13,13 @@ val handle :
 (** [metrics] is only read (to render STATS); request/error accounting is
     the transport loop's job. *)
 
+val shape_of_compiled :
+  Edb_query.Translate.compiled -> Edb_plan.Plan.shape option
+(** The planner shape of a compiled query: conjunctive COUNT, SUM and
+    COUNT GROUP BY, the shapes every route has an error model for;
+    [None] for OR predicates and AVG.  PLAN, EXPLAIN and [entropydb
+    explain] all map queries through it. *)
+
 val run_sql : Catalog.entry -> string -> Protocol.response
 (** Compile and evaluate one SQL string against a resident summary.
     Conjunctive COUNTs go through the entry's shared cache. *)

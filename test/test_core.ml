@@ -392,15 +392,18 @@ let test_init_ablation () =
   let case = random_case 160 in
   let phi = Phi.of_relation case.rel ~joints:case.joints in
   let config = { Solver.default_config with max_sweeps = 400; log_every = 0 } in
-  let poly_a = Poly.create phi in
-  ignore (Solver.solve ~config poly_a);
+  let solved poly =
+    Summary.of_solved_poly ~poly ~report:(Solver.solve ~config poly) ()
+  in
+  let summary_a = solved (Poly.create phi) in
   let poly_b = Poly.create phi in
   Poly.reinit poly_b `Uniform;
-  ignore (Solver.solve ~config poly_b);
+  let summary_b = solved poly_b in
   let rng = Prng.create ~seed:161 () in
   for _ = 1 to 20 do
     let q = random_query rng (Phi.schema phi) in
-    let ea = Poly.estimate poly_a q and eb = Poly.estimate poly_b q in
+    let ea = Summary.estimate summary_a q
+    and eb = Summary.estimate summary_b q in
     if not (Floatx.approx_eq ~rtol:5e-3 ~atol:1e-3 ea eb) then
       Alcotest.failf "init-dependent estimates: %.6g vs %.6g" ea eb
   done
@@ -497,13 +500,12 @@ let test_convergence_telemetry () =
 let test_estimate_matches_statistics () =
   let case = random_case 55 in
   let phi = Phi.of_relation case.rel ~joints:case.joints in
-  let poly = Poly.create phi in
   let config = { Solver.default_config with max_sweeps = 300; log_every = 0 } in
-  ignore (Solver.solve ~config poly);
+  let summary = Summary.of_phi ~solver_config:config phi in
   let n = float_of_int (Phi.n phi) in
   Array.iter
     (fun s ->
-      let est = Poly.estimate poly (Statistic.pred s) in
+      let est = Summary.estimate summary (Statistic.pred s) in
       let sj = Statistic.target s in
       if Float.abs (est -. sj) /. n > 1e-4 then
         Alcotest.failf "estimate %.6g vs target %.6g for %a" est sj
@@ -517,14 +519,19 @@ let test_product_of_marginals () =
   let rng = Prng.create ~seed:9 () in
   let rel = random_relation rng schema 500 in
   let phi = Phi.of_relation rel ~joints:[] in
-  let poly = Poly.create phi in
-  ignore (Solver.solve ~config:{ Solver.default_config with log_every = 0 } poly);
+  let summary =
+    Summary.of_phi
+      ~solver_config:{ Solver.default_config with log_every = 0 }
+      phi
+  in
   let h0 = Histogram.d1 rel ~attr:0 and h1 = Histogram.d1 rel ~attr:1 in
   let n = float_of_int (Relation.cardinality rel) in
   for v0 = 0 to 2 do
     for v1 = 0 to 3 do
       let expected = float_of_int h0.(v0) *. float_of_int h1.(v1) /. n in
-      let est = Poly.estimate poly (Predicate.point ~arity:2 [ (0, v0); (1, v1) ]) in
+      let est =
+        Summary.estimate summary (Predicate.point ~arity:2 [ (0, v0); (1, v1) ])
+      in
       Alcotest.(check (float 1e-3))
         (Printf.sprintf "point (%d,%d)" v0 v1)
         expected est
@@ -544,9 +551,14 @@ let test_paper_intro_example () =
   let phi =
     Phi.of_targets schema ~n:500_000 ~marginal_targets ~joints:[]
   in
-  let poly = Poly.create phi in
-  ignore (Solver.solve ~config:{ Solver.default_config with log_every = 0 } poly);
-  let est = Poly.estimate poly (Predicate.point ~arity:2 [ (0, 0); (1, 1) ]) in
+  let summary =
+    Summary.of_phi
+      ~solver_config:{ Solver.default_config with log_every = 0 }
+      phi
+  in
+  let est =
+    Summary.estimate summary (Predicate.point ~arity:2 [ (0, 0); (1, 1) ])
+  in
   Alcotest.(check (float 0.5)) "CA->NY flights" 200. est
 
 (* ------------------------------------------------------------------ *)
@@ -1072,7 +1084,11 @@ let test_solver_inconsistent_targets () =
   in
   check 0 report.dual_trace;
   (* Estimates remain finite and within bounds. *)
-  let e = Poly.estimate poly (Predicate.point ~arity:2 [ (0, 0); (1, 0) ]) in
+  let e =
+    Summary.estimate
+      (Summary.of_solved_poly ~poly ~report ())
+      (Predicate.point ~arity:2 [ (0, 0); (1, 0) ])
+  in
   Alcotest.(check bool) "estimate in bounds" true
     (Float.is_finite e && e >= 0. && e <= float_of_int n)
 
@@ -1644,23 +1660,46 @@ let test_sample_instance_size () =
 
 (* Parallel restricted evaluation must agree bit-for-bit in structure with
    sequential evaluation; forcing the threshold to 1 exercises the domain
-   chunking even on small models. *)
+   chunking even on small models.  The weighted pass runs the same
+   kernel, so it is held to the same agreement, with signed weights
+   (unclamped groups) and with non-negative ones (clamped). *)
 let test_parallel_eval_matches_sequential () =
   let case = random_case 500 in
   let phi = Phi.of_relation case.rel ~joints:case.joints in
   let poly = Poly.create phi in
   let rng = Prng.create ~seed:501 () in
   randomize_alphas rng poly phi;
-  let queries = List.init 15 (fun _ -> random_query rng (Phi.schema phi)) in
+  let schema = Phi.schema phi in
+  let queries = List.init 15 (fun _ -> random_query rng schema) in
+  let weights ~signed =
+    let attr = Prng.int rng (Schema.arity schema) in
+    let table =
+      Array.init (Schema.domain_size schema attr) (fun _ ->
+          if signed then Prng.float rng 4. -. 2. else Prng.float rng 3.)
+    in
+    if signed then table.(0) <- -1.;
+    [ (attr, fun v -> table.(v)) ]
+  in
+  let weighted =
+    List.concat_map
+      (fun q -> [ (q, weights ~signed:true); (q, weights ~signed:false) ])
+      queries
+  in
+  let answers () =
+    List.map (fun q -> ("count", Poly.eval_restricted poly q)) queries
+    @ List.map
+        (fun (q, weights) -> ("weighted", Poly.eval_weighted poly q ~weights))
+        weighted
+  in
   Poly.set_parallelism ~threshold:30_000 1;
-  let seq = List.map (fun q -> Poly.eval_restricted poly q) queries in
+  let seq = answers () in
   Poly.set_parallelism ~threshold:1 4;
-  let par = List.map (fun q -> Poly.eval_restricted poly q) queries in
+  let par = answers () in
   Poly.set_parallelism ~threshold:30_000 1;
   List.iter2
-    (fun a b ->
+    (fun (what, a) (_, b) ->
       if not (Floatx.approx_eq ~rtol:1e-9 a b) then
-        Alcotest.failf "parallel mismatch: %.12g vs %.12g" a b)
+        Alcotest.failf "parallel %s mismatch: %.12g vs %.12g" what a b)
     seq par
 
 (* ------------------------------------------------------------------ *)

@@ -337,6 +337,14 @@ let test_explain_lines () =
                            && (let rec has i = i < String.length l - 4
                                  && (String.sub l i 4 = " err" || has (i + 1))
                                in has 0)) lines);
+  (* Without [~truth], the exact candidate's own answer is the truth,
+     so its line reports an observed error of exactly 0. *)
+  Alcotest.(check bool) "exact candidate is the default truth" true
+    (List.exists
+       (fun l ->
+         starts_with "plan candidate exact " l
+         && String.ends_with ~suffix:" err 0" l)
+       (Edb_plan.Explain.lines d));
   let table = Edb_plan.Explain.table d in
   Alcotest.(check int)
     "table has one row per candidate"
