@@ -70,7 +70,8 @@
    walks (never materialized), and the per-call accumulators (restricted
    attribute sums, per-mask masses, per-cell scatter) live in a reusable
    scratch block claimed with an atomic flag — concurrent evaluations on
-   the same polynomial (server threads) fall back to a fresh block.
+   the same polynomial (the daemon's executor domains) fall back to a
+   fresh block.
 
    The structure is mutable: the solver updates one variable at a time
    (Algorithm 1) and every cached quantity — A_i, per-term factors,
@@ -242,15 +243,19 @@ let ensure_prefix t =
     t.prefix_valid <- true
   end
 
+(* A query restriction's intervals, read in place.  The kernels read
+   them with [Array.unsafe_get]: each caller's loop guard keeps the index
+   below the array's length, so no read needs a bounds check. *)
+let[@inline] intervals (r : Ranges.t) = (r :> (int * int) array)
+
 (* Sum over a value set of the variables whose prefix sums start at
    [pre].{base}: O(#intervals). *)
 let[@inline] range_sum (pre : fbuf) base r =
+  let iv = intervals r in
   let acc = ref 0. in
-  for k = 0 to Ranges.num_intervals r - 1 do
-    acc :=
-      !acc
-      +. pre.{base + Ranges.interval_hi r k + 1}
-      -. pre.{base + Ranges.interval_lo r k}
+  for k = 0 to Array.length iv - 1 do
+    let lo, hi = Array.unsafe_get iv k in
+    acc := !acc +. pre.{base + hi + 1} -. pre.{base + lo}
   done;
   !acc
 
@@ -274,13 +279,13 @@ let[@inline] slot_sum (pre : fbuf) base g s =
    Interval order and summation order match [range_sum] over the
    materialized intersection, so the result is bitwise identical. *)
 let[@inline] inter_sum (pre : fbuf) base g s qr =
-  let iv_lo = g.iv_lo and iv_hi = g.iv_hi in
+  let iv_lo = g.iv_lo and iv_hi = g.iv_hi and qiv = intervals qr in
   let acc = ref 0. in
   let k = ref g.iv_off.{s} and j = ref 0 in
-  let k1 = g.iv_off.{s + 1} and nq = Ranges.num_intervals qr in
+  let k1 = g.iv_off.{s + 1} and nq = Array.length qiv in
   while !k < k1 && !j < nq do
     let alo = A1.unsafe_get iv_lo !k and ahi = A1.unsafe_get iv_hi !k in
-    let blo = Ranges.interval_lo qr !j and bhi = Ranges.interval_hi qr !j in
+    let blo, bhi = Array.unsafe_get qiv !j in
     let lo = if alo > blo then alo else blo in
     let hi = if ahi < bhi then ahi else bhi in
     if lo <= hi then
@@ -377,9 +382,9 @@ let make_scratch schema groups =
     scatter = Array.make !max_dom 0.;
   }
 
-(* Claim the polynomial's scratch block, or allocate a fresh one if an
-   evaluation on another thread holds it (server systhreads can
-   interleave at polling points mid-evaluation).  The counters make the
+(* Claim the polynomial's scratch block, or allocate a fresh one if
+   another evaluation holds it (the daemon's executor domains can
+   evaluate one summary at the same time).  The counters make the
    steady state observable: reuses should dominate allocs. *)
 let acquire_scratch t =
   if Atomic.compare_and_set t.scratch_busy false true then begin
@@ -1047,18 +1052,6 @@ let expected t j =
 (* Restricted evaluation: query answering by zeroing (Sec. 4.2)        *)
 (* ------------------------------------------------------------------ *)
 
-(* Worker count for restricted evaluation over large groups; configured
-   globally (CLI/bench read EDB_DOMAINS).  Chunk workers only read the
-   cached state, which [ensure_prefix] finalizes before any spawn. *)
-let parallelism = ref (Parallel.default_domains ())
-let parallel_threshold = ref 30_000
-
-let set_parallelism ?threshold n =
-  parallelism := max 1 n;
-  match threshold with
-  | Some th -> parallel_threshold := max 1 th
-  | None -> ()
-
 (* Floor of the cancellation clamp on restricted group values.  0 in
    production; the correctness harness raises it to plant a detectable
    estimator bug (entropydb check --mutate clamp).  The clamp applies to
@@ -1081,10 +1074,10 @@ let[@inline] restricted_attr_sum t pre query i =
   | None -> t.attr_sums.{i}
   | Some r -> range_sum pre t.prefix_off.(i) r
 
-(* Restricted masses of terms [lo, hi) accumulated into [msum] by mask:
-   the inner loop of both restricted kernels.  A top-level function, not
-   a closure, so the single-domain path allocates nothing. *)
-let accumulate_masses t pre query g msum ~lo ~hi =
+(* The group's restricted term masses, summed by mask into [msum]: the
+   inner loop of both restricted kernels.  A top-level function, not a
+   closure, so evaluation allocates nothing. *)
+let accumulate_masses t pre query g msum =
   let fa_off = g.fa_off
   and fa_attr = g.fa_attr
   and factors = g.factors
@@ -1092,7 +1085,8 @@ let accumulate_masses t pre query g msum ~lo ~hi =
   and t_mask = g.t_mask
   and prefix_off = t.prefix_off in
   let f = ref 0. in
-  for ti = lo to hi - 1 do
+  Array.fill msum 0 (A1.dim g.mask_bits) 0.;
+  for ti = 0 to g.n_terms - 1 do
     f := A1.unsafe_get dprod ti;
     (try
        for s = A1.unsafe_get fa_off ti to A1.unsafe_get fa_off (ti + 1) - 1 do
@@ -1112,9 +1106,7 @@ let accumulate_masses t pre query g msum ~lo ~hi =
 
 (* Q_g under the query's restrictions: the per-group part of restricted
    evaluation, shared by [restricted_p] and the batched GROUP BY kernel
-   below.  Groups below the parallel threshold accumulate into the
-   scratch block; large groups keep the chunked Parallel.fold (whose
-   per-chunk arrays are the price of running on several domains).
+   below, accumulated in the scratch block.
 
    Q_g is then clamped at [floor].  When every monomial is non-negative
    (COUNT, GROUP BY, SUM with non-negative weights), the clamp removes
@@ -1127,26 +1119,10 @@ let restricted_group_q t pre ~floor query g sc =
   for li = 0 to n_local - 1 do
     sc.ra.(li) <- restricted_attr_sum t pre query g.g_attrs.(li)
   done;
-  let num_masks = A1.dim g.mask_bits in
-  let msum =
-    if g.n_terms >= !parallel_threshold && !parallelism > 1 then
-      Parallel.fold ~domains:!parallelism ~n:g.n_terms
-        ~chunk:(fun ~lo ~hi ->
-          let local = Array.make num_masks 0. in
-          accumulate_masses t pre query g local ~lo ~hi;
-          local)
-        ~combine:(fun a b ->
-          Array.iteri (fun k v -> a.(k) <- a.(k) +. v) b;
-          a)
-        ~init:(Array.make num_masks 0.)
-    else begin
-      Array.fill sc.msum 0 num_masks 0.;
-      accumulate_masses t pre query g sc.msum ~lo:0 ~hi:g.n_terms;
-      sc.msum
-    end
-  in
+  let msum = sc.msum in
+  accumulate_masses t pre query g msum;
   let q = ref 0. in
-  for k = 0 to num_masks - 1 do
+  for k = 0 to A1.dim g.mask_bits - 1 do
     if msum.(k) <> 0. then begin
       let bits = g.mask_bits.{k} in
       let outer = ref 1. in
@@ -1179,13 +1155,14 @@ let count_pass t query () () sc =
 
 let[@inline] alpha_of t ~attr v = t.alpha.{t.marg_off.(attr) + v}
 
-(* Term pass of the batched GROUP BY kernel over terms [lo, hi): masses
-   of terms leaving [attr] unmasked accumulate into [msum] by mask;
-   terms restricting [attr] scatter their remaining product, weighted by
-   the mask's outer product [coef], into the cells of their projection ∩
-   query.  Top-level for the same zero-allocation reason as
+(* Term pass of the batched GROUP BY kernel: masses of terms leaving
+   [attr] unmasked accumulate into [sc.msum] by mask; terms restricting
+   [attr] scatter their remaining product, weighted by the mask's outer
+   product [sc.coef], into the cells of [sc.scatter] their projection ∩
+   query covers.  Top-level for the same zero-allocation reason as
    [accumulate_masses]. *)
-let accumulate_by_value t query g ~attr ~q_attr coef msum scatter ~lo ~hi =
+let accumulate_by_value t query g ~attr ~q_attr sc =
+  let coef = sc.coef and msum = sc.msum and scatter = sc.scatter in
   let fa_off = g.fa_off
   and fa_attr = g.fa_attr
   and factors = g.factors
@@ -1197,7 +1174,9 @@ let accumulate_by_value t query g ~attr ~q_attr coef msum scatter ~lo ~hi =
   and prefix = t.prefix
   and prefix_off = t.prefix_off in
   let f = ref 0. in
-  for ti = lo to hi - 1 do
+  Array.fill msum 0 (A1.dim g.mask_bits) 0.;
+  Array.fill scatter 0 (Schema.domain_size t.schema attr) 0.;
+  for ti = 0 to g.n_terms - 1 do
     let s0 = A1.unsafe_get fa_off ti and s1 = A1.unsafe_get fa_off (ti + 1) in
     (* One pass over the slots: multiply the non-[attr] factors in slot
        order (the order the boxed layout used) while remembering [attr]'s
@@ -1239,14 +1218,14 @@ let accumulate_by_value t query g ~attr ~q_attr coef msum scatter ~lo ~hi =
             done
         | Some qr ->
             (* Merge walk over (slot ∩ query), as in [inter_sum]. *)
+            let qiv = intervals qr in
             let k = ref (A1.unsafe_get iv_off attr_slot) and j = ref 0 in
             let k1 = A1.unsafe_get iv_off (attr_slot + 1) in
-            let nq = Ranges.num_intervals qr in
+            let nq = Array.length qiv in
             while !k < k1 && !j < nq do
               let alo = A1.unsafe_get iv_lo !k
               and ahi = A1.unsafe_get iv_hi !k in
-              let blo = Ranges.interval_lo qr !j
-              and bhi = Ranges.interval_hi qr !j in
+              let blo, bhi = Array.unsafe_get qiv !j in
               let lo = if alo > blo then alo else blo in
               let hi = if ahi < bhi then ahi else bhi in
               if lo <= hi then
@@ -1330,28 +1309,8 @@ let by_value_pass t query attr out sc =
       done;
       coef.(k) <- !outer
     done;
-    let msum, scatter =
-      if g.n_terms >= !parallel_threshold && !parallelism > 1 then
-        Parallel.fold ~domains:!parallelism ~n:g.n_terms
-          ~chunk:(fun ~lo ~hi ->
-            let msum = Array.make num_masks 0. in
-            let scatter = Array.make size 0. in
-            accumulate_by_value t query g ~attr ~q_attr coef msum scatter ~lo
-              ~hi;
-            (msum, scatter))
-          ~combine:(fun (ma, sa) (mb, sb) ->
-            Array.iteri (fun k v -> ma.(k) <- ma.(k) +. v) mb;
-            Array.iteri (fun v x -> sa.(v) <- sa.(v) +. x) sb;
-            (ma, sa))
-          ~init:(Array.make num_masks 0., Array.make size 0.)
-      else begin
-        Array.fill sc.msum 0 num_masks 0.;
-        Array.fill sc.scatter 0 size 0.;
-        accumulate_by_value t query g ~attr ~q_attr coef sc.msum sc.scatter
-          ~lo:0 ~hi:g.n_terms;
-        (sc.msum, sc.scatter)
-      end
-    in
+    accumulate_by_value t query g ~attr ~q_attr sc;
+    let msum = sc.msum and scatter = sc.scatter in
     (* Masses of the terms leaving [attr] unmasked, with their outer
        products; these enter every cell through alpha_{attr,v}. *)
     let scalar = ref 0. in

@@ -77,11 +77,15 @@ val eval_restricted : t -> Predicate.t -> float
 (** P with all 1D variables outside the query's restrictions set to 0 —
     the optimized query evaluation of Sec. 4.2, P\[zeroed\] in the
     expected count n·P\[zeroed\]/P ({!Summary.count}).  No rebuilding.
-    Groups above 30k terms are evaluated with {!set_parallelism} domains.
     The three evaluators ({!eval_restricted}, {!eval_restricted_by_value}
     and {!eval_weighted}) share one entry: each call counts one
     [poly.evals], reuses the polynomial's scratch block and, when
-    tracing, opens one span named after the evaluator. *)
+    tracing, opens one span named after the evaluator.  Every evaluation
+    runs on the calling domain, one term pass in term order, so an
+    answer does not depend on [EDB_DOMAINS].  Evaluations on several
+    domains at once may share one polynomial: the scratch block goes to
+    one of them and the others allocate a fresh block each, with
+    bitwise the same answers. *)
 
 val eval_restricted_by_value : t -> Predicate.t -> attr:int -> float array
 (** Batched GROUP BY kernel: element [v] of the result equals
@@ -90,8 +94,7 @@ val eval_restricted_by_value : t -> Predicate.t -> attr:int -> float array
     [attr]'s domain, computed in one pass over the terms instead of one
     scan per value.  Values outside the query's restriction on [attr]
     are 0.  Cost: O(terms + Σ|projection ∩ query| + domain size) —
-    independent of the number of group cells.  Same parallelism gating
-    as {!eval_restricted}. *)
+    independent of the number of group cells. *)
 
 val eval_restricted_by_value_into :
   t -> Predicate.t -> attr:int -> out:float array -> unit
@@ -102,12 +105,6 @@ val eval_restricted_by_value_into :
     tail is untouched), which lets callers evaluating many cross-product
     cells — [Summary.groups] — reuse one buffer for the whole
     query.  Raises [Invalid_argument] on a too-small buffer. *)
-
-val set_parallelism : ?threshold:int -> int -> unit
-(** Worker domains for restricted evaluation over large groups (default:
-    the [EDB_DOMAINS] environment variable, else 1).  [threshold] is the
-    minimum group term count for parallel evaluation (default 30,000;
-    overridable for testing). *)
 
 val set_cancellation_floor : float -> unit
 (** Floor of the cancellation clamp applied to restricted group values
@@ -125,7 +122,7 @@ val eval_weighted :
     {!eval_restricted}'s kernel over a per-call copy of the prefix sums
     in which the weighted attributes sum α·w, with each weighted
     attribute the predicate leaves free restricted to its whole domain.
-    It therefore shares that kernel's scratch reuse and parallel gate.
+    It therefore shares that kernel's scratch reuse.
     When every weighted variable is non-negative (the SUM/AVG midpoint
     case), each group value gets the same cancellation clamp as
     {!eval_restricted} ({!set_cancellation_floor} included), so tiny

@@ -129,17 +129,16 @@ let part_count p query =
    with the w² pass Var[Σ_t w_t X_t] = n·(E[w²] − E[w]²) per draw.  Each
    pass is the COUNT kernel over weighted prefix sums
    ([Poly.eval_weighted]).  AVG reads only the estimate, so
-   [~var:false] skips the w² pass. *)
+   [~var:false] skips the w² pass.  An unsatisfiable query answers 0
+   before any pass, as in [part_count]. *)
 let part_sum ~var p ~attr w query =
   let p_total = Poly.p p.poly in
-  if p_total <= 0. then zero
+  if Predicate.is_unsatisfiable query || p_total <= 0. then zero
   else
     let n = float_of_int p.n in
     let pass w = Poly.eval_weighted p.poly query ~weights:[ (attr, w) ] in
     let r_w = pass w in
-    let est =
-      if Predicate.is_unsatisfiable query then 0. else n *. r_w /. p_total
-    in
+    let est = n *. r_w /. p_total in
     if not var then { est; var = 0. }
     else
       let mean_w = r_w /. p_total in
@@ -268,25 +267,23 @@ let estimate_rounded t query =
    midpoint).  The paper's theory covers all linear queries; its prototype
    stopped at counting (Sec. 7 "limited query support") — this closes that
    gap for the product-form subclass. *)
-let weights_for t ~attr = function
-  | Some w -> w
-  | None ->
-      let domain = Schema.domain t.schema attr in
-      let table =
-        Array.init (Schema.domain_size t.schema attr) (fun v ->
-            Domain.bin_midpoint domain v)
-      in
-      fun v -> table.(v)
+let midpoints t ~attr =
+  let domain = Schema.domain t.schema attr in
+  let table =
+    Array.init (Schema.domain_size t.schema attr) (fun v ->
+        Domain.bin_midpoint domain v)
+  in
+  fun v -> table.(v)
 
-let sum t ~attr ?weights query =
-  let w = weights_for t ~attr weights in
+let sum t ~attr query =
+  let w = midpoints t ~attr in
   sum_parts t (fun p -> part_sum ~var:true p ~attr w query)
 
 let estimate_avg t ~attr query =
   let count = estimate t query in
   if count <= 0. then None
   else
-    let w = weights_for t ~attr None in
+    let w = midpoints t ~attr in
     let total = sum_parts t (fun p -> part_sum ~var:false p ~attr w query) in
     Some (total.est /. count)
 
@@ -299,30 +296,18 @@ let count_disjuncts t disjuncts =
 (* GROUP BY: every part enumerates the same group keys in the same
    ascending order (the enumeration is driven by the schema's domains and
    the query's restrictions, not by data), so the per-part cells merge
-   positionally.  Parts are evaluated concurrently on OCaml 5 domains;
-   [Parallel.fold] combines chunks left to right — part order — so the
-   merge is deterministic, and at k = 1 part 0's cells are returned
-   untouched. *)
+   positionally.  Parts are evaluated in part order on the calling
+   domain and merged left to right, so at k = 1 part 0's cells are
+   returned untouched. *)
 let groups t ~attrs query =
-  let k = Array.length t.parts in
-  let eval i =
+  let cells i =
     eval_part i (fun () -> part_groups t.schema t.parts.(i) ~attrs query)
   in
-  if k = 1 then eval 0
-  else
-    let per_part =
-      Edb_util.Parallel.fold
-        ~domains:(min k (Edb_util.Parallel.default_domains ()))
-        ~n:k
-        ~chunk:(fun ~lo ~hi -> List.init (hi - lo) (fun i -> eval (lo + i)))
-        ~combine:( @ ) ~init:[]
-    in
-    match per_part with
-    | [] -> []
-    | base :: rest ->
-        List.fold_left
-          (List.map2 (fun (key, a) (_, b) -> (key, add a b)))
-          base rest
+  let acc = ref (cells 0) in
+  for i = 1 to Array.length t.parts - 1 do
+    acc := List.map2 (fun (key, a) (_, b) -> (key, add a b)) !acc (cells i)
+  done;
+  !acc
 
 (* ------------------------------------------------------------------ *)
 (* Size                                                                *)

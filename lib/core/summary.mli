@@ -128,15 +128,16 @@ val estimate_rounded : t -> Predicate.t -> float
 (** [estimate], with values below 0.5 rounded to 0 (the paper's policy for
     separating rare from nonexistent values). *)
 
-val sum : t -> attr:int -> ?weights:(int -> float) -> Predicate.t -> answer
-(** SUM(attr) under the predicate, as a weighted linear query; weights
-    default to bin midpoints ({!Edb_storage.Domain.bin_midpoint}, raises
+val sum : t -> attr:int -> Predicate.t -> answer
+(** SUM(attr) under the predicate, as a weighted linear query: each row
+    weighs its bin's midpoint ({!Edb_storage.Domain.bin_midpoint}, raises
     on categorical attributes).  Two weighted evaluations per part, over
     w and w²: the estimate is n·E\[w\] and the variance
     n·(E\[w²\] − E\[w\]²) over the per-draw weight distribution.  Each
     is {!count}'s kernel pass over prefix sums of the summed attribute's
-    weighted variables ({!Poly.eval_weighted}), with its scratch reuse,
-    parallel gate and cancellation clamp. *)
+    weighted variables ({!Poly.eval_weighted}), with its scratch reuse
+    and cancellation clamp.  An unsatisfiable query answers exactly
+    [{ est = 0.; var = 0. }] and evaluates nothing, as for {!count}. *)
 
 val estimate_avg : t -> attr:int -> Predicate.t -> float option
 (** E[SUM]/E[COUNT] from the count and the w evaluation (no w² pass);
@@ -155,8 +156,8 @@ val groups : t -> attrs:int list -> Predicate.t -> (int list * answer) list
     answered by the batched kernel {!Poly.eval_restricted_by_value} —
     one term pass for all of its values — instead of one full scan per
     cell, and each cell's restricted P yields its binomial variance for
-    free.  Parts are evaluated concurrently on OCaml 5 domains and
-    merged in part order; at k = 1 the part's cells are returned
+    free.  Parts are evaluated in part order on the calling domain and
+    merged left to right; at k = 1 the part's cells are returned
     untouched. *)
 
 (** {1 Size} *)

@@ -1,15 +1,14 @@
 (* Chunked parallel folds over index ranges, on OCaml 5 domains.
 
-   The paper's implementation parallelizes polynomial evaluation (Sec. 5,
-   Java parallel streams); here the polynomial's term loop is split into
-   contiguous chunks, each processed on its own domain, and the per-chunk
-   partial results are combined.  Chunk workers must be pure readers of
-   shared state — the polynomial guarantees that by refreshing caches
-   before spawning.
+   The paper parallelizes its solve (Sec. 5); here a partitioned build
+   ([Edb_shard.Builder]) solves its shards in contiguous chunks, each
+   chunk on its own domain, and combines the per-chunk results in chunk
+   order.  Query answering does not use this module: an answer is one
+   term pass on the domain that took the query, and the daemon spreads
+   queries over its executor domains instead.
 
-   Domains are spawned per call.  Spawn cost is tens of microseconds, so
-   parallelism only pays off for folds over at least tens of thousands of
-   elements; callers gate on a threshold. *)
+   Domains are spawned per call (tens of microseconds each), which a
+   build of seconds does not notice. *)
 
 (* Requested worker count, clamped to the hardware.  Running more domains
    than cores is never faster in OCaml 5 — every minor collection is a

@@ -1,12 +1,14 @@
-(** Chunked parallel folds over index ranges on OCaml 5 domains (the
-    reproduction of the paper's parallel polynomial evaluation).  Chunk
-    workers must only read shared state. *)
+(** Chunked parallel folds over index ranges on OCaml 5 domains, for
+    partitioned builds ([Edb_shard.Builder] solves one chunk of shards
+    per domain).  Chunk workers must only read shared state.  Query
+    answering never forks: [EDB_DOMAINS] sets build fan-out and the
+    daemon's executor count only. *)
 
 val default_domains : unit -> int
-(** Worker count from the [EDB_DOMAINS] environment variable, clamped to
-    [Domain.recommended_domain_count ()] (oversubscribing domains only
-    adds GC-barrier stalls); 1 (fully sequential) when unset or
-    invalid. *)
+(** Build worker count from the [EDB_DOMAINS] environment variable,
+    clamped to [Domain.recommended_domain_count ()] (oversubscribing
+    domains only adds GC-barrier stalls); 1 (fully sequential) when
+    unset or invalid. *)
 
 val fold :
   domains:int ->

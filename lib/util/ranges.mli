@@ -4,7 +4,11 @@
     projections, query restrictions, and per-attribute polynomial factors.
     Binary operations are linear merges over the interval arrays. *)
 
-type t
+type t = private (int * int) array
+(** The sorted disjoint inclusive intervals [(lo, hi)], exposed read-only
+    so a hot loop (the polynomial kernel) can read them in place, without
+    a call or a bounds check per read.  Build values only through this
+    module, which keeps them sorted and coalesced. *)
 
 val empty : t
 val is_empty : t -> bool

@@ -368,14 +368,7 @@ let kernel_soa_vs_bruteforce =
                  vec)
              case.Case.queries
          in
-         let at_domains d phase =
-           Core.Poly.set_parallelism ~threshold:(if d > 1 then 1 else 30_000) d;
-           Fun.protect
-             ~finally:(fun () -> Core.Poly.set_parallelism ~threshold:30_000 1)
-             (fun () -> check_vs_bruteforce phase)
-         in
-         at_domains 1 "solved, 1 domain";
-         at_domains 4 "solved, 4 domains";
+         check_vs_bruteforce "solved";
          (* 50 more sweeps move the variables; refresh must then be a
             pure recompute of the same state the incremental updates
             left behind — and the kernels must still match enumeration
@@ -400,8 +393,7 @@ let kernel_soa_vs_bruteforce =
                   -> %.17g"
                  seed i b a)
            (List.combine before after);
-         at_domains 1 "refreshed, 1 domain";
-         at_domains 4 "refreshed, 4 domains";
+         check_vs_bruteforce "refreshed";
          true))
 
 let test_report_shapes () =

@@ -682,7 +682,7 @@ let test_estimate_groups () =
 
 (* The batched GROUP BY kernel must agree with one restricted evaluation
    per value — on arbitrary (unsolved) variable assignments, for every
-   attribute, sequentially and under domain chunking. *)
+   attribute. *)
 let batched_kernel_matches_per_value =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:12 ~name:"batched kernel = per-value eval"
@@ -695,42 +695,34 @@ let batched_kernel_matches_per_value =
          randomize_alphas rng poly phi;
          let schema = Phi.schema phi in
          let arity = Schema.arity schema in
-         let check () =
-           for _ = 1 to 4 do
-             let q = random_query rng schema in
-             let attr = Prng.int rng arity in
-             let vec = Poly.eval_restricted_by_value poly q ~attr in
-             let allowed =
-               match Predicate.restriction q attr with
-               | None -> List.init (Schema.domain_size schema attr) Fun.id
-               | Some r -> Ranges.to_list r
-             in
-             Array.iteri
-               (fun v bv ->
-                 if List.mem v allowed then begin
-                   let direct =
-                     Poly.eval_restricted poly
-                       (Predicate.restrict q attr (Ranges.singleton v))
-                   in
-                   if not (Floatx.approx_eq ~rtol:1e-9 ~atol:1e-12 direct bv)
-                   then
-                     QCheck.Test.fail_reportf
-                       "%s: attr %d value %d: batched %.12g vs direct %.12g"
-                       case.descr attr v bv direct
-                 end
-                 else if bv <> 0. then
+         for _ = 1 to 4 do
+           let q = random_query rng schema in
+           let attr = Prng.int rng arity in
+           let vec = Poly.eval_restricted_by_value poly q ~attr in
+           let allowed =
+             match Predicate.restriction q attr with
+             | None -> List.init (Schema.domain_size schema attr) Fun.id
+             | Some r -> Ranges.to_list r
+           in
+           Array.iteri
+             (fun v bv ->
+               if List.mem v allowed then begin
+                 let direct =
+                   Poly.eval_restricted poly
+                     (Predicate.restrict q attr (Ranges.singleton v))
+                 in
+                 if not (Floatx.approx_eq ~rtol:1e-9 ~atol:1e-12 direct bv)
+                 then
                    QCheck.Test.fail_reportf
-                     "%s: attr %d value %d outside restriction: %.12g"
-                     case.descr attr v bv)
-               vec
-           done
-         in
-         Poly.set_parallelism ~threshold:30_000 1;
-         check ();
-         Poly.set_parallelism ~threshold:1 4;
-         Fun.protect
-           ~finally:(fun () -> Poly.set_parallelism ~threshold:30_000 1)
-           check;
+                     "%s: attr %d value %d: batched %.12g vs direct %.12g"
+                     case.descr attr v bv direct
+               end
+               else if bv <> 0. then
+                 QCheck.Test.fail_reportf
+                   "%s: attr %d value %d outside restriction: %.12g"
+                   case.descr attr v bv)
+             vec
+         done;
          true))
 
 (* Summary.groups (batched, flat and a k = 1 partitioned build)
@@ -1658,50 +1650,6 @@ let test_sample_instance_size () =
   let inst = Worlds.sample_instance ~rows:123 sampler (Prng.create ~seed:1 ()) in
   Alcotest.(check int) "rows" 123 (Relation.cardinality inst)
 
-(* Parallel restricted evaluation must agree bit-for-bit in structure with
-   sequential evaluation; forcing the threshold to 1 exercises the domain
-   chunking even on small models.  The weighted pass runs the same
-   kernel, so it is held to the same agreement, with signed weights
-   (unclamped groups) and with non-negative ones (clamped). *)
-let test_parallel_eval_matches_sequential () =
-  let case = random_case 500 in
-  let phi = Phi.of_relation case.rel ~joints:case.joints in
-  let poly = Poly.create phi in
-  let rng = Prng.create ~seed:501 () in
-  randomize_alphas rng poly phi;
-  let schema = Phi.schema phi in
-  let queries = List.init 15 (fun _ -> random_query rng schema) in
-  let weights ~signed =
-    let attr = Prng.int rng (Schema.arity schema) in
-    let table =
-      Array.init (Schema.domain_size schema attr) (fun _ ->
-          if signed then Prng.float rng 4. -. 2. else Prng.float rng 3.)
-    in
-    if signed then table.(0) <- -1.;
-    [ (attr, fun v -> table.(v)) ]
-  in
-  let weighted =
-    List.concat_map
-      (fun q -> [ (q, weights ~signed:true); (q, weights ~signed:false) ])
-      queries
-  in
-  let answers () =
-    List.map (fun q -> ("count", Poly.eval_restricted poly q)) queries
-    @ List.map
-        (fun (q, weights) -> ("weighted", Poly.eval_weighted poly q ~weights))
-        weighted
-  in
-  Poly.set_parallelism ~threshold:30_000 1;
-  let seq = answers () in
-  Poly.set_parallelism ~threshold:1 4;
-  let par = answers () in
-  Poly.set_parallelism ~threshold:30_000 1;
-  List.iter2
-    (fun (what, a) (_, b) ->
-      if not (Floatx.approx_eq ~rtol:1e-9 a b) then
-        Alcotest.failf "parallel %s mismatch: %.12g vs %.12g" what a b)
-    seq par
-
 (* ------------------------------------------------------------------ *)
 (* Disjunctions (inclusion–exclusion)                                  *)
 (* ------------------------------------------------------------------ *)
@@ -2204,8 +2152,9 @@ let crafted_index_tables =
                        name)
                (estimator_surfaces (Serialize.load path) q q'))))
 
-(* Heap and mapped summaries share one evaluator, parallel path included,
-   so they agree bit for bit at any parallelism. *)
+(* Heap and mapped summaries share one evaluator, so they agree bit for
+   bit.  Every answer is one term pass on the calling domain, whatever
+   EDB_DOMAINS is set to, so one comparison covers any parallelism. *)
 let test_heap_mapped_one_answer () =
   let heap, path = Lazy.force one_evaluator_fixture in
   let schema = Summary.schema heap in
@@ -2214,54 +2163,144 @@ let test_heap_mapped_one_answer () =
   let disjunctions =
     List.init 40 (fun _ -> [ random_query rng schema; random_query rng schema ])
   in
-  let check_at label =
-    let mapped = Serialize.load path in
-    let differ = ref [] in
-    let same what a b = if not (same_bits a b) then differ := what :: !differ in
-    List.iter
+  let mapped = Serialize.load path in
+  let differ = ref [] in
+  let same what a b = if not (same_bits a b) then differ := what :: !differ in
+  List.iter
+    (fun q ->
+      let h = Summary.count heap q and m = Summary.count mapped q in
+      same "COUNT" h.est m.est;
+      same "COUNT variance" h.var m.var;
+      let sum s = Summary.sum s ~attr:Edb_datagen.Flights.distance q in
+      let h = sum heap and m = sum mapped in
+      same "SUM" h.est m.est;
+      same "SUM variance" h.var m.var;
+      List.iter
+        (fun (what, attrs) ->
+          List.iter2
+            (fun (hk, (h : Summary.answer)) (mk, (m : Summary.answer)) ->
+              if hk <> mk then differ := what :: !differ;
+              same what h.est m.est;
+              same what h.var m.var)
+            (Summary.groups heap ~attrs q)
+            (Summary.groups mapped ~attrs q))
+        [
+          ("GROUP BY grouped", [ Edb_datagen.Flights.origin ]);
+          ("GROUP BY free", [ Edb_datagen.Flights.fl_time ]);
+        ])
+    queries;
+  List.iter
+    (fun d ->
+      let h = Summary.count_disjuncts heap d
+      and m = Summary.count_disjuncts mapped d in
+      same "OR" h.est m.est;
+      same "OR variance" h.var m.var)
+    disjunctions;
+  match !differ with
+  | [] -> ()
+  | d ->
+      Alcotest.failf "%d heap/mapped answers differ bitwise (%s ...)"
+        (List.length d) (List.hd d)
+
+(* The daemon runs one executor domain per core, and any of them may
+   evaluate a summary while others do.  Four domains evaluate COUNT,
+   SUM and GROUP BY at once on one built summary and on one mapped
+   summary: first racing for each polynomial's scratch block, then while
+   this domain holds both blocks, so that every one of their
+   evaluations falls back to a fresh block.  Every answer must be
+   bitwise the sequential answer, computed first. *)
+let test_parallel_eval_matches_sequential () =
+  let module F = Edb_datagen.Flights in
+  let heap, path = Lazy.force one_evaluator_fixture in
+  let mapped = Serialize.load path in
+  let schema = Summary.schema heap in
+  let rng = Prng.create ~seed:501 () in
+  let queries = List.init 15 (fun _ -> random_query rng schema) in
+  let answers s =
+    List.concat_map
       (fun q ->
-        let h = Summary.count heap q and m = Summary.count mapped q in
-        same "COUNT" h.est m.est;
-        same "COUNT variance" h.var m.var;
-        let sum s = Summary.sum s ~attr:Edb_datagen.Flights.distance q in
-        let h = sum heap and m = sum mapped in
-        same "SUM" h.est m.est;
-        same "SUM variance" h.var m.var;
-        List.iter
-          (fun (what, attrs) ->
-            List.iter2
-              (fun (hk, (h : Summary.answer)) (mk, (m : Summary.answer)) ->
-                if hk <> mk then differ := what :: !differ;
-                same what h.est m.est;
-                same what h.var m.var)
-              (Summary.groups heap ~attrs q)
-              (Summary.groups mapped ~attrs q))
-          [
-            ("GROUP BY grouped", [ Edb_datagen.Flights.origin ]);
-            ("GROUP BY free", [ Edb_datagen.Flights.fl_time ]);
-          ])
-      queries;
-    List.iter
-      (fun d ->
-        let h = Summary.count_disjuncts heap d
-        and m = Summary.count_disjuncts mapped d in
-        same "OR" h.est m.est;
-        same "OR variance" h.var m.var)
-      disjunctions;
-    match !differ with
-    | [] -> ()
-    | d ->
-        Alcotest.failf "%s: %d heap/mapped answers differ bitwise (%s ...)"
-          label (List.length d) (List.hd d)
+        let c = Summary.count s q and m = Summary.sum s ~attr:F.distance q in
+        c.est :: c.var :: m.est :: m.var
+        :: List.concat_map
+             (fun (_, (a : Summary.answer)) -> [ a.est; a.var ])
+             (Summary.groups s ~attrs:[ F.origin ] q))
+      queries
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Poly.set_parallelism ~threshold:30_000 (Parallel.default_domains ()))
-    (fun () ->
-      Poly.set_parallelism ~threshold:1 4;
-      check_at "4 domains, threshold 1";
-      Poly.set_parallelism ~threshold:30_000 1;
-      check_at "1 domain")
+  let both () = (answers heap, answers mapped) in
+  let seq_heap, seq_mapped = both () in
+  let on_4_domains () =
+    let ready = Atomic.make 0 in
+    List.init 4 (fun _ ->
+        Stdlib.Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < 4 do
+              Stdlib.Domain.cpu_relax ()
+            done;
+            both ()))
+    |> List.map Stdlib.Domain.join
+  in
+  let raced = on_4_domains () in
+  (* A weighted pass calls its weight function while it holds the
+     polynomial's scratch block, so [hold s k] runs [k] with [s]'s block
+     claimed. *)
+  let hold s k =
+    ignore
+      (Poly.eval_weighted (Summary.poly s)
+         (Predicate.tautology (Schema.arity schema))
+         ~weights:[ (F.distance, fun v -> if v = 0 then k (); 1.) ])
+  in
+  let evals = Edb_obs.Registry.counter "poly.evals"
+  and allocs = Edb_obs.Registry.counter "kernel_scratch_allocs" in
+  let evals0 = Edb_obs.Registry.Counter.value evals
+  and allocs0 = Edb_obs.Registry.Counter.value allocs in
+  let held = ref [] in
+  hold heap (fun () -> hold mapped (fun () -> held := on_4_domains ()));
+  let evals = Edb_obs.Registry.Counter.value evals - evals0
+  and allocs = Edb_obs.Registry.Counter.value allocs - allocs0 in
+  Alcotest.(check int)
+    "every evaluation under the hold took a fresh block" (evals - 2) allocs;
+  let same_answers a b =
+    List.length a = List.length b && List.for_all2 same_bits a b
+  in
+  let check phase =
+    List.iteri (fun d (h, m) ->
+        if not (same_answers seq_heap h && same_answers seq_mapped m) then
+          Alcotest.failf "%s, domain %d: an answer differs from sequential"
+            phase d)
+  in
+  check "racing" raced;
+  check "held" !held
+
+(* An unsatisfiable predicate (here, an empty restriction) answers SUM
+   and AVG with 0 before any kernel pass, as COUNT does: [poly.evals]
+   does not move, on a flat, a mapped and a k = 3 summary. *)
+let test_unsatisfiable_sum_evaluates_nothing () =
+  let module F = Edb_datagen.Flights in
+  let heap, path = Lazy.force one_evaluator_fixture in
+  let arity = Schema.arity (Summary.schema heap) in
+  let q =
+    Predicate.of_alist ~arity
+      [
+        (F.origin, Ranges.interval 2 40); (F.distance, Ranges.empty);
+      ]
+  in
+  let evals = Edb_obs.Registry.counter "poly.evals" in
+  List.iter
+    (fun (what, s) ->
+      let before = Edb_obs.Registry.Counter.value evals in
+      let sum = Summary.sum s ~attr:F.distance q in
+      let avg = Summary.estimate_avg s ~attr:F.distance q in
+      Alcotest.(check int)
+        (what ^ ": kernel passes") 0
+        (Edb_obs.Registry.Counter.value evals - before);
+      Alcotest.(check (pair (float 0.) (float 0.)))
+        (what ^ ": SUM") (0., 0.) (sum.est, sum.var);
+      Alcotest.(check bool) (what ^ ": AVG") true (avg = None))
+    [
+      ("flat", heap);
+      ("mapped", Serialize.load path);
+      ("k = 3", Lazy.force k3_fixture);
+    ]
 
 (* Nothing writes through a mapping: the solver and every update raise,
    and the file and the answers are untouched afterwards. *)
@@ -2497,6 +2536,8 @@ let () =
             `Quick test_solver_inconsistent_targets;
           Alcotest.test_case "tautology estimates n" `Quick
             test_tautology_estimate;
+          Alcotest.test_case "unsatisfiable SUM and AVG evaluate nothing"
+            `Quick test_unsatisfiable_sum_evaluates_nothing;
         ] );
       ( "invariants",
         [
